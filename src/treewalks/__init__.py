@@ -30,7 +30,7 @@ from .oracles import (
     tree_walk_distribution,
     weight_and_poids,
 )
-from .rationals import arith, format_number, parse_number, rational
+from .rationals import format_number, parse_number
 from .recurrence import WalkTable, WeightConfig, build_table, mass_check, tree_weights
 from .series import PowerSeries
 
@@ -42,7 +42,6 @@ __all__ = [
     "TruncatedTree",
     "WalkTable",
     "WeightConfig",
-    "arith",
     "build_table",
     "dyck_gf",
     "enumerate_dyck",
@@ -54,7 +53,6 @@ __all__ = [
     "mass_check",
     "parse_number",
     "poids_gf",
-    "rational",
     "reduce_word",
     "tree_gf",
     "tree_walk_count",

@@ -11,7 +11,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import cache, partial
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
 from .oracles import (
@@ -21,8 +22,8 @@ from .oracles import (
     free_group_count,
     tree_walk_count,
 )
-from .rationals import format_number, parse_number
-from .recurrence import WeightConfig, build_table, mass_check, tree_weights
+from .rationals import Rational, format_number, parse_number
+from .recurrence import WalkTable, WeightConfig, build_table, mass_check, tree_weights
 from .series import PowerSeries
 
 __all__ = ["main", "entrypoint"]
@@ -39,6 +40,13 @@ ORACLE_CAP_TREE = 10
 ORACLE_CAP_FREE = 8
 
 
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treewalks",
@@ -50,83 +58,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("plain", "csv", "json", "bfile"),
-        default="plain",
-        help="output format (default: plain)",
-    )
-    common.add_argument(
-        "--parity-filter",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="emit only the reachable lengths n = i, i+2, ...",
-    )
-    common.add_argument(
-        "--max-states",
-        type=int,
-        default=DEFAULT_MAX_STATES,
-        help=f"feasibility ceiling for brute-force methods (default {DEFAULT_MAX_STATES})",
-    )
-    common.add_argument(
-        "--start",
-        type=int,
-        default=0,
-        help="first index for bfile output (default 0)",
-    )
-
-    walks = sub.add_parser(
-        "walks",
-        parents=[common],
-        help="counts of m-regular-tree walks ending at distance i",
-    )
+    walks = sub.add_parser("walks", help="counts of m-regular-tree walks ending at distance i")
     walks.add_argument("-m", type=int, required=True, help="tree degree (every vertex has m neighbors)")
-    walks.add_argument("-i", type=int, default=0, help="end distance from the start vertex (default 0)")
-    walks.add_argument("-n", "--n-max", type=int, required=True, dest="n_max", help="largest walk length")
+    walks.add_argument("-i", type=_natural, default=0, help="end distance from the start vertex (default 0)")
+    walks.add_argument("-n", "--n-max", type=_natural, required=True, dest="n_max", help="largest walk length")
     walks.add_argument("--method", choices=("dp", "gf", "tree"), default="dp")
     walks.set_defaults(handler=_cmd_walks)
 
-    dyck = sub.add_parser(
-        "dyck",
-        parents=[common],
-        help="poids-sums of weighted lattice paths ending at height i",
-    )
+    dyck = sub.add_parser("dyck", help="poids-sums of weighted lattice paths ending at height i")
     dyck.add_argument("c1", type=parse_number, help="up-step weight (rational, e.g. 1 or 1/2)")
     dyck.add_argument("c2", type=parse_number, help="down-step weight away from the axis")
     dyck.add_argument("c3", type=parse_number, help="down-step weight landing on the axis")
-    dyck.add_argument("-i", type=int, default=0, help="end height (default 0)")
-    dyck.add_argument("-n", "--n-max", type=int, required=True, dest="n_max", help="largest path length")
+    dyck.add_argument("-i", type=_natural, default=0, help="end height (default 0)")
+    dyck.add_argument("-n", "--n-max", type=_natural, required=True, dest="n_max", help="largest path length")
     dyck.add_argument("--method", choices=("dp", "gf", "enum"), default="dp")
     dyck.set_defaults(handler=_cmd_dyck)
 
-    verify = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="run every cross-method invariant and report pass/fail per check",
-    )
+    verify = sub.add_parser("verify", help="run every cross-method invariant and report pass/fail per check")
     verify.add_argument("--scope", choices=("tree", "dyck", "freegroup", "all"), default="all")
-    verify.add_argument("-n", "--n-max", type=int, default=10, dest="n_max")
+    verify.add_argument("-n", "--n-max", type=_natural, default=10, dest="n_max")
     verify.add_argument("--m-max", type=int, default=4, dest="m_max")
     verify.set_defaults(handler=_cmd_verify)
 
-    bfile = sub.add_parser(
-        "bfile",
-        parents=[common],
-        help="OEIS b-file of the parity-filtered sequence A_m(i, i+2k)",
-    )
+    bfile = sub.add_parser("bfile", help="OEIS b-file of the parity-filtered sequence A_m(i, i+2k)")
     bfile.add_argument("-m", type=int, required=True, help="tree degree")
-    bfile.add_argument("-i", type=int, default=0, help="end distance (default 0)")
-    bfile.add_argument("--count", type=int, required=True, help="number of terms")
-    bfile.set_defaults(handler=_cmd_bfile)
+    bfile.add_argument("-i", type=_natural, default=0, help="end distance (default 0)")
+    bfile.add_argument("--count", type=_natural, required=True, help="number of terms")
+    bfile.set_defaults(handler=_cmd_bfile, method="dp", format="bfile", parity_filter=True)
+
+    for values in (walks, dyck):
+        values.add_argument(
+            "--format",
+            choices=("plain", "csv", "json", "bfile"),
+            default="plain",
+            help="output format (default: plain)",
+        )
+        values.add_argument(
+            "--parity-filter",
+            action=argparse.BooleanOptionalAction,
+            default=False,
+            help="emit only the reachable lengths n = i, i+2, ...",
+        )
+    for brute in (walks, dyck, verify):
+        brute.add_argument(
+            "--max-states",
+            type=int,
+            default=DEFAULT_MAX_STATES,
+            help=f"feasibility ceiling for brute-force methods (default {DEFAULT_MAX_STATES})",
+        )
+    for indexed in (walks, dyck, bfile):
+        indexed.add_argument("--start", type=_natural, default=0, help="first index for bfile output (default 0)")
 
     return parser
-
-
-def _selected_lengths(i: int, n_max: int, parity_filter: bool) -> list[int]:
-    if parity_filter:
-        return list(range(i, n_max + 1, 2))
-    return list(range(n_max + 1))
 
 
 def _emit(ns: Sequence[int], values: Sequence[Fraction], meta: dict, fmt: str, start: int) -> None:
@@ -138,75 +121,49 @@ def _emit(ns: Sequence[int], values: Sequence[Fraction], meta: dict, fmt: str, s
         for n, s in zip(ns, strs):
             print(f"{n},{s}")
     elif fmt == "json":
-        payload = dict(meta)
-        payload["n"] = list(ns)
-        payload["values"] = strs
-        print(json.dumps(payload))
+        print(json.dumps({**meta, "n": list(ns), "values": strs}))
     else:  # bfile: one "index value" line per term, indices consecutive
         for k, s in enumerate(strs):
             print(f"{start + k} {s}")
 
 
-def _cmd_walks(args: argparse.Namespace) -> int:
-    m, i, n_max = args.m, args.i, args.n_max
-    if m < 1:
-        raise ValueError(f"tree degree must be >= 1, got {m}")
-    if i < 0 or n_max < 0:
-        raise ValueError("-i and -n must be non-negative")
-    ns = _selected_lengths(i, n_max, args.parity_filter)
+def _count(
+    args: argparse.Namespace,
+    weights: WeightConfig,
+    gf: Callable[[int, int], PowerSeries],
+    oracle: Callable[..., Rational],
+    meta: dict,
+) -> int:
+    """Print A(i, n) for the selected lengths n, by dp, gf or the oracle."""
+    i, n_max = args.i, args.n_max
+    ns = range(i, n_max + 1, 2) if args.parity_filter else range(n_max + 1)
     if args.method == "dp":
-        table = build_table(tree_weights(m), n_max)
+        table = build_table(weights, max(ns, default=0))
         values = [table.count(i, n) for n in ns]
     elif args.method == "gf":
-        series = tree_gf(m, i, n_max)
+        series = gf(i, n_max)
         values = [series[n] for n in ns]
     else:
-        values = [Fraction(tree_walk_count(m, i, n, max_states=args.max_states)) for n in ns]
-    _emit(ns, values, {"m": m, "i": i, "method": args.method}, args.format, args.start)
+        values = [oracle(i, n, max_states=args.max_states) for n in ns]
+    _emit(ns, values, {**meta, "i": i, "method": args.method}, args.format, args.start)
     return EXIT_OK
+
+
+def _cmd_walks(args: argparse.Namespace) -> int:
+    m = args.m
+    return _count(args, tree_weights(m), partial(tree_gf, m), partial(tree_walk_count, m), {"m": m})
 
 
 def _cmd_dyck(args: argparse.Namespace) -> int:
     weights = WeightConfig(args.c1, args.c2, args.c3)
-    i, n_max = args.i, args.n_max
-    if i < 0 or n_max < 0:
-        raise ValueError("-i and -n must be non-negative")
-    ns = _selected_lengths(i, n_max, args.parity_filter)
-    if args.method == "dp":
-        table = build_table(weights, n_max)
-        values = [table.count(i, n) for n in ns]
-    elif args.method == "gf":
-        series = poids_gf(weights, i, n_max)
-        values = [series[n] for n in ns]
-    else:
-        values = [enumerate_dyck(weights, i, n, max_states=args.max_states) for n in ns]
-    meta = {
-        "weights": {
-            "c1": format_number(weights.c1),
-            "c2": format_number(weights.c2),
-            "c3": format_number(weights.c3),
-        },
-        "i": i,
-        "method": args.method,
-    }
-    _emit(ns, values, meta, args.format, args.start)
-    return EXIT_OK
+    shown = {"c1": format_number(weights.c1), "c2": format_number(weights.c2), "c3": format_number(weights.c3)}
+    return _count(args, weights, partial(poids_gf, weights), partial(enumerate_dyck, weights), {"weights": shown})
 
 
 def _cmd_bfile(args: argparse.Namespace) -> int:
-    m, i, count = args.m, args.i, args.count
-    if m < 1:
-        raise ValueError(f"tree degree must be >= 1, got {m}")
-    if i < 0 or count < 0:
-        raise ValueError("-i and --count must be non-negative")
-    ns = [i + 2 * k for k in range(count)]
-    if ns:
-        table = build_table(tree_weights(m), ns[-1])
-        values = [table.count(i, n) for n in ns]
-    else:
-        values = []
-    _emit(ns, values, {"m": m, "i": i, "method": "dp"}, "bfile", args.start)
-    return EXIT_OK
+    # walks --parity-filter --format bfile over the first `count` reachable lengths
+    args.n_max = args.i + 2 * (args.count - 1)
+    return _cmd_walks(args)
 
 
 # --- verify -----------------------------------------------------------------
@@ -221,77 +178,42 @@ VERIFY_TRIPLES: tuple[WeightConfig, ...] = (
 )
 
 Check = tuple[str, Callable[[], Optional[str]]]
+Route = tuple[str, Callable[[Any, int], Rational]]
 
 
 def _mismatch(label: str, expected: Fraction, got: Fraction) -> str:
     return f"{label}: expected {format_number(expected)}, got {format_number(got)}"
 
 
-def _check_tree_methods(m: int, n_max: int) -> Optional[str]:
-    table = build_table(tree_weights(m), n_max)
-    for i in range(n_max + 1):
-        closed = tree_gf(m, i, n_max)
-        constructed = poids_gf(tree_weights(m), i, n_max)
-        for n in range(n_max + 1):
-            dp = table.count(i, n)
-            if closed[n] != dp:
-                return _mismatch(f"m={m} i={i} n={n} closed form vs dp", dp, closed[n])
-            if constructed[n] != dp:
-                return _mismatch(f"m={m} i={i} n={n} constructed gf vs dp", dp, constructed[n])
+def _against_dp(table: WalkTable, cells: Iterable[tuple], routes: Sequence[Route]) -> Optional[str]:
+    """First disagreement with dp over the cells, in order, or None.
+
+    A cell (label, i, n, key) compares A(i, n) from the table with each
+    route's value(key, n).
+    """
+    for label, i, n, key in cells:
+        dp = table.count(i, n)
+        for name, value in routes:
+            got = value(key, n)
+            if got != dp:
+                return _mismatch(f"{label} {name} vs dp", dp, got)
     return None
 
 
-def _check_tree_oracle(m: int, n_max: int, max_states: int) -> Optional[str]:
-    cap = min(n_max, ORACLE_CAP_TREE)
-    table = build_table(tree_weights(m), cap)
-    for n in range(cap + 1):
-        for i in range(n + 1):
-            dp = table.count(i, n)
-            brute = Fraction(tree_walk_count(m, i, n, max_states=max_states))
-            if brute != dp:
-                return _mismatch(f"m={m} i={i} n={n} tree oracle vs dp", dp, brute)
-    return None
-
-
-def _check_mass(m: int, n_max: int) -> Optional[str]:
-    table = build_table(tree_weights(m), n_max)
-    for n in range(n_max + 1):
+def _check_mass(m: int, table: WalkTable) -> Optional[str]:
+    for n in range(table.n_max + 1):
         total = mass_check(m, n, table)
         if total != Fraction(m) ** n:
             return _mismatch(f"m={m} n={n} vertex-weighted total vs m^n", Fraction(m) ** n, total)
     return None
 
 
-def _check_parity(weights: WeightConfig, n_max: int) -> Optional[str]:
-    table = build_table(weights, n_max)
-    for i in range(n_max + 1):
-        for n in range(n_max + 1):
+def _check_parity(table: WalkTable) -> Optional[str]:
+    for i in range(table.n_max + 1):
+        for n in range(table.n_max + 1):
             v = table.count(i, n)
             if (n < i or (n - i) % 2 == 1) and v != 0:
-                return f"weights {weights.describe()} i={i} n={n}: unreachable entry is {format_number(v)}"
-    return None
-
-
-def _check_dyck_methods(weights: WeightConfig, n_max: int) -> Optional[str]:
-    table = build_table(weights, n_max)
-    for i in range(n_max + 1):
-        series = poids_gf(weights, i, n_max)
-        for n in range(n_max + 1):
-            dp = table.count(i, n)
-            if series[n] != dp:
-                return _mismatch(f"weights {weights.describe()} i={i} n={n} gf vs dp", dp, series[n])
-    return None
-
-
-def _check_dyck_oracle(weights: WeightConfig, n_max: int, max_states: int) -> Optional[str]:
-    cap = min(n_max, ORACLE_CAP_DYCK)
-    table = build_table(weights, cap)
-    for n in range(cap + 1):
-        for i in range(n + 1):
-            dp = table.count(i, n)
-            brute = enumerate_dyck(weights, i, n, max_states=max_states)
-            if brute != dp:
-                return _mismatch(f"weights {weights.describe()} i={i} n={n} enumeration vs dp", dp, brute)
+                return f"weights {table.weights.describe()} i={i} n={n}: unreachable entry is {format_number(v)}"
     return None
 
 
@@ -328,53 +250,72 @@ _FREE_GROUP_WORDS: dict[int, list[tuple[int, ...]]] = {
 }
 
 
-def _check_free_group(g: int, n_max: int, max_states: int) -> Optional[str]:
-    cap = min(n_max, ORACLE_CAP_FREE)
-    table = build_table(tree_weights(2 * g), cap)
-    for target in _FREE_GROUP_WORDS[g]:
-        if len(target) > cap:
-            continue
-        for n in range(cap + 1):
-            dp = table.count(len(target), n)
-            brute = Fraction(free_group_count(g, target, n, max_states=max_states))
-            if brute != dp:
-                return _mismatch(f"g={g} target={target} n={n} free-group count vs dp", dp, brute)
-    return None
-
-
 def _verify_checks(scope: str, n_max: int, m_max: int, max_states: int) -> list[Check]:
+    table = cache(lambda weights: build_table(weights, n_max))  # one per weight configuration
+    square = [(i, n) for i in range(n_max + 1) for n in range(n_max + 1)]
+    tree_cap, dyck_cap, free_cap = (min(n_max, cap) for cap in (ORACLE_CAP_TREE, ORACLE_CAP_DYCK, ORACLE_CAP_FREE))
+
+    def corner(cap: int) -> list[tuple[int, int]]:
+        return [(i, n) for n in range(cap + 1) for i in range(n + 1)]
+
+    def cells(where: str, pairs: list[tuple[int, int]]) -> list[tuple[str, int, int, int]]:
+        return [(f"{where} i={i} n={n}", i, n, i) for i, n in pairs]
+
+    def gf_rows(gf: Callable[..., PowerSeries], arg: object) -> Callable[[int, int], Fraction]:
+        rows = [gf(arg, i, n_max) for i in range(n_max + 1)]
+        return lambda i, n: rows[i][n]
+
+    def tree_methods(m: int) -> Optional[str]:
+        routes = [("closed form", gf_rows(tree_gf, m)), ("constructed gf", gf_rows(poids_gf, tree_weights(m)))]
+        return _against_dp(table(tree_weights(m)), cells(f"m={m}", square), routes)
+
+    def tree_oracle(m: int) -> Optional[str]:
+        route = ("tree oracle", partial(tree_walk_count, m, max_states=max_states))
+        return _against_dp(table(tree_weights(m)), cells(f"m={m}", corner(tree_cap)), [route])
+
+    def dyck_methods(w: WeightConfig) -> Optional[str]:
+        return _against_dp(table(w), cells(f"weights {w.describe()}", square), [("gf", gf_rows(poids_gf, w))])
+
+    def dyck_oracle(w: WeightConfig) -> Optional[str]:
+        route = ("enumeration", partial(enumerate_dyck, w, max_states=max_states))
+        return _against_dp(table(w), cells(f"weights {w.describe()}", corner(dyck_cap)), [route])
+
+    def free_group(g: int) -> Optional[str]:
+        words = [
+            (f"g={g} target={target} n={n}", len(target), n, target)
+            for target in _FREE_GROUP_WORDS[g]
+            if len(target) <= free_cap
+            for n in range(free_cap + 1)
+        ]
+        route = ("free-group count", partial(free_group_count, g, max_states=max_states))
+        return _against_dp(table(tree_weights(2 * g)), words, [route])
+
+    degrees = range(2, m_max + 1)
     checks: list[Check] = []
-    degrees = range(2, max(m_max, 2) + 1)
     if scope in ("tree", "all"):
-        for m in degrees:
-            checks.append((f"dp = gf = closed form, m={m}, n<={n_max}", lambda m=m: _check_tree_methods(m, n_max)))
-        for m in degrees:
-            cap = min(n_max, ORACLE_CAP_TREE)
-            checks.append((f"dp = tree oracle, m={m}, n<={cap}", lambda m=m: _check_tree_oracle(m, n_max, max_states)))
-        for m in degrees:
-            checks.append((f"mass conservation sum V_m(i)*A(i,n) = m^n, m={m}", lambda m=m: _check_mass(m, n_max)))
-        for m in degrees:
-            checks.append((f"parity vanishing, m={m}", lambda m=m: _check_parity(tree_weights(m), n_max)))
+        checks += [(f"dp = gf = closed form, m={m}, n<={n_max}", partial(tree_methods, m)) for m in degrees]
+        checks += [(f"dp = tree oracle, m={m}, n<={tree_cap}", partial(tree_oracle, m)) for m in degrees]
+        checks += [
+            (f"mass conservation sum V_m(i)*A(i,n) = m^n, m={m}", lambda m=m: _check_mass(m, table(tree_weights(m))))
+            for m in degrees
+        ]
+        checks += [(f"parity vanishing, m={m}", lambda m=m: _check_parity(table(tree_weights(m)))) for m in degrees]
     if scope in ("dyck", "all"):
-        for w in VERIFY_TRIPLES:
-            checks.append((f"dp = gf, weights {w.describe()}, n<={n_max}", lambda w=w: _check_dyck_methods(w, n_max)))
-        for w in VERIFY_TRIPLES:
-            cap = min(n_max, ORACLE_CAP_DYCK)
-            checks.append((f"dp = path enumeration, weights {w.describe()}, n<={cap}", lambda w=w: _check_dyck_oracle(w, n_max, max_states)))
-        for w in VERIFY_TRIPLES:
-            checks.append((f"series algebra (sqrt, quadratic, d_i factoring), weights {w.describe()}", lambda w=w: _check_algebra(w, n_max)))
-        for w in VERIFY_TRIPLES:
-            checks.append((f"parity vanishing, weights {w.describe()}", lambda w=w: _check_parity(w, n_max)))
+        checks += [(f"dp = gf, weights {w.describe()}, n<={n_max}", partial(dyck_methods, w)) for w in VERIFY_TRIPLES]
+        checks += [(f"dp = path enumeration, weights {w.describe()}, n<={dyck_cap}", partial(dyck_oracle, w)) for w in VERIFY_TRIPLES]
+        checks += [
+            (f"series algebra (sqrt, quadratic, d_i factoring), weights {w.describe()}", partial(_check_algebra, w, n_max))
+            for w in VERIFY_TRIPLES
+        ]
+        checks += [(f"parity vanishing, weights {w.describe()}", lambda w=w: _check_parity(table(w))) for w in VERIFY_TRIPLES]
     if scope in ("freegroup", "all"):
-        for g in (1, 2):
-            cap = min(n_max, ORACLE_CAP_FREE)
-            checks.append((f"dp = free-group words, g={g}, n<={cap}", lambda g=g: _check_free_group(g, n_max, max_states)))
+        checks += [(f"dp = free-group words, g={g}, n<={free_cap}", partial(free_group, g)) for g in (1, 2)]
     return checks
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.n_max < 0 or args.m_max < 2:
-        raise ValueError("--n-max must be >= 0 and --m-max >= 2")
+    if args.m_max < 2:
+        raise ValueError("--m-max must be >= 2")
     failures = 0
     checks = _verify_checks(args.scope, args.n_max, args.m_max, args.max_states)
     for name, run in checks:
@@ -392,13 +333,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

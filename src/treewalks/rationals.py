@@ -1,4 +1,4 @@
-"""Exact rational scalars: construction, arithmetic dispatch, decimal-string I/O.
+"""Exact rational scalars: decimal-string parse/format.
 
 Every quantity in this package is an arbitrary-precision integer or an exact
 rational (``fractions.Fraction``).  Nothing here ever rounds: walk counts are
@@ -9,44 +9,15 @@ word, so exported values survive arbitrary magnitudes.
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
-__all__ = ["Rational", "rational", "arith", "format_number", "parse_number"]
+__all__ = ["Rational", "format_number", "parse_number"]
 
 Rational = Union[int, Fraction]
 
 _NUMBER_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
-
-_OPS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
-}
-
-
-def rational(num: int, den: int = 1) -> Fraction:
-    """Canonical rational num/den: positive denominator, coprime parts.
-
-    Raises ZeroDivisionError if ``den`` is zero.
-    """
-    return Fraction(num, den)
-
-
-def arith(a: Rational, b: Rational, op: str) -> Fraction:
-    """Apply one of ``"add" | "sub" | "mul" | "div"`` to two rationals, exactly.
-
-    Division by zero raises ZeroDivisionError; an unknown ``op`` raises
-    ValueError.  The result is always in canonical form.
-    """
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}; expected one of {sorted(_OPS)}") from None
-    return fn(Fraction(a), Fraction(b))
 
 
 def format_number(value: Rational) -> str:

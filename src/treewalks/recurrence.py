@@ -39,9 +39,11 @@ class WeightConfig:
     m: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c1", Fraction(self.c1))
-        object.__setattr__(self, "c2", Fraction(self.c2))
-        object.__setattr__(self, "c3", Fraction(self.c3))
+        for name in ("c1", "c2", "c3"):
+            value = getattr(self, name)
+            if isinstance(value, float):
+                raise TypeError(f"weight {name}={value!r} is a float; weights must be exact")
+            object.__setattr__(self, name, Fraction(value))
         if self.m is not None:
             if not isinstance(self.m, int) or self.m < 1:
                 raise ValueError(f"tree degree must be an integer >= 1, got {self.m!r}")
@@ -136,10 +138,8 @@ def build_table(weights: WeightConfig, n_max: int) -> WalkTable:
             if i + 1 < size:
                 acc += weights.c2 * rows[i + 1][prev]
             rows[i][n] = acc
-    if weights.m is not None:
-        assert all(
-            v.denominator == 1 and v >= 0 for row in rows for v in row
-        ), "tree walk counts must be non-negative integers"
+    if weights.m is not None and not all(v.denominator == 1 and v >= 0 for row in rows for v in row):
+        raise ArithmeticError("tree walk counts must be non-negative integers")
     return WalkTable(weights, n_max, rows)
 
 

@@ -221,6 +221,14 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert "expected" in out
 
 
+def test_verify_builds_one_table_per_weight_config(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_table", lambda w, n_max: built.append(w) or build_table(w, n_max))
+    code, _, _ = run(capsys, "verify", "--scope", "all", "-n", "5", "--m-max", "5")
+    assert code == 0
+    assert len(built) == len(set(built)) == 7  # degrees 2..5 plus three non-tree triples
+
+
 def test_verify_rejects_bad_bounds(capsys):
     code, _, _ = run(capsys, "verify", "-n", "-1")
     assert code == 2
@@ -248,3 +256,41 @@ def test_help_exits_cleanly(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "walks" in out and "verify" in out
+
+
+def test_zero_denominator_weight_is_usage_error(capsys):
+    code, out, err = run(capsys, "dyck", "1", "1/0", "1", "-n", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walks", "-m", "3", "-n", "4"),
+        ("dyck", "1", "1", "1", "-n", "4"),
+        ("bfile", "-m", "3", "--count", "4"),
+    ],
+)
+def test_negative_start_is_usage_error(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--start", "-1")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--format", "json"),
+        ("verify", "--parity-filter"),
+        ("verify", "--start", "1"),
+        ("bfile", "-m", "3", "--count", "4", "--format", "csv"),
+        ("bfile", "-m", "3", "--count", "4", "--parity-filter"),
+        ("bfile", "-m", "3", "--count", "4", "--max-states", "10"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == ""

@@ -1,8 +1,8 @@
 """Pinned CLI behaviour: exact stdout and exit code of a fixed argv list, and
 one corrupted route per dp comparison in ``verify``.
 
-The expected outputs were captured from the CLI before its comparison loops
-were merged into one; any change to a printed byte or an exit code fails here.
+Stdout and exit codes are the CLI's published contract, so any change to a
+printed byte or an exit code of these commands fails here.
 """
 
 from __future__ import annotations

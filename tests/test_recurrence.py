@@ -50,6 +50,11 @@ def test_weight_config_validates_tree_tag():
         WeightConfig(1, -1, 0, m=0)
 
 
+def test_weight_config_rejects_floats():
+    with pytest.raises(TypeError):
+        WeightConfig(1, 0.1, 2)
+
+
 # --- table values -----------------------------------------------------------------
 
 
@@ -100,6 +105,13 @@ def test_trivial_table():
 def test_negative_order_rejected():
     with pytest.raises(ValueError):
         build_table(tree_weights(2), -1)
+
+
+def test_tree_tag_demands_integer_counts():
+    w = tree_weights(3)
+    object.__setattr__(w, "c2", Fraction(1, 2))  # bypass the tag validation
+    with pytest.raises(ArithmeticError):
+        build_table(w, 4)
 
 
 @given(weight_triples, st.integers(min_value=0, max_value=12))
