@@ -3,8 +3,8 @@
 The same numbers are computed three independent ways and verified to agree
 coefficient by coefficient:
 
-* a dynamic-programming recurrence over exact rationals
-  (:func:`build_table`),
+* a dynamic-programming recurrence on integers scaled by D^n, D the
+  lcm of the weight denominators (:func:`build_table`),
 * coefficient extraction from closed-form algebraic generating functions
   (:func:`tree_gf`, :func:`poids_gf`),
 * brute-force enumeration oracles: all lattice paths, walks on an
@@ -18,7 +18,6 @@ no floating point appears anywhere in the computation path.
 from .genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
 from .oracles import (
     DEFAULT_MAX_STATES,
-    FeasibilityError,
     LatticePath,
     TruncatedTree,
     enumerate_dyck,
@@ -31,7 +30,7 @@ from .oracles import (
     weight_and_poids,
 )
 from .rationals import format_number, parse_number
-from .recurrence import WalkTable, WeightConfig, build_table, mass_check, tree_weights
+from .recurrence import FeasibilityError, WalkTable, WeightConfig, build_table, mass_check, tree_weights
 from .series import PowerSeries
 
 __all__ = [

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .recurrence import WeightConfig
+from .recurrence import FeasibilityError, WeightConfig
 
 __all__ = [
     "DEFAULT_MAX_STATES",
@@ -40,10 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STATES = 10_000_000
-
-
-class FeasibilityError(RuntimeError):
-    """An exhaustive enumeration was refused because its state space is too big."""
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .rationals import Rational, format_number
 
-__all__ = ["WeightConfig", "WalkTable", "tree_weights", "build_table", "mass_check"]
+__all__ = [
+    "MAX_TABLE_BYTES",
+    "FeasibilityError",
+    "WeightConfig",
+    "WalkTable",
+    "tree_weights",
+    "build_table",
+    "mass_check",
+]
 
 
 @dataclass(frozen=True)
@@ -70,17 +79,35 @@ def tree_weights(m: int) -> WeightConfig:
     return WeightConfig(Fraction(1), Fraction(m - 1), Fraction(m), m=m)
 
 
-class WalkTable:
-    """Dense square of A(i, n) values for 0 <= i, n <= n_max.
+class FeasibilityError(RuntimeError):
+    """A computation was refused because its estimated cost exceeds a ceiling."""
 
-    Entries with i > n (or with n - i odd) are exactly zero; the square is
-    kept anyway for clarity at desk scale.  Built by :func:`build_table`.
+
+# Ceiling on the estimated size of a dp table.  The estimate bounds every
+# entry by the widest one, so a table at the ceiling really holds about
+# two thirds of it.
+MAX_TABLE_BYTES = 1 << 30
+
+
+def _scale(weights: WeightConfig) -> int:
+    """D, the lcm of the weight denominators: D * c is an integer for each weight."""
+    return lcm(weights.c1.denominator, weights.c2.denominator, weights.c3.denominator)
+
+
+class WalkTable:
+    """A(i, n) for 0 <= n <= n_max, stored as integers N(i, n) = A(i, n) * D^n.
+
+    D is the lcm of the weight denominators.  ``columns[n][k]`` holds
+    N(2k + n % 2, n): only the reachable cells i <= n with n - i even are
+    stored, every other entry is exactly zero.  Built by :func:`build_table`.
     """
 
-    def __init__(self, weights: WeightConfig, n_max: int, rows: list[list[Fraction]]):
+    def __init__(self, weights: WeightConfig, n_max: int, columns: list[list[int]]):
         self.weights = weights
         self.n_max = n_max
-        self._rows = rows
+        self.columns = columns
+        scale = _scale(weights)
+        self._powers = [scale**n for n in range(n_max + 1)] if scale > 1 else None
 
     def count(self, i: int, n: int) -> Fraction:
         """A(i, n).  Unreachable i > n gives 0; n outside the table raises."""
@@ -88,18 +115,19 @@ class WalkTable:
             raise ValueError("indices must be non-negative")
         if n > self.n_max:
             raise IndexError(f"n={n} exceeds the table order n_max={self.n_max}")
-        if i > n:
+        if i > n or (n - i) % 2:
             return Fraction(0)
-        return self._rows[i][n]
+        value = self.columns[n][i // 2]
+        return Fraction(value) if self._powers is None else Fraction(value, self._powers[n])
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         """All of A(i, 0..n_max)."""
         if not 0 <= i <= self.n_max:
             raise IndexError(f"i={i} outside 0..{self.n_max}")
-        return tuple(self._rows[i])
+        return tuple(self.count(i, n) for n in range(self.n_max + 1))
 
     def to_json_dict(self) -> dict:
-        """JSON-ready export; every number is a decimal string."""
+        """JSON-ready export of the full square; every number is a decimal string."""
         weights: dict[str, object] = {
             "c1": format_number(self.weights.c1),
             "c2": format_number(self.weights.c2),
@@ -110,7 +138,7 @@ class WalkTable:
         return {
             "weights": weights,
             "n_max": self.n_max,
-            "entries": [[format_number(v) for v in row] for row in self._rows],
+            "entries": [[format_number(v) for v in self.row(i)] for i in range(self.n_max + 1)],
         }
 
     def __repr__(self) -> str:
@@ -118,29 +146,48 @@ class WalkTable:
 
 
 def build_table(weights: WeightConfig, n_max: int) -> WalkTable:
-    """Fill the table column by column in n.
+    """Fill the table column by column in n, on integers.
 
-    The top row i = n_max never needs A(n_max+1, n-1): that entry is zero
-    because n_max+1 > n-1 is unreachable, and the code treats it so
-    explicitly rather than reading padding.
+    With the integer weights a, b, c = D*c1, D*c2, D*c3 the scaled entries
+    N(i, n) = A(i, n) * D^n obey the same recurrence, N(0, n) = c*N(1, n-1)
+    and N(i, n) = a*N(i-1, n-1) + b*N(i+1, n-1), since each step contributes
+    exactly one weight.  Column n reads column n-1, of the other parity:
+    the cell i = 0 (n even) has only the c-term and the top cell i = n has
+    only the a-term, because A(n+1, n-1) is unreachable.
+
+    Before allocating anything, the table's memory is estimated in closed
+    form and a table over ``MAX_TABLE_BYTES`` is refused with
+    :class:`FeasibilityError`.  There are sum(n // 2 + 1) =
+    n_max^2 // 4 + n_max + 1 reachable cells, and
+    |N(i, n)| <= max(|a| + |b|, |c|)^n, so no entry is wider than
+    n_max * bit_length(max(|a| + |b|, |c|)) bits; each entry also pays the
+    fixed size of a Python int and its list slot.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    size = n_max + 1
-    zero = Fraction(0)
-    rows = [[zero] * size for _ in range(size)]
-    rows[0][0] = Fraction(1)
-    for n in range(1, size):
-        prev = n - 1
-        rows[0][n] = weights.c3 * rows[1][prev]
-        for i in range(1, size):
-            acc = weights.c1 * rows[i - 1][prev]
-            if i + 1 < size:
-                acc += weights.c2 * rows[i + 1][prev]
-            rows[i][n] = acc
-    if weights.m is not None and not all(v.denominator == 1 and v >= 0 for row in rows for v in row):
-        raise ArithmeticError("tree walk counts must be non-negative integers")
-    return WalkTable(weights, n_max, rows)
+    scale = _scale(weights)
+    a, b, c = (w.numerator * (scale // w.denominator) for w in (weights.c1, weights.c2, weights.c3))
+    cells = n_max * n_max // 4 + n_max + 1
+    estimate = cells * (n_max * max(abs(a) + abs(b), abs(c)).bit_length() // 8 + 40)
+    if estimate > MAX_TABLE_BYTES:
+        raise FeasibilityError(
+            f"a dp table of order {n_max} for weights {weights.describe()} needs an estimated "
+            f"{estimate} bytes, over the ceiling of {MAX_TABLE_BYTES}"
+        )
+    columns = [[1]]
+    for n in range(1, n_max + 1):
+        prev = columns[-1]
+        column = [c * prev[0]] if n % 2 == 0 else []
+        column += [a * x + b * y for x, y in zip(prev, prev[1:])]
+        column.append(a * prev[-1])
+        columns.append(column)
+    if weights.m is not None:
+        power = 1
+        for column in columns:
+            if any(v < 0 or v % power for v in column):
+                raise ArithmeticError("tree walk counts must be non-negative integers")
+            power *= scale
+    return WalkTable(weights, n_max, columns)
 
 
 def mass_check(m: int, n: int, table: WalkTable) -> Fraction:

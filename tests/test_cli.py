@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treewalks.cli as cli
 from treewalks.rationals import parse_number
@@ -294,3 +300,59 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+# --- feasibility guard and argv fuzz -------------------------------------------
+
+
+def test_huge_dp_table_is_refused_at_once(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "walks", "-m", "3", "-n", "50000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert "estimated" in err and "ceiling" in err
+
+
+SIZES = st.integers(min_value=-3, max_value=30).map(str)
+JUNK = st.sampled_from(["1/0", "-3", "x", "1/2", "-2/3", "0.5", "", "--", "-h", "--bogus"])
+WEIGHTS = st.one_of(SIZES, JUNK)
+VALUED_FLAGS = {
+    **{flag: SIZES for flag in ("-m", "-i", "-n", "--n-max", "--count", "--start", "--max-states")},
+    "--m-max": st.integers(min_value=-3, max_value=4).map(str),
+    "--method": st.sampled_from(["dp", "gf", "tree", "enum", "x"]),
+    "--format": st.sampled_from(["plain", "csv", "json", "bfile", "x"]),
+    "--scope": st.sampled_from(["tree", "dyck", "freegroup", "all", "x"]),
+}
+# Each subcommand with its required arguments, so that most argv get past
+# the parser; the pieces appended after it add flags, values and junk.
+COMMANDS = st.one_of(
+    st.tuples(st.just("walks"), st.just("-m"), SIZES, st.just("-n"), SIZES),
+    st.tuples(st.just("dyck"), WEIGHTS, WEIGHTS, WEIGHTS, st.just("-n"), SIZES),
+    st.tuples(st.just("bfile"), st.just("-m"), SIZES, st.just("--count"), SIZES),
+    st.tuples(st.just("verify")),
+    st.tuples(JUNK),
+)
+PIECES = st.one_of(
+    *(values.map(lambda value, flag=flag: [flag, value]) for flag, values in VALUED_FLAGS.items()),
+    st.sampled_from(["--parity-filter", "--no-parity-filter"]).map(lambda flag: [flag]),
+    SIZES.map(lambda token: [token]),
+    JUNK.map(lambda token: [token]),
+)
+ARGV = st.builds(
+    lambda command, pieces: [*command, *(token for piece in pieces for token in piece)],
+    COMMANDS,
+    st.lists(PIECES, max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARGV)
+def test_any_argv_ends_in_a_published_exit_code(argv):
+    # A small default ceiling keeps the brute-force methods at desk size
+    # when the argv sets none; --max-states in the argv still overrides it.
+    with mock.patch.object(cli, "DEFAULT_MAX_STATES", 2000), contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)

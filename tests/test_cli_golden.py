@@ -578,9 +578,9 @@ def _doubled(fn):
 def _doubled_origin(build_table):
     def build(weights, n_max):
         table = build_table(weights, n_max)
-        rows = [list(table.row(i)) for i in range(n_max + 1)]
-        rows[0][0] *= 2
-        return WalkTable(weights, n_max, rows)
+        columns = [list(column) for column in table.columns]
+        columns[0][0] *= 2  # N(0, 0) = A(0, 0) * D^0
+        return WalkTable(weights, n_max, columns)
 
     return build
 

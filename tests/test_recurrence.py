@@ -6,11 +6,18 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treewalks.rationals import parse_number
-from treewalks.recurrence import WeightConfig, build_table, mass_check, tree_weights
+from treewalks.rationals import format_number, parse_number
+from treewalks.recurrence import (
+    MAX_TABLE_BYTES,
+    FeasibilityError,
+    WeightConfig,
+    build_table,
+    mass_check,
+    tree_weights,
+)
 
 small_weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
 weight_triples = st.builds(WeightConfig, small_weights, small_weights, small_weights)
@@ -167,6 +174,95 @@ def test_integer_weights_give_integer_entries(c1, c2, c3, n_max):
             v = table.count(i, n)
             assert v.denominator == 1
             assert v >= 0
+
+
+def test_tree_tag_demands_non_negative_counts():
+    w = tree_weights(3)
+    object.__setattr__(w, "c2", Fraction(-5))  # N(1, 3) = 1*3 - 5*1 < 0
+    with pytest.raises(ArithmeticError):
+        build_table(w, 3)
+
+
+# --- integer kernel against the square Fraction loop -------------------------------
+
+
+def _reference_table(weights: WeightConfig, n_max: int) -> list[list[Fraction]]:
+    """rows[i][n] = A(i, n) over the full (n_max+1)^2 square, by the plain
+    Fraction recurrence that the integer kernel replaced."""
+    size = n_max + 1
+    zero = Fraction(0)
+    rows = [[zero] * size for _ in range(size)]
+    rows[0][0] = Fraction(1)
+    for n in range(1, size):
+        prev = n - 1
+        rows[0][n] = weights.c3 * rows[1][prev]
+        for i in range(1, size):
+            acc = weights.c1 * rows[i - 1][prev]
+            if i + 1 < size:
+                acc += weights.c2 * rows[i + 1][prev]
+            rows[i][n] = acc
+    return rows
+
+
+def _assert_matches_reference(weights: WeightConfig, n_max: int) -> None:
+    rows = _reference_table(weights, n_max)
+    table = build_table(weights, n_max)
+    for n in range(n_max + 1):
+        for i in range(n_max + 3):
+            got = table.count(i, n)
+            assert type(got) is Fraction
+            assert got == (rows[i][n] if i <= n_max else 0), (i, n)
+    for i in range(n_max + 1):
+        assert table.row(i) == tuple(rows[i])
+    assert table.to_json_dict()["entries"] == [[format_number(v) for v in row] for row in rows]
+
+
+SWEEP_WEIGHTS = [
+    *(tree_weights(m) for m in range(1, 9)),
+    WeightConfig(Fraction(2, 5), Fraction(1, 3), Fraction(4, 7)),
+    WeightConfig(1, 0, 2),
+    WeightConfig(0, 1, 2),
+    WeightConfig(0, 0, 0),
+    WeightConfig(-1, Fraction(1, 2), Fraction(-3, 4)),
+]
+
+
+@settings(max_examples=15, deadline=None)
+@pytest.mark.parametrize("weights", SWEEP_WEIGHTS, ids=[w.describe() for w in SWEEP_WEIGHTS])
+@given(n_max=st.integers(min_value=0, max_value=40))
+@example(n_max=40)
+def test_integer_kernel_matches_reference(weights, n_max):
+    _assert_matches_reference(weights, n_max)
+
+
+signed_weights = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(WeightConfig, signed_weights, signed_weights, signed_weights), st.integers(0, 40))
+def test_integer_kernel_matches_reference_on_any_weights(w, n_max):
+    _assert_matches_reference(w, n_max)
+
+
+# --- feasibility guard --------------------------------------------------------------
+
+
+def test_guard_names_the_limit_and_the_estimate():
+    with pytest.raises(FeasibilityError) as refused:
+        build_table(tree_weights(3), 50_000)
+    message = str(refused.value)
+    assert str(MAX_TABLE_BYTES) in message
+    # 50000^2 // 4 + 50001 cells, each at most 50000 * bit_length(3) bits plus 40 bytes
+    assert str((50_000**2 // 4 + 50_001) * (100_000 // 8 + 40)) in message
+
+
+@pytest.mark.parametrize(
+    "weights",
+    # the widest weights the benchmark draws: over D = 105, max(|a| + |b|, |c|) = 182
+    [tree_weights(8), WeightConfig(Fraction(4, 3), Fraction(2, 5), Fraction(1, 7))],
+)
+def test_guard_admits_benchmark_sizes(weights):
+    assert build_table(weights, 506).n_max == 506
 
 
 # --- mass conservation --------------------------------------------------------------
