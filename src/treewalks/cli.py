@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache, partial
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
 from .oracles import (
@@ -143,8 +143,8 @@ def _count(
     elif args.method == "gf":
         series = gf(i, n_max)
         values = [series[n] for n in ns]
-    else:
-        values = [oracle(i, n, max_states=args.max_states) for n in ns]
+    else:  # longest first, so an oversized request is refused before any work
+        values = [oracle(i, n, max_states=args.max_states) for n in reversed(ns)][::-1]
     _emit(ns, values, {**meta, "i": i, "method": args.method}, args.format, args.start)
     return EXIT_OK
 
@@ -185,18 +185,22 @@ def _mismatch(label: str, expected: Fraction, got: Fraction) -> str:
     return f"{label}: expected {format_number(expected)}, got {format_number(got)}"
 
 
-def _against_dp(table: WalkTable, cells: Iterable[tuple], routes: Sequence[Route]) -> Optional[str]:
+def _against_dp(table: WalkTable, cells: Sequence[tuple], routes: Sequence[Route]) -> Optional[str]:
     """First disagreement with dp over the cells, in order, or None.
 
     A cell (label, i, n, key) compares A(i, n) from the table with each
-    route's value(key, n).
+    route's value(key, n).  The routes are evaluated longest n first, so an
+    oracle's feasibility guard refuses before any shorter length is worked.
     """
-    for label, i, n, key in cells:
+    got: dict[int, list[Rational]] = {}
+    for k in sorted(range(len(cells)), key=lambda k: -cells[k][2]):
+        _, _, n, key = cells[k]
+        got[k] = [value(key, n) for _, value in routes]
+    for k, (label, i, n, _) in enumerate(cells):
         dp = table.count(i, n)
-        for name, value in routes:
-            got = value(key, n)
-            if got != dp:
-                return _mismatch(f"{label} {name} vs dp", dp, got)
+        for (name, _), value in zip(routes, got[k]):
+            if value != dp:
+                return _mismatch(f"{label} {name} vs dp", dp, value)
     return None
 
 

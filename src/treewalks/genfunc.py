@@ -5,7 +5,7 @@ dips below the x-axis.  A path's weight is c1^#U * c2^#D; its poids replaces
 c2 by c3 for every D that lands on the axis.  With A(i, n) the poids-sum
 over length-n paths ending at height i (the table of
 :func:`treewalks.recurrence.build_table`), the series built here expand the
-algebraic solution of that counting system:
+algebraic solution of that counting system, one radical (sqrt) per call:
 
 * ``dyck_gf``            a(t), the weight enumerator of paths ending on the
                          axis: the power-series root of
@@ -20,13 +20,13 @@ algebraic solution of that counting system:
                          sequence of irreducible components.  A path ending
                          at height i splits uniquely as W0 U W1 U ... U Wi
                          with each Wk ending on the axis, which is where the
-                         (c1*t*a)^i factor comes from.
+                         (c1*t*a)^i factor comes from, with c1*a = b/(c2*t^2).
 * ``tree_gf``            the tree specialization (c1, c2, c3) = (1, m-1, m),
                          evaluated from its own radical closed form
                          2(m-1) / (m-2 + m*sqrt(1 - 4(m-1)t^2))
                          times ((1 - sqrt(1 - 4(m-1)t^2)) / (2(m-1)t))^i,
-                         a deliberately different arithmetic route from
-                         ``poids_gf`` so the two can cross-check.
+                         one sqrt for both factors; it shares no series
+                         with ``poids_gf``, so the two cross-check.
 
 The removable t^2 (or t) factors in these formulas are handled by exact
 shift division with a hard zero check on the low coefficients, never by
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .recurrence import WeightConfig, tree_weights
+from .recurrence import WeightConfig
 from .series import PowerSeries
 
 __all__ = ["dyck_gf", "irreducible_gf", "poids_gf", "tree_gf"]
@@ -101,15 +101,15 @@ def poids_gf(weights: WeightConfig, i: int, order: int) -> PowerSeries:
         raise ValueError("end height must be >= 0")
     if weights.c2 == 0:
         raise ValueError("degenerate weights: c2 = 0 leaves the poids ratio c3/c2 undefined")
-    if i == 0:
-        _, c = irreducible_gf(weights, order)
-        return (PowerSeries.one(order) - c).inverse()
     if i > order:
         return PowerSeries.zero(order)
     inner = order - i
-    d = poids_gf(weights, 0, inner)
-    lift = (dyck_gf(weights, inner) * weights.c1) ** i
-    return (d * lift).shift_mul(i)
+    b, c = irreducible_gf(weights, inner + 2)
+    d = (PowerSeries.one(inner) - c).inverse()
+    if i == 0:
+        return d
+    lift = (b / weights.c2).shift_div(2)
+    return (d * lift**i).shift_mul(i)
 
 
 def tree_gf(m: int, i: int, order: int) -> PowerSeries:
@@ -130,9 +130,9 @@ def tree_gf(m: int, i: int, order: int) -> PowerSeries:
     if i > order:
         return PowerSeries.zero(order)
     inner = order - i
-    s = _sqrt_radical(Fraction(m - 1), inner)
+    s = _sqrt_radical(Fraction(m - 1), inner + 2)
     base = (PowerSeries.constant(m - 2, inner) + s * m).inverse() * (2 * (m - 1))
     if i == 0:
         return base
-    lift = dyck_gf(tree_weights(m), inner) ** i
-    return (base * lift).shift_mul(i)
+    lift = (PowerSeries.one(inner + 2) - s).shift_div(2) / (2 * (m - 1))
+    return (base * lift**i).shift_mul(i)

@@ -10,8 +10,10 @@ coefficients:
   freely reducing each one.
 
 Each enumeration refuses inputs whose state space exceeds ``max_states``
-(default 10^7) with :class:`FeasibilityError`: these are desk-scale
-verification tools, not production counters.
+(default 10^7) with :class:`FeasibilityError`, before enumerating anything:
+these are desk-scale verification tools, not production counters.  Each
+memoizes only the length it last enumerated; callers ask length by length,
+so every later height of that length is a cache hit.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def irreducible_components(path: LatticePath) -> list[LatticePath]:
     return components
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _poids_by_end_height(weights: WeightConfig, n: int) -> dict[int, Fraction]:
     """Sum of poids over all valid length-n paths, keyed by final height."""
     sums: dict[int, Fraction] = {}
@@ -201,7 +203,7 @@ def _tree_size(m: int, depth: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _tree_distribution(m: int, n: int) -> tuple[TruncatedTree, tuple[int, ...]]:
     """Counts of length-n walks from the root to every vertex, by push."""
     tree = TruncatedTree(m, n)
@@ -230,11 +232,7 @@ def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
         raise ValueError("distance and length must be non-negative")
     if i > n:
         return 0
-    if _tree_size(m, n) > max_states:
-        raise FeasibilityError(
-            f"the depth-{n} ball of the {m}-regular tree exceeds {max_states} vertices"
-        )
-    tree, counts = _tree_distribution(m, n)
+    tree, counts = tree_walk_distribution(m, n, max_states)
     if not tree.levels[i]:
         return 0
     return counts[tree.levels[i][0]]

@@ -120,15 +120,14 @@ class PowerSeries:
     def __pow__(self, exponent: int) -> PowerSeries:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a non-negative integer")
-        result = PowerSeries.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        if exponent == 0:
+            return PowerSeries.one(self.order)
+        # Square and multiply from the leading bit, so no product is spent on 1.
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- the three nontrivial algebraic operations -------------------------

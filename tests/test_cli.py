@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treewalks.cli as cli
+import treewalks.oracles as oracles
 from treewalks.rationals import parse_number
 from treewalks.recurrence import build_table, tree_weights
 
@@ -312,6 +313,59 @@ def test_huge_dp_table_is_refused_at_once(capsys):
     assert code == 3
     assert out == ""
     assert "estimated" in err and "ceiling" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walks", "-m", "3", "-n", "30", "--method", "tree"),
+        ("dyck", "1", "1", "1", "-n", "30", "--method", "enum"),
+    ],
+)
+def test_huge_oracle_request_is_refused_at_once(capsys, argv):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert "exceed" in err
+
+
+@pytest.mark.parametrize(
+    "argv,oracle,longest",
+    [
+        (("walks", "-m", "3", "-i", "1", "-n", "6", "--method", "tree"), "tree_walk_count", 6),
+        (("walks", "-m", "3", "-i", "1", "-n", "8", "--method", "tree", "--parity-filter"), "tree_walk_count", 7),
+        (("dyck", "1", "1/2", "2", "-n", "6", "--method", "enum"), "enumerate_dyck", 6),
+        (("verify", "--scope", "tree", "-n", "6", "--m-max", "3"), "tree_walk_count", 6),
+        (("verify", "--scope", "dyck", "-n", "6"), "enumerate_dyck", 6),
+        (("verify", "--scope", "freegroup", "-n", "5"), "free_group_count", 5),
+    ],
+)
+def test_oracles_are_asked_for_the_longest_length_first(capsys, monkeypatch, argv, oracle, longest):
+    calls = []
+    original = getattr(cli, oracle)
+    monkeypatch.setattr(cli, oracle, lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    assert cli.main(list(argv)) == 0
+    first = {}  # first length asked per request or verify check, keyed by m, weights or g
+    for key, _, n in calls:
+        first.setdefault(key, n)
+    assert first and set(first.values()) == {longest}
+
+
+def test_oracle_memo_tables_hold_one_length(capsys):
+    assert cli.main(["verify", "--scope", "all", "-n", "6", "--m-max", "3"]) == 0
+    caches = [f for f in vars(oracles).values() if hasattr(f, "cache_info")]
+    assert len(caches) == 2
+    assert all(cache.cache_info().currsize <= 1 for cache in caches)
+
+
+@pytest.mark.parametrize("i", ["2", "9"])  # c2 divides the lift; beyond -n no series is built
+def test_dyck_gf_zero_c2_is_a_usage_error_above_the_axis(capsys, i):
+    code, out, err = run(capsys, "dyck", "1", "0", "5", "-i", i, "-n", "4", "--method", "gf")
+    assert code == 2
+    assert out == ""
+    assert "c2" in err
 
 
 SIZES = st.integers(min_value=-3, max_value=30).map(str)

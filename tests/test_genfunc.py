@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treewalks.genfunc as genfunc
 from treewalks.genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
 from treewalks.oracles import enumerate_dyck, irreducible_components, weight_and_poids
 from treewalks.recurrence import WeightConfig, build_table, tree_weights
@@ -222,3 +224,36 @@ def test_tree_gf_parity(m):
         for n in range(10):
             if n < i or (n - i) % 2 == 1:
                 assert f[n] == 0
+
+
+# --- one radical per closed form, shared with no other route ---------------------------
+
+RATIONAL = WeightConfig(2, Fraction(1, 2), 3)
+CLOSED_FORMS = {
+    "poids_gf": (partial(poids_gf, RATIONAL), RATIONAL),
+    "poids_gf tree": (partial(poids_gf, tree_weights(3)), tree_weights(3)),
+    "tree_gf": (partial(tree_gf, 3), tree_weights(3)),
+}
+
+
+@pytest.mark.parametrize("i", [0, 3])
+@pytest.mark.parametrize("route", CLOSED_FORMS)
+def test_each_closed_form_takes_one_sqrt(monkeypatch, route, i):
+    gf, _ = CLOSED_FORMS[route]
+    calls = []
+    original = PowerSeries.sqrt
+    monkeypatch.setattr(PowerSeries, "sqrt", lambda self: calls.append(self) or original(self))
+    gf(i, 10)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("route", CLOSED_FORMS)
+def test_closed_forms_do_not_read_dyck_gf(monkeypatch, route):
+    # dyck_gf is what the d_i factoring check compares poids_gf against, so
+    # neither composite series may be built from it
+    gf, weights = CLOSED_FORMS[route]
+    monkeypatch.setattr(genfunc, "dyck_gf", lambda w, order: dyck_gf(w, order) * 2)
+    table = build_table(weights, 10)
+    for i in range(12):
+        series = gf(i, 10)
+        assert [series[n] for n in range(11)] == [table.count(i, n) for n in range(11)]

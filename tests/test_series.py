@@ -132,6 +132,27 @@ def test_pow_rejects_negative():
         PowerSeries([1]) ** -1
 
 
+def test_pow_spends_no_product_on_one(monkeypatch):
+    # square and multiply: bit_length(k) - 1 squarings, popcount(k) - 1 products
+    f = PowerSeries([1, Fraction(1, 2), -2])
+    powers = [PowerSeries.one(f.order)]
+    for _ in range(40):
+        powers.append(powers[-1] * f)
+    calls = 0
+    original = PowerSeries.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(PowerSeries, "__mul__", counted)
+    for k in range(1, 41):
+        calls = 0
+        assert f**k == powers[k]
+        assert calls == k.bit_length() - 1 + bin(k).count("1") - 1
+
+
 # --- inverse, sqrt, shifts ------------------------------------------------------
 
 
