@@ -18,8 +18,11 @@ from .genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
 from .oracles import (
     DEFAULT_MAX_STATES,
     FeasibilityError,
+    dyck_guard,
     enumerate_dyck,
     free_group_count,
+    free_group_guard,
+    tree_guard,
     tree_walk_count,
 )
 from .rationals import Rational, format_number, parse_number
@@ -102,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for brute in (walks, dyck, verify):
         brute.add_argument(
             "--max-states",
-            type=int,
+            type=_natural,
             default=DEFAULT_MAX_STATES,
             help=f"feasibility ceiling for brute-force methods (default {DEFAULT_MAX_STATES})",
         )
@@ -189,18 +192,14 @@ def _against_dp(table: WalkTable, cells: Sequence[tuple], routes: Sequence[Route
     """First disagreement with dp over the cells, in order, or None.
 
     A cell (label, i, n, key) compares A(i, n) from the table with each
-    route's value(key, n).  The routes are evaluated longest n first, so an
-    oracle's feasibility guard refuses before any shorter length is worked.
+    route's value(key, n).
     """
-    got: dict[int, list[Rational]] = {}
-    for k in sorted(range(len(cells)), key=lambda k: -cells[k][2]):
-        _, _, n, key = cells[k]
-        got[k] = [value(key, n) for _, value in routes]
-    for k, (label, i, n, _) in enumerate(cells):
+    for label, i, n, key in cells:
         dp = table.count(i, n)
-        for (name, _), value in zip(routes, got[k]):
-            if value != dp:
-                return _mismatch(f"{label} {name} vs dp", dp, value)
+        for name, value in routes:
+            got = value(key, n)
+            if got != dp:
+                return _mismatch(f"{label} {name} vs dp", dp, got)
     return None
 
 
@@ -294,9 +293,13 @@ def _verify_checks(scope: str, n_max: int, m_max: int, max_states: int) -> list[
         route = ("free-group count", partial(free_group_count, g, max_states=max_states))
         return _against_dp(table(tree_weights(2 * g)), words, [route])
 
+    # Each oracle guard runs at its check's cap before the list is returned,
+    # so an oversized oracle check is refused before any check runs.
     degrees = range(2, m_max + 1)
     checks: list[Check] = []
     if scope in ("tree", "all"):
+        for m in degrees:
+            tree_guard(m, tree_cap, max_states)
         checks += [(f"dp = gf = closed form, m={m}, n<={n_max}", partial(tree_methods, m)) for m in degrees]
         checks += [(f"dp = tree oracle, m={m}, n<={tree_cap}", partial(tree_oracle, m)) for m in degrees]
         checks += [
@@ -305,6 +308,7 @@ def _verify_checks(scope: str, n_max: int, m_max: int, max_states: int) -> list[
         ]
         checks += [(f"parity vanishing, m={m}", lambda m=m: _check_parity(table(tree_weights(m)))) for m in degrees]
     if scope in ("dyck", "all"):
+        dyck_guard(dyck_cap, max_states)
         checks += [(f"dp = gf, weights {w.describe()}, n<={n_max}", partial(dyck_methods, w)) for w in VERIFY_TRIPLES]
         checks += [(f"dp = path enumeration, weights {w.describe()}, n<={dyck_cap}", partial(dyck_oracle, w)) for w in VERIFY_TRIPLES]
         checks += [
@@ -313,6 +317,8 @@ def _verify_checks(scope: str, n_max: int, m_max: int, max_states: int) -> list[
         ]
         checks += [(f"parity vanishing, weights {w.describe()}", lambda w=w: _check_parity(table(w))) for w in VERIFY_TRIPLES]
     if scope in ("freegroup", "all"):
+        for g in (1, 2):
+            free_group_guard(g, free_cap, max_states)
         checks += [(f"dp = free-group words, g={g}, n<={free_cap}", partial(free_group, g)) for g in (1, 2)]
     return checks
 
@@ -344,6 +350,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ValueError, ZeroDivisionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,10 @@ algebraic solution of that counting system, one radical (sqrt) per call:
                          one sqrt for both factors; it shares no series
                          with ``poids_gf``, so the two cross-check.
 
+``poids_gf`` and ``tree_gf`` estimate the memory of their series before
+building any, and refuse an estimate over ``recurrence.MAX_TABLE_BYTES``
+with :class:`~treewalks.recurrence.FeasibilityError`.
+
 The removable t^2 (or t) factors in these formulas are handled by exact
 shift division with a hard zero check on the low coefficients, never by
 symbolic limit-taking: a nonzero low coefficient means an algebra bug and
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .recurrence import WeightConfig
+from .recurrence import MAX_TABLE_BYTES, FeasibilityError, WeightConfig, step_bits, tree_weights
 from .series import PowerSeries
 
 __all__ = ["dyck_gf", "irreducible_gf", "poids_gf", "tree_gf"]
@@ -48,6 +52,26 @@ __all__ = ["dyck_gf", "irreducible_gf", "poids_gf", "tree_gf"]
 def _check_order(order: int) -> None:
     if order < 0:
         raise ValueError("truncation order must be >= 0")
+
+
+def _check_size(weights: WeightConfig, order: int) -> None:
+    """Refuse, before building any series, a computation whose series would
+    hold more than ``MAX_TABLE_BYTES``.
+
+    The t^n coefficient is A(i, n), so it is no wider than the dp bound of
+    :func:`treewalks.recurrence.step_bits`: n times the numerator's plus the
+    denominator's bits per step.  The estimate charges every coefficient
+    that widest width plus 112 bytes (a Fraction, its two ints and its list
+    slot), for three series of order + 3 coefficients; a few more are alive
+    at once, but most of their coefficients are narrower.
+    """
+    numerator, denominator = step_bits(weights)
+    estimate = 3 * (order + 3) * (order * (numerator + denominator) // 8 + 112)
+    if estimate > MAX_TABLE_BYTES:
+        raise FeasibilityError(
+            f"series of order {order} for weights {weights.describe()} need an estimated "
+            f"{estimate} bytes, over the ceiling of {MAX_TABLE_BYTES}"
+        )
 
 
 def _sqrt_radical(product: Fraction, order: int) -> PowerSeries:
@@ -101,6 +125,7 @@ def poids_gf(weights: WeightConfig, i: int, order: int) -> PowerSeries:
         raise ValueError("end height must be >= 0")
     if weights.c2 == 0:
         raise ValueError("degenerate weights: c2 = 0 leaves the poids ratio c3/c2 undefined")
+    _check_size(weights, order)
     if i > order:
         return PowerSeries.zero(order)
     inner = order - i
@@ -127,6 +152,7 @@ def tree_gf(m: int, i: int, order: int) -> PowerSeries:
     _check_order(order)
     if i < 0:
         raise ValueError("end distance must be >= 0")
+    _check_size(tree_weights(m), order)
     if i > order:
         return PowerSeries.zero(order)
     inner = order - i

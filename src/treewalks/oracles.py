@@ -4,14 +4,16 @@ Three independent oracles cross-check the recurrence table and the series
 coefficients:
 
 * weighted Dyck paths, by filtering all 2^n step sequences;
-* walks on an explicitly built truncated tree, by pushing a count
-  distribution one step at a time;
+* walks on an explicitly built truncated tree, given by its parent list,
+  by moving a count distribution along every edge one step at a time;
 * products of free-group generators, by enumerating all (2g)^n words and
   freely reducing each one.
 
 Each enumeration refuses inputs whose state space exceeds ``max_states``
 (default 10^7) with :class:`FeasibilityError`, before enumerating anything:
-these are desk-scale verification tools, not production counters.  Each
+these are desk-scale verification tools, not production counters.  The
+state count of each lives in its guard (``dyck_guard``, ``tree_guard``,
+``free_group_guard``), which callers may also run ahead of a batch.  Each
 memoizes only the length it last enumerated; callers ask length by length,
 so every later height of that length is a cache hit.
 """
@@ -33,11 +35,14 @@ __all__ = [
     "TruncatedTree",
     "weight_and_poids",
     "irreducible_components",
+    "dyck_guard",
     "enumerate_dyck",
+    "tree_guard",
     "tree_walk_count",
     "tree_walk_distribution",
     "reduce_word",
     "is_reduced",
+    "free_group_guard",
     "free_group_count",
 ]
 
@@ -139,6 +144,12 @@ def _poids_by_end_height(weights: WeightConfig, n: int) -> dict[int, Fraction]:
     return sums
 
 
+def dyck_guard(n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
+    """Refuse length-n path enumeration over ``max_states`` step sequences (2^n)."""
+    if 2**n > max_states:
+        raise FeasibilityError(f"2^{n} step sequences exceed the ceiling of {max_states}")
+
+
 def enumerate_dyck(
     weights: WeightConfig, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
 ) -> Fraction:
@@ -149,17 +160,18 @@ def enumerate_dyck(
     """
     if i < 0 or n < 0:
         raise ValueError("height and length must be non-negative")
-    if 2**n > max_states:
-        raise FeasibilityError(f"2^{n} step sequences exceed the ceiling of {max_states}")
+    dyck_guard(n, max_states)
     return _poids_by_end_height(weights, n).get(i, Fraction(0))
 
 
 class TruncatedTree:
-    """The m-regular tree, explicitly built out to a fixed depth.
+    """The m-regular tree out to a fixed depth, given by its parent list.
 
     The root has m children and every deeper internal vertex has m-1, so
     each vertex has degree m once its parent is counted.  Vertices are
-    numbered in construction order, level by level, left to right.
+    numbered breadth first: ``parent[v]`` is the parent of v (``None`` for
+    the root 0), and ``levels[d]`` is the range of vertices at distance d.
+    The edges are the pairs (v, parent[v]) for v >= 1.
     """
 
     def __init__(self, m: int, depth: int):
@@ -170,53 +182,51 @@ class TruncatedTree:
         self.m = m
         self.depth = depth
         self.parent: list[int | None] = [None]
-        self.children: list[list[int]] = [[]]
-        self.distance: list[int] = [0]
-        self.levels: list[list[int]] = [[0]]
-        for d in range(1, depth + 1):
-            level: list[int] = []
-            for v in self.levels[d - 1]:
+        self.levels: list[range] = [range(1)]
+        for _ in range(depth):
+            start = len(self.parent)
+            for v in self.levels[-1]:
                 fanout = m if v == 0 else m - 1
-                for _ in range(fanout):
-                    w = len(self.parent)
-                    self.parent.append(v)
-                    self.children.append([])
-                    self.distance.append(d)
-                    self.children[v].append(w)
-                    level.append(w)
-            self.levels.append(level)
+                self.parent.extend([v] * fanout)
+            self.levels.append(range(start, len(self.parent)))
 
     def vertex_count(self) -> int:
         return len(self.parent)
 
-    def neighbors(self, v: int) -> list[int]:
-        parent = self.parent[v]
-        return self.children[v] if parent is None else [parent, *self.children[v]]
-
-
-def _tree_size(m: int, depth: int) -> int:
-    total = 1
-    level = 0
-    for d in range(1, depth + 1):
-        level = m if d == 1 else level * (m - 1)
-        total += level
-    return total
-
 
 @lru_cache(maxsize=1)
 def _tree_distribution(m: int, n: int) -> tuple[TruncatedTree, tuple[int, ...]]:
-    """Counts of length-n walks from the root to every vertex, by push."""
+    """Counts of length-n walks from the root to every vertex.
+
+    A step moves every walk along one edge (v, parent[v]), down or up.
+    Before step k + 1 no walk is farther than k from the root, so the step
+    only needs the edges inside the depth-(k + 1) ball, v < levels[k + 1].stop.
+    """
     tree = TruncatedTree(m, n)
+    parent = tree.parent
     counts = [0] * tree.vertex_count()
     counts[0] = 1
-    for _ in range(n):
+    for step in range(n):
         fresh = [0] * len(counts)
-        for v, c in enumerate(counts):
-            if c:
-                for w in tree.neighbors(v):
-                    fresh[w] += c
+        for v in range(1, tree.levels[step + 1].stop):
+            p = parent[v]
+            fresh[v] += counts[p]
+            fresh[p] += counts[v]
         counts = fresh
     return tree, tuple(counts)
+
+
+def tree_guard(m: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
+    """Refuse the depth-n ball of the m-regular tree if it has more than
+    ``max_states`` vertices: 1 + m + m(m-1) + ... + m(m-1)^(n-1)."""
+    size = level = 1
+    for d in range(n):
+        level *= m if d == 0 else m - 1
+        size += level
+    if size > max_states:
+        raise FeasibilityError(
+            f"the depth-{n} ball of the {m}-regular tree exceeds {max_states} vertices"
+        )
 
 
 def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> int:
@@ -244,10 +254,7 @@ def tree_walk_distribution(
     """The full end-vertex count distribution after n steps, with its tree."""
     if n < 0:
         raise ValueError("length must be non-negative")
-    if _tree_size(m, n) > max_states:
-        raise FeasibilityError(
-            f"the depth-{n} ball of the {m}-regular tree exceeds {max_states} vertices"
-        )
+    tree_guard(m, n, max_states)
     return _tree_distribution(m, n)
 
 
@@ -273,6 +280,12 @@ def is_reduced(word: Sequence[int]) -> bool:
     return all(word[k] != -word[k + 1] for k in range(len(word) - 1))
 
 
+def free_group_guard(g: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
+    """Refuse enumerating the (2g)^n words of length n over ``max_states``."""
+    if (2 * g) ** n > max_states:
+        raise FeasibilityError(f"(2*{g})^{n} words exceed the ceiling of {max_states}")
+
+
 def free_group_count(
     g: int, target: Sequence[int], n: int, max_states: int = DEFAULT_MAX_STATES
 ) -> int:
@@ -293,8 +306,7 @@ def free_group_count(
             raise ValueError(f"target letter {x!r} outside the +-1..+-{g} alphabet")
     if not is_reduced(target):
         raise ValueError(f"target word {target!r} is not reduced")
-    if (2 * g) ** n > max_states:
-        raise FeasibilityError(f"(2*{g})^{n} words exceed the ceiling of {max_states}")
+    free_group_guard(g, n, max_states)
     alphabet = tuple(range(1, g + 1)) + tuple(range(-1, -g - 1, -1))
     count = 0
     for word in itertools.product(alphabet, repeat=n):

@@ -31,6 +31,7 @@ __all__ = [
     "tree_weights",
     "build_table",
     "mass_check",
+    "step_bits",
 ]
 
 
@@ -92,6 +93,19 @@ MAX_TABLE_BYTES = 1 << 30
 def _scale(weights: WeightConfig) -> int:
     """D, the lcm of the weight denominators: D * c is an integer for each weight."""
     return lcm(weights.c1.denominator, weights.c2.denominator, weights.c3.denominator)
+
+
+def step_bits(weights: WeightConfig) -> tuple[int, int]:
+    """Bits that one step adds, at most, to the numerator and to the
+    denominator of an entry A(i, n).
+
+    With a, b, c = D*c1, D*c2, D*c3, the scaled entry N(i, n) = A(i, n) * D^n
+    is an integer with |N(i, n)| <= max(|a| + |b|, |c|)^n, and the
+    denominator of A(i, n) divides D^n.
+    """
+    scale = _scale(weights)
+    a, b, c = (abs(w.numerator) * (scale // w.denominator) for w in (weights.c1, weights.c2, weights.c3))
+    return max(a + b, c).bit_length(), scale.bit_length()
 
 
 class WalkTable:
@@ -160,15 +174,15 @@ def build_table(weights: WeightConfig, n_max: int) -> WalkTable:
     :class:`FeasibilityError`.  There are sum(n // 2 + 1) =
     n_max^2 // 4 + n_max + 1 reachable cells, and
     |N(i, n)| <= max(|a| + |b|, |c|)^n, so no entry is wider than
-    n_max * bit_length(max(|a| + |b|, |c|)) bits; each entry also pays the
-    fixed size of a Python int and its list slot.
+    n_max * bit_length(max(|a| + |b|, |c|)) bits (:func:`step_bits`); each
+    entry also pays the fixed size of a Python int and its list slot.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     scale = _scale(weights)
     a, b, c = (w.numerator * (scale // w.denominator) for w in (weights.c1, weights.c2, weights.c3))
     cells = n_max * n_max // 4 + n_max + 1
-    estimate = cells * (n_max * max(abs(a) + abs(b), abs(c)).bit_length() // 8 + 40)
+    estimate = cells * (n_max * step_bits(weights)[0] // 8 + 40)
     if estimate > MAX_TABLE_BYTES:
         raise FeasibilityError(
             f"a dp table of order {n_max} for weights {weights.describe()} needs an estimated "

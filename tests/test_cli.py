@@ -337,9 +337,6 @@ def test_huge_oracle_request_is_refused_at_once(capsys, argv):
         (("walks", "-m", "3", "-i", "1", "-n", "6", "--method", "tree"), "tree_walk_count", 6),
         (("walks", "-m", "3", "-i", "1", "-n", "8", "--method", "tree", "--parity-filter"), "tree_walk_count", 7),
         (("dyck", "1", "1/2", "2", "-n", "6", "--method", "enum"), "enumerate_dyck", 6),
-        (("verify", "--scope", "tree", "-n", "6", "--m-max", "3"), "tree_walk_count", 6),
-        (("verify", "--scope", "dyck", "-n", "6"), "enumerate_dyck", 6),
-        (("verify", "--scope", "freegroup", "-n", "5"), "free_group_count", 5),
     ],
 )
 def test_oracles_are_asked_for_the_longest_length_first(capsys, monkeypatch, argv, oracle, longest):
@@ -351,6 +348,56 @@ def test_oracles_are_asked_for_the_longest_length_first(capsys, monkeypatch, arg
     for key, _, n in calls:
         first.setdefault(key, n)
     assert first and set(first.values()) == {longest}
+
+
+def test_oversized_verify_oracle_check_is_refused_before_any_check(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--scope", "tree", "-n", "10", "--m-max", "6")
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert "6-regular" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walks", "-m", "3", "-n", "50000", "--method", "gf"),
+        ("dyck", "1", "1/2", "2", "-n", "50000", "--method", "gf"),
+    ],
+)
+def test_huge_gf_request_is_refused_at_once(capsys, argv):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert "estimated" in err and "ceiling" in err
+
+
+def test_memory_error_exits_infeasible(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_table", exhausted)
+    code, out, err = run(capsys, "walks", "-m", "3", "-n", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walks", "-m", "3", "-n", "3", "--method", "tree"),
+        ("dyck", "1", "1", "1", "-n", "3", "--method", "enum"),
+        ("verify", "-n", "3"),
+    ],
+)
+def test_negative_max_states_is_usage_error(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--max-states", "-1")
+    assert code == 2
+    assert out == ""
 
 
 def test_oracle_memo_tables_hold_one_length(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -13,11 +14,14 @@ from treewalks.oracles import (
     FeasibilityError,
     LatticePath,
     TruncatedTree,
+    dyck_guard,
     enumerate_dyck,
     free_group_count,
+    free_group_guard,
     irreducible_components,
     is_reduced,
     reduce_word,
+    tree_guard,
     tree_walk_count,
     tree_walk_distribution,
     weight_and_poids,
@@ -171,10 +175,29 @@ def test_tree_level_sizes(m, depth):
 
 
 def test_tree_internal_degrees():
-    tree = TruncatedTree(3, 4)
-    for v in range(tree.vertex_count()):
-        if tree.distance[v] < tree.depth:
-            assert len(tree.neighbors(v)) == tree.m
+    for m, depth in [(3, 4), (1, 3), (2, 5), (5, 3)]:
+        tree = TruncatedTree(m, depth)
+        children = Counter(tree.parent)
+        for v in range(tree.levels[depth].start):
+            has_parent = tree.parent[v] is not None
+            assert children[v] + has_parent == m
+
+
+@pytest.mark.parametrize("m,depth", [(1, 0), (1, 4), (2, 5), (3, 4), (5, 3), (6, 2)])
+def test_tree_guard_counts_the_built_ball(m, depth):
+    size = TruncatedTree(m, depth).vertex_count()
+    tree_guard(m, depth, max_states=size)
+    with pytest.raises(FeasibilityError):
+        tree_guard(m, depth, max_states=size - 1)
+
+
+def test_enumeration_guards_count_the_sequences():
+    dyck_guard(5, max_states=2**5)
+    free_group_guard(2, 3, max_states=4**3)
+    with pytest.raises(FeasibilityError):
+        dyck_guard(5, max_states=2**5 - 1)
+    with pytest.raises(FeasibilityError):
+        free_group_guard(2, 3, max_states=4**3 - 1)
 
 
 def test_tree_walk_count_examples():
@@ -199,7 +222,7 @@ def test_tree_walk_count_guard():
         tree_walk_count(3, 0, 30, max_states=1000)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_tree_matches_recurrence(m):
     table = build_table(tree_weights(m), 8)
     for n in range(9):
@@ -207,14 +230,24 @@ def test_tree_matches_recurrence(m):
             assert tree_walk_count(m, i, n) == table.count(i, n)
 
 
+def test_single_edge_matches_recurrence_at_its_two_vertices():
+    # m=1 has vertices at distance 0 and 1 only; the recurrence's A_1(i, n)
+    # for i >= 2 counts height paths with no tree vertex behind them
+    table = build_table(tree_weights(1), 8)
+    for n in range(9):
+        for i in range(min(n, 1) + 1):
+            assert tree_walk_count(1, i, n) == table.count(i, n)
+
+
 def test_level_counts_are_symmetric():
     # every vertex of a level is equivalent, so the designated-vertex choice
-    # cannot matter; check the whole distribution for m=3, n <= 6
-    for n in range(7):
-        tree, counts = tree_walk_distribution(3, n)
-        for level in tree.levels:
-            values = {counts[v] for v in level}
-            assert len(values) <= 1
+    # cannot matter; check the whole distribution for m in {1, 3, 5}, n <= 6
+    for m in (1, 3, 5):
+        for n in range(7):
+            tree, counts = tree_walk_distribution(m, n)
+            for level in tree.levels:
+                values = {counts[v] for v in level}
+                assert len(values) <= 1
 
 
 # --- free-group words ----------------------------------------------------------
