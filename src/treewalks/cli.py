@@ -1,6 +1,10 @@
 """Command-line driver: table building, series expansion, oracle runs,
 cross-method verification, and OEIS-style b-file export.
 
+Each route to A(i, n) is declared once, in ``ROUTES``: ``walks``, ``dyck``
+and ``bfile`` read the route ``--method`` picks, and ``verify`` compares
+every other route with dp through ``COMPARISONS``.
+
 Exit codes are stable: 0 success, 1 verification failure, 2 usage or
 validation error, 3 enumeration refused by the feasibility guard.
 """
@@ -11,8 +15,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cache, partial
-from typing import Any, Callable, Optional, Sequence
+from functools import cache, lru_cache, partial
+from itertools import product
+from typing import Callable, Optional, Sequence
 
 from .genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
 from .oracles import (
@@ -65,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     walks.add_argument("-m", type=int, required=True, help="tree degree (every vertex has m neighbors)")
     walks.add_argument("-i", type=_natural, default=0, help="end distance from the start vertex (default 0)")
     walks.add_argument("-n", "--n-max", type=_natural, required=True, dest="n_max", help="largest walk length")
-    walks.add_argument("--method", choices=("dp", "gf", "tree"), default="dp")
+    walks.add_argument("--method", choices=[method for command, method in ROUTES if command == "walks"], default="dp")
     walks.set_defaults(handler=_cmd_walks)
 
     dyck = sub.add_parser("dyck", help="poids-sums of weighted lattice paths ending at height i")
@@ -74,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dyck.add_argument("c3", type=parse_number, help="down-step weight landing on the axis")
     dyck.add_argument("-i", type=_natural, default=0, help="end height (default 0)")
     dyck.add_argument("-n", "--n-max", type=_natural, required=True, dest="n_max", help="largest path length")
-    dyck.add_argument("--method", choices=("dp", "gf", "enum"), default="dp")
+    dyck.add_argument("--method", choices=[method for command, method in ROUTES if command == "dyck"], default="dp")
     dyck.set_defaults(handler=_cmd_dyck)
 
     verify = sub.add_parser("verify", help="run every cross-method invariant and report pass/fail per check")
@@ -87,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bfile.add_argument("-m", type=int, required=True, help="tree degree")
     bfile.add_argument("-i", type=_natural, default=0, help="end distance (default 0)")
     bfile.add_argument("--count", type=_natural, required=True, help="number of terms")
-    bfile.set_defaults(handler=_cmd_bfile, method="dp", format="bfile", parity_filter=True)
+    bfile.set_defaults(handler=_cmd_bfile, method="dp", format="bfile", parity_filter=True, max_states=DEFAULT_MAX_STATES)
 
     for values in (walks, dyck):
         values.add_argument(
@@ -130,37 +135,49 @@ def _emit(ns: Sequence[int], values: Sequence[Fraction], meta: dict, fmt: str, s
             print(f"{start + k} {s}")
 
 
-def _count(
-    args: argparse.Namespace,
-    weights: WeightConfig,
-    gf: Callable[[int, int], PowerSeries],
-    oracle: Callable[..., Rational],
-    meta: dict,
-) -> int:
-    """Print A(i, n) for the selected lengths n, by dp, gf or the oracle."""
-    i, n_max = args.i, args.n_max
-    ns = range(i, n_max + 1, 2) if args.parity_filter else range(n_max + 1)
-    if args.method == "dp":
-        table = build_table(weights, max(ns, default=0))
-        values = [table.count(i, n) for n in ns]
-    elif args.method == "gf":
-        series = gf(i, n_max)
-        values = [series[n] for n in ns]
-    else:  # longest first, so an oversized request is refused before any work
-        values = [oracle(i, n, max_states=args.max_states) for n in reversed(ns)][::-1]
+def _rows(row: Callable[[int], PowerSeries]) -> Callable[[int, int], Fraction]:
+    """Reader of A(i, n) = row(i)[n]; builds each row when first read and keeps only the last."""
+    row = lru_cache(maxsize=1)(row)
+    return lambda i, n: row(i)[n]
+
+
+# Every route to A(i, n), keyed by (command, method): route(weights, order,
+# max_states) opens a reader (i, n) -> A(i, n) for n <= order.  Opening an
+# oracle route runs its guard, so an oversized enumeration is refused before
+# any.  Routes look library functions up as module globals when they run.
+ROUTES: dict[tuple[str, str], Callable[[WeightConfig, int, int], Callable[[int, int], Rational]]] = {
+    ("walks", "dp"): lambda w, order, states: build_table(w, order).count,
+    ("walks", "gf"): lambda w, order, states: _rows(lambda i: tree_gf(w.m, i, order)),
+    ("walks", "tree"): lambda w, order, states: tree_guard(w.m, order, states) or partial(tree_walk_count, w.m, max_states=states),
+    ("dyck", "dp"): lambda w, order, states: build_table(w, order).count,
+    ("dyck", "gf"): lambda w, order, states: _rows(lambda i: poids_gf(w, i, order)),
+    ("dyck", "enum"): lambda w, order, states: dyck_guard(order, states) or partial(enumerate_dyck, w, max_states=states),
+}
+
+
+def _count(args: argparse.Namespace, command: str, weights: WeightConfig, meta: dict) -> int:
+    """Print A(i, n) for the selected lengths n by the route --method picks."""
+    i = args.i
+    ns = range(i, args.n_max + 1, 2) if args.parity_filter else range(args.n_max + 1)
+    read = ROUTES[command, args.method](weights, max(ns, default=0), args.max_states)
+    if not ns:  # still read height i, so a height the route rejects exits 2
+        read(i, 0)
+    values = [read(i, n) for n in ns]
     _emit(ns, values, {**meta, "i": i, "method": args.method}, args.format, args.start)
     return EXIT_OK
 
 
 def _cmd_walks(args: argparse.Namespace) -> int:
     m = args.m
-    return _count(args, tree_weights(m), partial(tree_gf, m), partial(tree_walk_count, m), {"m": m})
+    if m == 1 and args.i >= 2:
+        raise ValueError(f"the 1-regular tree is a single edge; it has no vertex at distance i={args.i}")
+    return _count(args, "walks", tree_weights(m), {"m": m})
 
 
 def _cmd_dyck(args: argparse.Namespace) -> int:
     weights = WeightConfig(args.c1, args.c2, args.c3)
     shown = {"c1": format_number(weights.c1), "c2": format_number(weights.c2), "c3": format_number(weights.c3)}
-    return _count(args, weights, partial(poids_gf, weights), partial(enumerate_dyck, weights), {"weights": shown})
+    return _count(args, "dyck", weights, {"weights": shown})
 
 
 def _cmd_bfile(args: argparse.Namespace) -> int:
@@ -180,27 +197,20 @@ VERIFY_TRIPLES: tuple[WeightConfig, ...] = (
     WeightConfig(1, Fraction(1, 2), 2),
 )
 
+# The dp comparisons of verify: (scope, check title, oracle cap or None,
+# routes), each route a FAIL-line label and a (command, method) of ROUTES.
+COMPARISONS: tuple[tuple[str, str, Optional[int], tuple[tuple[str, str, str], ...]], ...] = (
+    ("tree", "dp = gf = closed form", None, (("closed form", "walks", "gf"), ("constructed gf", "dyck", "gf"))),
+    ("tree", "dp = tree oracle", ORACLE_CAP_TREE, (("tree oracle", "walks", "tree"),)),
+    ("dyck", "dp = gf", None, (("gf", "dyck", "gf"),)),
+    ("dyck", "dp = path enumeration", ORACLE_CAP_DYCK, (("enumeration", "dyck", "enum"),)),
+)
+
 Check = tuple[str, Callable[[], Optional[str]]]
-Route = tuple[str, Callable[[Any, int], Rational]]
 
 
 def _mismatch(label: str, expected: Fraction, got: Fraction) -> str:
     return f"{label}: expected {format_number(expected)}, got {format_number(got)}"
-
-
-def _against_dp(table: WalkTable, cells: Sequence[tuple], routes: Sequence[Route]) -> Optional[str]:
-    """First disagreement with dp over the cells, in order, or None.
-
-    A cell (label, i, n, key) compares A(i, n) from the table with each
-    route's value(key, n).
-    """
-    for label, i, n, key in cells:
-        dp = table.count(i, n)
-        for name, value in routes:
-            got = value(key, n)
-            if got != dp:
-                return _mismatch(f"{label} {name} vs dp", dp, got)
-    return None
 
 
 def _check_mass(m: int, table: WalkTable) -> Optional[str]:
@@ -255,71 +265,60 @@ _FREE_GROUP_WORDS: dict[int, list[tuple[int, ...]]] = {
 
 def _verify_checks(scope: str, n_max: int, m_max: int, max_states: int) -> list[Check]:
     table = cache(lambda weights: build_table(weights, n_max))  # one per weight configuration
-    square = [(i, n) for i in range(n_max + 1) for n in range(n_max + 1)]
-    tree_cap, dyck_cap, free_cap = (min(n_max, cap) for cap in (ORACLE_CAP_TREE, ORACLE_CAP_DYCK, ORACLE_CAP_FREE))
 
-    def corner(cap: int) -> list[tuple[int, int]]:
-        return [(i, n) for n in range(cap + 1) for i in range(n + 1)]
+    def against_dp(weights: WeightConfig, cells: Sequence[tuple], routes: list) -> Optional[str]:
+        """First disagreement with dp over the cells, in order, or None: a
+        cell (label, i, n, key) compares A(i, n) with each route's value(key, n)."""
+        dp_table = table(weights)
+        for label, i, n, key in cells:
+            dp = dp_table.count(i, n)
+            for name, value in routes:
+                got = value(key, n)
+                if got != dp:
+                    return _mismatch(f"{label} {name} vs dp", dp, got)
+        return None
 
-    def cells(where: str, pairs: list[tuple[int, int]]) -> list[tuple[str, int, int, int]]:
-        return [(f"{where} i={i} n={n}", i, n, i) for i, n in pairs]
+    def compare(weights: WeightConfig, where: str, order: int, oracle: bool, readers: list) -> Optional[str]:
+        # An oracle reads the corner i <= n length by length (its memo holds
+        # one length), a gf reader the full square row by row (it keeps one row).
+        pairs = [(i, n) for n in range(order + 1) for i in range(n + 1)] if oracle else product(range(order + 1), repeat=2)
+        return against_dp(weights, [(f"{where} i={i} n={n}", i, n, i) for i, n in pairs], readers)
 
-    def gf_rows(gf: Callable[..., PowerSeries], arg: object) -> Callable[[int, int], Fraction]:
-        rows = [gf(arg, i, n_max) for i in range(n_max + 1)]
-        return lambda i, n: rows[i][n]
+    def comparisons(part: str, configs: list[tuple[str, WeightConfig]]) -> list[Check]:
+        # Opening the readers here runs every oracle guard at its check's
+        # cap, so an oversized oracle check is refused before any check runs.
+        checks: list[Check] = []
+        for _, title, cap, routes in (comparison for comparison in COMPARISONS if comparison[0] == part):
+            order = n_max if cap is None else min(n_max, cap)
+            for where, weights in configs:
+                readers = [(label, ROUTES[command, method](weights, order, max_states)) for label, command, method in routes]
+                checks.append((f"{title}, {where}, n<={order}", partial(compare, weights, where, order, cap is not None, readers)))
+        return checks
 
-    def tree_methods(m: int) -> Optional[str]:
-        routes = [("closed form", gf_rows(tree_gf, m)), ("constructed gf", gf_rows(poids_gf, tree_weights(m)))]
-        return _against_dp(table(tree_weights(m)), cells(f"m={m}", square), routes)
-
-    def tree_oracle(m: int) -> Optional[str]:
-        route = ("tree oracle", partial(tree_walk_count, m, max_states=max_states))
-        return _against_dp(table(tree_weights(m)), cells(f"m={m}", corner(tree_cap)), [route])
-
-    def dyck_methods(w: WeightConfig) -> Optional[str]:
-        return _against_dp(table(w), cells(f"weights {w.describe()}", square), [("gf", gf_rows(poids_gf, w))])
-
-    def dyck_oracle(w: WeightConfig) -> Optional[str]:
-        route = ("enumeration", partial(enumerate_dyck, w, max_states=max_states))
-        return _against_dp(table(w), cells(f"weights {w.describe()}", corner(dyck_cap)), [route])
-
-    def free_group(g: int) -> Optional[str]:
-        words = [
-            (f"g={g} target={target} n={n}", len(target), n, target)
-            for target in _FREE_GROUP_WORDS[g]
-            if len(target) <= free_cap
-            for n in range(free_cap + 1)
-        ]
-        route = ("free-group count", partial(free_group_count, g, max_states=max_states))
-        return _against_dp(table(tree_weights(2 * g)), words, [route])
-
-    # Each oracle guard runs at its check's cap before the list is returned,
-    # so an oversized oracle check is refused before any check runs.
     degrees = range(2, m_max + 1)
     checks: list[Check] = []
     if scope in ("tree", "all"):
-        for m in degrees:
-            tree_guard(m, tree_cap, max_states)
-        checks += [(f"dp = gf = closed form, m={m}, n<={n_max}", partial(tree_methods, m)) for m in degrees]
-        checks += [(f"dp = tree oracle, m={m}, n<={tree_cap}", partial(tree_oracle, m)) for m in degrees]
+        checks += comparisons("tree", [(f"m={m}", tree_weights(m)) for m in degrees])
         checks += [
             (f"mass conservation sum V_m(i)*A(i,n) = m^n, m={m}", lambda m=m: _check_mass(m, table(tree_weights(m))))
             for m in degrees
         ]
         checks += [(f"parity vanishing, m={m}", lambda m=m: _check_parity(table(tree_weights(m)))) for m in degrees]
     if scope in ("dyck", "all"):
-        dyck_guard(dyck_cap, max_states)
-        checks += [(f"dp = gf, weights {w.describe()}, n<={n_max}", partial(dyck_methods, w)) for w in VERIFY_TRIPLES]
-        checks += [(f"dp = path enumeration, weights {w.describe()}, n<={dyck_cap}", partial(dyck_oracle, w)) for w in VERIFY_TRIPLES]
+        checks += comparisons("dyck", [(f"weights {w.describe()}", w) for w in VERIFY_TRIPLES])
         checks += [
             (f"series algebra (sqrt, quadratic, d_i factoring), weights {w.describe()}", partial(_check_algebra, w, n_max))
             for w in VERIFY_TRIPLES
         ]
         checks += [(f"parity vanishing, weights {w.describe()}", lambda w=w: _check_parity(table(w))) for w in VERIFY_TRIPLES]
     if scope in ("freegroup", "all"):
-        for g in (1, 2):
+        free_cap = min(n_max, ORACLE_CAP_FREE)
+        for g in (1, 2):  # cells keyed by target word, each of length i
             free_group_guard(g, free_cap, max_states)
-        checks += [(f"dp = free-group words, g={g}, n<={free_cap}", partial(free_group, g)) for g in (1, 2)]
+            targets = [target for target in _FREE_GROUP_WORDS[g] if len(target) <= free_cap]
+            words = [(f"g={g} target={target} n={n}", len(target), n, target) for target in targets for n in range(free_cap + 1)]
+            route = ("free-group count", partial(free_group_count, g, max_states=max_states))
+            checks.append((f"dp = free-group words, g={g}, n<={free_cap}", partial(against_dp, tree_weights(2 * g), words, [route])))
     return checks
 
 

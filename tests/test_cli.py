@@ -61,6 +61,20 @@ def test_walks_dp_accepts_single_edge(capsys):
     assert out == "1 1 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("walks", "-m", "1", "-i", "2", "-n", "6", "--method", method) for method in ("dp", "gf", "tree")),
+        ("bfile", "-m", "1", "-i", "2", "--count", "3"),
+    ],
+)
+def test_single_edge_has_no_vertex_beyond_distance_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_walks_tree_method_guard(capsys):
     code, _, err = run(
         capsys, "walks", "-m", "3", "-n", "12", "--method", "tree", "--max-states", "10"
@@ -236,6 +250,23 @@ def test_verify_builds_one_table_per_weight_config(capsys, monkeypatch):
     assert len(built) == len(set(built)) == 7  # degrees 2..5 plus three non-tree triples
 
 
+def test_every_route_is_compared_with_dp_in_verify():
+    compared = {(command, method) for *_, routes in cli.COMPARISONS for _, command, method in routes}
+    assert compared == {key for key in cli.ROUTES if key[1] != "dp"}
+
+
+def test_gf_reader_builds_each_row_when_read_and_keeps_only_the_last(monkeypatch):
+    built = []
+    original = cli.tree_gf
+    monkeypatch.setattr(cli, "tree_gf", lambda m, i, order: built.append(i) or original(m, i, order))
+    read = cli.ROUTES["walks", "gf"](tree_weights(3), 4, 0)
+    assert built == []
+    assert [read(1, n) for n in range(5)] == [0, 1, 0, 5, 0]
+    read(0, 0)
+    read(1, 1)
+    assert built == [1, 0, 1]
+
+
 def test_verify_rejects_bad_bounds(capsys):
     code, _, _ = run(capsys, "verify", "-n", "-1")
     assert code == 2
@@ -332,22 +363,20 @@ def test_huge_oracle_request_is_refused_at_once(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv,oracle,longest",
+    "argv,oracle",
     [
-        (("walks", "-m", "3", "-i", "1", "-n", "6", "--method", "tree"), "tree_walk_count", 6),
-        (("walks", "-m", "3", "-i", "1", "-n", "8", "--method", "tree", "--parity-filter"), "tree_walk_count", 7),
-        (("dyck", "1", "1/2", "2", "-n", "6", "--method", "enum"), "enumerate_dyck", 6),
+        (("walks", "-m", "3", "-n", "6", "--method", "tree", "--max-states", "100"), "tree_walk_count"),  # 190 vertices
+        (("dyck", "1", "1", "1", "-n", "6", "--method", "enum", "--max-states", "50"), "enumerate_dyck"),  # 2^6 sequences
     ],
 )
-def test_oracles_are_asked_for_the_longest_length_first(capsys, monkeypatch, argv, oracle, longest):
+def test_oversized_oracle_request_is_refused_before_any_oracle_call(capsys, monkeypatch, argv, oracle):
     calls = []
     original = getattr(cli, oracle)
     monkeypatch.setattr(cli, oracle, lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
-    assert cli.main(list(argv)) == 0
-    first = {}  # first length asked per request or verify check, keyed by m, weights or g
-    for key, _, n in calls:
-        first.setdefault(key, n)
-    assert first and set(first.values()) == {longest}
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert calls == []
 
 
 def test_oversized_verify_oracle_check_is_refused_before_any_check(capsys):

@@ -403,6 +403,23 @@ n,value
 """,
     ),
     (
+        ['walks', '-m', '3', '-i', '5', '-n', '3', '--method', 'tree', '--parity-filter'],
+        0,
+        """\
+
+""",
+    ),
+    (
+        ['walks', '-m', '1', '-i', '5', '-n', '3', '--method', 'gf', '--parity-filter'],
+        2,
+        "",
+    ),
+    (
+        ['dyck', '1', '0', '5', '-i', '9', '-n', '4', '--method', 'gf', '--parity-filter'],
+        2,
+        "",
+    ),
+    (
         ['walks', '-m', '3', '-i', '5', '-n', '3', '--parity-filter', '--format', 'json'],
         0,
         """\
