@@ -1,6 +1,7 @@
 """The exact power-series toolbox underneath the generating functions.
 
-Everything is a truncated series with Fraction coefficients; inverse and
+Everything is a truncated series with exact rational coefficients, stored
+as integers graded by a base and read back as Fractions; inverse and
 square root are solved coefficient by coefficient, and division by powers
 of t demands exact divisibility instead of taking limits.
 """

@@ -54,19 +54,48 @@ def _check_order(order: int) -> None:
         raise ValueError("truncation order must be >= 0")
 
 
+# A Fraction object and its slot in the cached tuple.
+_FRACTION_BYTES = 56
+
+
+def _int_bytes(bits: int) -> int:
+    """Memory of a Python int of ``bits`` bits (30-bit digits of 4 bytes,
+    a 24-byte header) plus its 8-byte slot in a list or tuple."""
+    return 4 * (bits // 30 + 1) + 32
+
+
+def _widest_int_bits(weights: WeightConfig, order: int) -> int:
+    """Bits of the widest int a ``poids_gf`` or ``tree_gf`` series of this
+    order holds, numerators and denominators alike (see :func:`_check_size`)."""
+    numerator, denominator = step_bits(weights)
+    return (order + 2) * (numerator + denominator)
+
+
 def _check_size(weights: WeightConfig, order: int) -> None:
     """Refuse, before building any series, a computation whose series would
     hold more than ``MAX_TABLE_BYTES``.
 
-    The t^n coefficient is A(i, n), so it is no wider than the dp bound of
-    :func:`treewalks.recurrence.step_bits`: n times the numerator's plus the
-    denominator's bits per step.  The estimate charges every coefficient
-    that widest width plus 112 bytes (a Fraction, its two ints and its list
-    slot), for three series of order + 3 coefficients; a few more are alive
-    at once, but most of their coefficients are narrower.
+    The series kernel stores c_k as num_k / (den * base^k), with den as
+    small as that base allows.  With D the lcm of the weight denominators,
+    every base in ``poids_gf`` and ``tree_gf`` divides D^2: the sqrt grades
+    by the denominator of 4*c1*c2 (times 4 when a halving is not exact,
+    which needs an even D), and the inverse widens that only to another
+    divisor of D^2.  A coefficient of t^k is at most (M/D)^k in size, M as
+    in :func:`treewalks.recurrence.step_bits`, and den * base^k adds at most
+    2*log2(D) bits per step of the order, so an int needs about
+    order * (numerator + denominator bits) of ``step_bits``.  The width
+    charged is (order + 2) such steps, which also covers the constant
+    factors (c3/c2, powers of c1) that the intermediate series carry; a
+    sweep in the tests checks it against the widest int each computation
+    builds.  The estimate charges that width to every coefficient of three
+    series of order + 3 coefficients (a few more are alive at once, but
+    most of their ints are narrower), plus the ``Fraction`` tuple that
+    reading the result caches, at the dp widths of A(i, n).
     """
     numerator, denominator = step_bits(weights)
-    estimate = 3 * (order + 3) * (order * (numerator + denominator) // 8 + 112)
+    graded = 3 * (order + 3) * _int_bytes(_widest_int_bits(weights, order))
+    cached = (order + 1) * (_FRACTION_BYTES + _int_bytes(order * numerator) + _int_bytes(order * denominator))
+    estimate = graded + cached
     if estimate > MAX_TABLE_BYTES:
         raise FeasibilityError(
             f"series of order {order} for weights {weights.describe()} need an estimated "

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import product
 from math import comb
+
+import pytest
 
 from treewalks.genfunc import dyck_gf, poids_gf, tree_gf
 from treewalks.oracles import enumerate_dyck, free_group_count, tree_walk_count
@@ -174,3 +177,37 @@ def test_parity_vanishing():
                 if n < i or (n - i) % 2 == 1:
                     assert table.count(i, n) == 0
                     assert series[n] == 0
+
+
+# The benchmark's rational draws: numerators 1, 2, 4 over denominators 3, 5, 7.
+BENCHMARK_TRIPLES = (
+    WeightConfig(Fraction(1, 3), Fraction(4, 5), Fraction(2, 7)),
+    WeightConfig(Fraction(4, 7), Fraction(2, 5), Fraction(1, 3)),
+    WeightConfig(Fraction(2, 3), Fraction(1, 7), Fraction(4, 5)),
+)
+SIGNED_GRID = (0, 1, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), 3, Fraction(-7, 4), Fraction(11, 13))
+
+
+@criterion("criterion 10: gf = dp at benchmark sizes: tree_gf to t^300, poids_gf to t^220")
+def test_gf_matches_recurrence_at_benchmark_sizes():
+    for m in range(2, 9):
+        table = build_table(tree_weights(m), 300)
+        for i in (0, 1, 17, 24):
+            assert tree_gf(m, i, 300).coeffs == table.row(i)
+    for w in BENCHMARK_TRIPLES:
+        table = build_table(w, 220)
+        for i in (0, 5, 6):
+            assert poids_gf(w, i, 220).coeffs == table.row(i)
+
+
+@criterion("criterion 11: poids_gf = dp on a signed and zero weight grid through t^24")
+def test_poids_gf_matches_recurrence_on_signed_grid():
+    for c1, c2, c3 in product(SIGNED_GRID, repeat=3):
+        w = WeightConfig(c1, c2, c3)
+        table = build_table(w, 24)
+        for i in (0, 1, 3):
+            if c2 == 0:
+                with pytest.raises(ValueError):
+                    poids_gf(w, i, 24)
+            else:
+                assert poids_gf(w, i, 24).coeffs == table.row(i)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -257,3 +257,40 @@ def test_closed_forms_do_not_read_dyck_gf(monkeypatch, route):
     for i in range(12):
         series = gf(i, 10)
         assert [series[n] for n in range(11)] == [table.count(i, n) for n in range(11)]
+
+
+# --- the size guard bounds every int the graded kernel builds ------------------------
+
+GUARD_WEIGHTS = [
+    *(tree_weights(m) for m in (2, 3, 5, 8)),
+    WeightConfig(Fraction(1, 3), Fraction(4, 5), Fraction(2, 7)),
+    WeightConfig(Fraction(-5, 3), Fraction(-5, 6), Fraction(-2, 3)),
+    WeightConfig(Fraction(1, 2), 1, Fraction(1, 1000)),  # even D: the sqrt retries at base 4x
+    WeightConfig(Fraction(-131072, 27), Fraction(-1, 54), Fraction(8, 3)),
+    WeightConfig(Fraction(1, 442368), Fraction(1, 24576), 0),
+    WeightConfig(1000, 1, Fraction(1, 7)),
+]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 30, 90])
+@pytest.mark.parametrize("weights", GUARD_WEIGHTS, ids=[w.describe() for w in GUARD_WEIGHTS])
+def test_size_guard_bounds_the_widest_int(monkeypatch, weights, order):
+    widest, bases = 0, set()
+    original = PowerSeries._set
+
+    def measured(self, num, den, base, coeffs):
+        nonlocal widest
+        widest = max(widest, den.bit_length(), *(abs(x).bit_length() for x in num))
+        bases.add(base)
+        original(self, num, den, base, coeffs)
+
+    monkeypatch.setattr(PowerSeries, "_set", measured)
+    bound = genfunc._widest_int_bits(weights, order)
+    scale = lcm(weights.c1.denominator, weights.c2.denominator, weights.c3.denominator)
+    for i in sorted({0, 1, 3, order // 2, order}):
+        widest = 0
+        poids_gf(weights, i, order)
+        if weights.m is not None:
+            tree_gf(weights.m, i, order)
+        assert 0 < widest <= bound, (i, widest, bound)
+    assert all(scale**2 % base == 0 for base in bases), bases

@@ -5,10 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treewalks.series import PowerSeries
+from fraction_series import PowerSeries as Reference
+from treewalks.series import PowerSeries, _halving_root
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -249,3 +250,100 @@ def test_truncate():
     assert f.truncate(1).coeffs == (1, 2)
     with pytest.raises(ValueError):
         f.truncate(5)
+
+
+# --- the graded integer kernel against the Fraction reference --------------------
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as exc:  # the exception type and message are compared
+        return type(exc), str(exc)
+
+
+def _assert_same(got, want):
+    if isinstance(want, Reference):
+        assert isinstance(got, PowerSeries)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert got.coeffs == want.coeffs
+        assert got.order == want.order
+        assert list(got) == list(want)
+        assert got.decimal_strings() == want.decimal_strings()
+        assert str(got) == str(want)
+        assert repr(got) == repr(want)
+        assert got == PowerSeries(want.coeffs)
+    else:
+        assert got == want
+
+
+def _unit(f, arg, index):
+    """f with its constant term replaced by 1: a radicand sqrt accepts."""
+    return f - type(f).constant(f[0], f.order) + type(f).one(f.order)
+
+
+# name -> (number of series operands, op(*series, scalar, index))
+OPS = {
+    "+": (2, lambda f, g, x, k: f + g),
+    "-": (2, lambda f, g, x, k: f - g),
+    "*": (2, lambda f, g, x, k: f * g),
+    "==": (2, lambda f, g, x, k: f == g),
+    "neg": (1, lambda f, x, k: -f),
+    "times scalar": (1, lambda f, x, k: f * x),
+    "scalar times": (1, lambda f, x, k: x * f),
+    "over scalar": (1, lambda f, x, k: f / x),
+    "pow": (1, lambda f, x, k: f**k),
+    "inverse": (1, lambda f, x, k: f.inverse()),
+    "sqrt": (1, lambda f, x, k: f.sqrt()),
+    "sqrt of unit": (1, lambda f, x, k: _unit(f, x, k).sqrt()),
+    "shift_div": (1, lambda f, x, k: f.shift_div(k)),
+    "shift_mul": (1, lambda f, x, k: f.shift_mul(k)),
+    "truncate": (1, lambda f, x, k: f.truncate(k)),
+    "getitem": (1, lambda f, x, k: f[k]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_graded_kernel_matches_fraction_reference(data):
+    starts = data.draw(st.lists(st.lists(coeff, min_size=1, max_size=7), min_size=2, max_size=3))
+    pool = [(PowerSeries(c), Reference(c)) for c in starts]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        arity, op = OPS[data.draw(st.sampled_from(sorted(OPS)))]
+        picks = [data.draw(st.sampled_from(pool)) for _ in range(arity)]
+        arg = data.draw(st.one_of(st.integers(min_value=-2, max_value=3), coeff))
+        index = data.draw(st.integers(min_value=-1, max_value=3))
+        got = _outcome(lambda: op(*(graded for graded, _ in picks), arg, index))
+        want = _outcome(lambda: op(*(reference for _, reference in picks), arg, index))
+        _assert_same(got, want)
+        if isinstance(want, Reference):
+            pool.append((got, want))
+
+
+BASE_CASES = {
+    # an inverse and a sqrt are graded on different bases
+    "inverse times sqrt": lambda S: S([3, 1, -2, 5, 0, 1]).inverse() * S([1, Fraction(1, 3), 0, -2, 1, 0]).sqrt(),
+    "sum across bases": lambda S: S([2, 1, 0, 1, 4]).inverse() + S([1, 0, -3, 0, 1]).sqrt() - S([5, 7, 0, 0, 0]).inverse(),
+    "equal across bases": lambda S: S([2, 1, 0, 1]).inverse() == (S([2, 1, 0, 1]) * Fraction(1, 2)).inverse() / 2,
+    "negative constant term": lambda S: S([-2, 1, Fraction(1, 2), 0, 3]).inverse(),
+    "negative constant term, squared": lambda S: S([Fraction(-3, 4), 2, 0, -1, 0, 0]).inverse() ** 2,
+    # the halving is not exact at the radicand's own base
+    "sqrt of 1 + t": lambda S: S([1, 1, 0, 0, 0, 0, 0, 0]).sqrt(),
+    "sqrt of 1 + t/3 - t^2/2": lambda S: S([1, Fraction(1, 3), Fraction(-1, 2), 0, 0, 0, 0]).sqrt(),
+    "sqrt of an inverse": lambda S: (S([1, -1, 0, 0, 0, 0]).inverse()).sqrt(),
+    "inverse of a zero constant term": lambda S: S([0, Fraction(-2, 3), 1]).inverse(),
+    "shift_div refusal names the coefficient": lambda S: (S([1, 0, 0, 0]) - S([2, 1, 0]).inverse() * 2).shift_div(2),
+}
+
+
+@pytest.mark.parametrize("case", BASE_CASES)
+def test_graded_kernel_matches_reference_on(case):
+    build = BASE_CASES[case]
+    _assert_same(_outcome(lambda: build(PowerSeries)), _outcome(lambda: build(Reference)))
+
+
+def test_halving_remainder_raises():
+    # 1 + t at its own base: s_1 = 1/2 is not an integer
+    assert _halving_root([1, 1, 0], exact=False) is None
+    with pytest.raises(ArithmeticError):
+        _halving_root([1, 1, 0], exact=True)
