@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache, lru_cache, partial
@@ -73,7 +74,15 @@ def _build_parser() -> argparse.ArgumentParser:
     walks.add_argument("--method", choices=[method for command, method in ROUTES if command == "walks"], default="dp")
     walks.set_defaults(handler=_cmd_walks)
 
-    dyck = sub.add_parser("dyck", help="poids-sums of weighted lattice paths ending at height i")
+    dyck = sub.add_parser(
+        "dyck",
+        help="poids-sums of weighted lattice paths ending at height i",
+        description="Weights are rationals such as 2, 1/2, -3 or -3/4; negative weights need no '--'.",
+    )
+    # argparse takes "-3/4" for an unknown option; read negative rationals as
+    # values, as it already reads "-3".  This is argparse's private pattern,
+    # and test_cli pins the behaviour.
+    dyck._negative_number_matcher = re.compile(r"^-\d+(/[+-]?\d+)?$|^-\d*\.\d+$")
     dyck.add_argument("c1", type=parse_number, help="up-step weight (rational, e.g. 1 or 1/2)")
     dyck.add_argument("c2", type=parse_number, help="down-step weight away from the axis")
     dyck.add_argument("c3", type=parse_number, help="down-step weight landing on the axis")
@@ -313,10 +322,10 @@ def _verify_checks(scope: str, n_max: int, m_max: int, max_states: int) -> list[
         checks += [(f"parity vanishing, weights {w.describe()}", lambda w=w: _check_parity(table(w))) for w in VERIFY_TRIPLES]
     if scope in ("freegroup", "all"):
         free_cap = min(n_max, ORACLE_CAP_FREE)
-        for g in (1, 2):  # cells keyed by target word, each of length i
+        for g in (1, 2):  # cells keyed by target word of length i, length-major: one word enumeration per length
             free_group_guard(g, free_cap, max_states)
             targets = [target for target in _FREE_GROUP_WORDS[g] if len(target) <= free_cap]
-            words = [(f"g={g} target={target} n={n}", len(target), n, target) for target in targets for n in range(free_cap + 1)]
+            words = [(f"g={g} target={target} n={n}", len(target), n, target) for n in range(free_cap + 1) for target in targets]
             route = ("free-group count", partial(free_group_count, g, max_states=max_states))
             checks.append((f"dp = free-group words, g={g}, n<={free_cap}", partial(against_dp, tree_weights(2 * g), words, [route])))
     return checks

@@ -13,14 +13,20 @@ Each enumeration refuses inputs whose state space exceeds ``max_states``
 (default 10^7) with :class:`FeasibilityError`, before enumerating anything:
 these are desk-scale verification tools, not production counters.  The
 state count of each lives in its guard (``dyck_guard``, ``tree_guard``,
-``free_group_guard``), which callers may also run ahead of a batch.  Each
-memoizes only the length it last enumerated; callers ask length by length,
-so every later height of that length is a cache hit.
+``free_group_guard``), which callers may also run ahead of a batch.
+
+Each oracle memoizes only the length it last enumerated, and counts on ints
+there: the Dyck paths by end height and by down-steps landing on the axis
+(the weights are applied to those tallies afterwards), the tree walks by end
+vertex, and the free-group words by their reduction.  Callers ask length by
+length, so every later height, weight or target word of that length is a
+cache hit.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -122,26 +128,24 @@ def irreducible_components(path: LatticePath) -> list[LatticePath]:
 
 
 @lru_cache(maxsize=1)
-def _poids_by_end_height(weights: WeightConfig, n: int) -> dict[int, Fraction]:
-    """Sum of poids over all valid length-n paths, keyed by final height."""
-    sums: dict[int, Fraction] = {}
+def _paths_by_end(n: int) -> Counter[tuple[int, int]]:
+    """Number of valid length-n paths, keyed by (final height, down-steps
+    landing on the axis)."""
+    tally: Counter[tuple[int, int]] = Counter()
     for steps in itertools.product("UD", repeat=n):
-        height = 0
-        poids = Fraction(1)
-        valid = True
+        height = returns = 0
         for step in steps:
             if step == "U":
                 height += 1
-                poids *= weights.c1
             else:
                 height -= 1
                 if height < 0:
-                    valid = False
                     break
-                poids *= weights.c3 if height == 0 else weights.c2
-        if valid:
-            sums[height] = sums.get(height, Fraction(0)) + poids
-    return sums
+                if height == 0:
+                    returns += 1
+        else:
+            tally[height, returns] += 1
+    return tally
 
 
 def dyck_guard(n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
@@ -157,11 +161,22 @@ def enumerate_dyck(
 
     Iterates over all 2^n step sequences and filters, on purpose: the point
     of this oracle is independence from any counting cleverness under test.
+    The paths are tallied on ints by end height and by the number j of
+    down-steps landing on the axis.  A path ending at height i has
+    (n + i)/2 up-steps and (n - i)/2 down-steps, so its poids is
+    c1^((n+i)/2) * c2^((n-i)/2 - j) * c3^j, and the weights are applied
+    once per tally key instead of once per step.
     """
     if i < 0 or n < 0:
         raise ValueError("height and length must be non-negative")
     dyck_guard(n, max_states)
-    return _poids_by_end_height(weights, n).get(i, Fraction(0))
+    c1, c2, c3 = weights.c1, weights.c2, weights.c3
+    ups, downs = (n + i) // 2, (n - i) // 2
+    total = Fraction(0)
+    for (height, j), count in _paths_by_end(n).items():
+        if height == i:
+            total += count * c1**ups * c2 ** (downs - j) * c3**j
+    return total
 
 
 class TruncatedTree:
@@ -280,6 +295,13 @@ def is_reduced(word: Sequence[int]) -> bool:
     return all(word[k] != -word[k + 1] for k in range(len(word) - 1))
 
 
+@lru_cache(maxsize=1)
+def _reductions(g: int, n: int) -> Counter[tuple[int, ...]]:
+    """How many of the (2g)^n words of length n reduce to each reduced word."""
+    alphabet = tuple(range(1, g + 1)) + tuple(range(-1, -g - 1, -1))
+    return Counter(reduce_word(word) for word in itertools.product(alphabet, repeat=n))
+
+
 def free_group_guard(g: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
     """Refuse enumerating the (2g)^n words of length n over ``max_states``."""
     if (2 * g) ** n > max_states:
@@ -307,9 +329,4 @@ def free_group_count(
     if not is_reduced(target):
         raise ValueError(f"target word {target!r} is not reduced")
     free_group_guard(g, n, max_states)
-    alphabet = tuple(range(1, g + 1)) + tuple(range(-1, -g - 1, -1))
-    count = 0
-    for word in itertools.product(alphabet, repeat=n):
-        if reduce_word(word) == target:
-            count += 1
-    return count
+    return _reductions(g, n)[target]

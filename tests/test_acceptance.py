@@ -115,8 +115,8 @@ def test_free_group_agreement():
     }
     for g in (1, 2):
         table = tree_table(2 * g, 8)
-        for target in words[g]:
-            for n in range(9):
+        for n in range(9):
+            for target in words[g]:
                 assert free_group_count(g, target, n) == table.count(len(target), n)
 
 

@@ -157,6 +157,16 @@ def test_dyck_enum_guard(capsys):
     assert "error" in err
 
 
+def test_dyck_reads_negative_fractional_weights_without_double_dash(capsys):
+    direct = run(capsys, "dyck", "1", "1/2", "-3/4", "-n", "3")
+    escaped = run(capsys, "dyck", "-n", "3", "--", "1", "1/2", "-3/4")
+    assert direct == escaped == (0, "1 0 -3/4 0\n", "")
+    assert run(capsys, "dyck", "1", "1/2", "-3/-4", "-n", "3") == (0, "1 0 3/4 0\n", "")
+    code, out, _ = run(capsys, "dyck", "--help")
+    assert code == 0
+    assert "-3/4; negative weights need no '--'" in " ".join(out.split())
+
+
 def test_dyck_rejects_malformed_weight(capsys):
     code, _, _ = run(capsys, "dyck", "1", "x", "3", "-n", "4")
     assert code == 2
@@ -432,7 +442,7 @@ def test_negative_max_states_is_usage_error(capsys, argv):
 def test_oracle_memo_tables_hold_one_length(capsys):
     assert cli.main(["verify", "--scope", "all", "-n", "6", "--m-max", "3"]) == 0
     caches = [f for f in vars(oracles).values() if hasattr(f, "cache_info")]
-    assert len(caches) == 2
+    assert len(caches) == 3
     assert all(cache.cache_info().currsize <= 1 for cache in caches)
 
 

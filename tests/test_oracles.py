@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
@@ -163,6 +166,36 @@ def test_enumeration_matches_recurrence(w, n):
         assert enumerate_dyck(w, i, n) == table.count(i, n)
 
 
+SIGNED_WEIGHTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3), Fraction(3))
+
+
+@cache
+def valid_paths() -> list[LatticePath]:
+    """Every path of length <= 12 that never dips below the axis."""
+    paths = []
+    for n in range(13):
+        for steps in itertools.product("UD", repeat=n):
+            with contextlib.suppress(ValueError):
+                paths.append(LatticePath("".join(steps)))
+    return paths
+
+
+# Every pair of positions meets every pair of values (an orthogonal array):
+# zero and signed weights in each place, without the full 6^3 grid.
+@pytest.mark.parametrize(
+    "c1,c2", itertools.product(SIGNED_WEIGHTS, repeat=2), ids=lambda c: str(c)
+)
+def test_tallied_enumeration_matches_per_step_poids(c1, c2):
+    c3 = SIGNED_WEIGHTS[(SIGNED_WEIGHTS.index(c1) + SIGNED_WEIGHTS.index(c2)) % len(SIGNED_WEIGHTS)]
+    w = WeightConfig(c1, c2, c3)
+    sums: Counter[tuple[int, int]] = Counter()
+    for path in valid_paths():
+        sums[path.final_height, len(path)] += weight_and_poids(path, w)[1]
+    for n in range(13):
+        for i in range(n + 1):
+            assert enumerate_dyck(w, i, n) == sums[i, n]
+
+
 # --- walks on the truncated tree ----------------------------------------------
 
 
@@ -299,3 +332,13 @@ def test_free_group_matches_recurrence(g):
     for target in words[g]:
         for n in range(7):
             assert free_group_count(g, target, n) == table.count(len(target), n)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_free_group_count_matches_per_word_reduction(g):
+    alphabet = [x for k in range(1, g + 1) for x in (k, -k)]
+    targets = [t for size in range(4) for t in itertools.product(alphabet, repeat=size) if is_reduced(t)]
+    for n in range(7):
+        reductions = [reduce_word(word) for word in itertools.product(alphabet, repeat=n)]
+        for target in targets:
+            assert free_group_count(g, target, n) == reductions.count(target)
