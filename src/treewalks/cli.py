@@ -2,8 +2,9 @@
 cross-method verification, and OEIS-style b-file export.
 
 Each route to A(i, n) is declared once, in ``ROUTES``: ``walks``, ``dyck``
-and ``bfile`` read the route ``--method`` picks, and ``verify`` compares
-every other route with dp through ``COMPARISONS``.
+and ``bfile`` read the route ``--method`` picks.  Each check of ``verify``,
+every other route against dp and each identity, is one row of ``CHECKS``,
+and the acceptance suite runs the same rows at larger sizes.
 
 Exit codes are stable: 0 success, 1 verification failure, 2 usage or
 validation error, 3 enumeration refused by the feasibility guard.
@@ -41,12 +42,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
-
-# Oracle-backed verification is capped at the sizes the oracles can sweep
-# in seconds; the cheap dp/gf comparisons run to the full requested order.
-ORACLE_CAP_DYCK = 14
-ORACLE_CAP_TREE = 10
-ORACLE_CAP_FREE = 8
 
 
 def _natural(text: str) -> int:
@@ -92,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dyck.set_defaults(handler=_cmd_dyck)
 
     verify = sub.add_parser("verify", help="run every cross-method invariant and report pass/fail per check")
-    verify.add_argument("--scope", choices=("tree", "dyck", "freegroup", "all"), default="all")
+    verify.add_argument("--scope", choices=(*SCOPES, "all"), default="all")
     verify.add_argument("-n", "--n-max", type=_natural, default=10, dest="n_max")
     verify.add_argument("--m-max", type=int, default=4, dest="m_max")
     verify.set_defaults(handler=_cmd_verify)
@@ -198,22 +193,16 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
 # --- verify -----------------------------------------------------------------
 
 VERIFY_TRIPLES: tuple[WeightConfig, ...] = (
-    tree_weights(2),
-    tree_weights(3),
-    tree_weights(4),
-    WeightConfig(1, 1, 1),
-    WeightConfig(2, 1, 5),
-    WeightConfig(1, Fraction(1, 2), 2),
+    tree_weights(2), tree_weights(3), tree_weights(4),
+    WeightConfig(1, 1, 1), WeightConfig(2, 1, 5), WeightConfig(1, Fraction(1, 2), 2),
 )
 
-# The dp comparisons of verify: (scope, check title, oracle cap or None,
-# routes), each route a FAIL-line label and a (command, method) of ROUTES.
-COMPARISONS: tuple[tuple[str, str, Optional[int], tuple[tuple[str, str, str], ...]], ...] = (
-    ("tree", "dp = gf = closed form", None, (("closed form", "walks", "gf"), ("constructed gf", "dyck", "gf"))),
-    ("tree", "dp = tree oracle", ORACLE_CAP_TREE, (("tree oracle", "walks", "tree"),)),
-    ("dyck", "dp = gf", None, (("gf", "dyck", "gf"),)),
-    ("dyck", "dp = path enumeration", ORACLE_CAP_DYCK, (("enumeration", "dyck", "enum"),)),
-)
+# The weight configurations of each --scope, as (where, weights) by --m-max.
+SCOPES: dict[str, Callable[[int], list[tuple[str, WeightConfig]]]] = {
+    "tree": lambda m_max: [(f"m={m}", tree_weights(m)) for m in range(2, m_max + 1)],
+    "dyck": lambda m_max: [(f"weights {w.describe()}", w) for w in VERIFY_TRIPLES],
+    "freegroup": lambda m_max: [(f"g={g}", tree_weights(2 * g)) for g in (1, 2)],
+}
 
 Check = tuple[str, Callable[[], Optional[str]]]
 
@@ -222,24 +211,24 @@ def _mismatch(label: str, expected: Fraction, got: Fraction) -> str:
     return f"{label}: expected {format_number(expected)}, got {format_number(got)}"
 
 
-def _check_mass(m: int, table: WalkTable) -> Optional[str]:
-    for n in range(table.n_max + 1):
+def _check_mass(table: WalkTable, weights: WeightConfig, order: int) -> Optional[str]:
+    m = weights.m
+    for n in range(order + 1):
         total = mass_check(m, n, table)
         if total != Fraction(m) ** n:
             return _mismatch(f"m={m} n={n} vertex-weighted total vs m^n", Fraction(m) ** n, total)
     return None
 
 
-def _check_parity(table: WalkTable) -> Optional[str]:
-    for i in range(table.n_max + 1):
-        for n in range(table.n_max + 1):
-            v = table.count(i, n)
-            if (n < i or (n - i) % 2 == 1) and v != 0:
-                return f"weights {table.weights.describe()} i={i} n={n}: unreachable entry is {format_number(v)}"
+def _check_parity(table: WalkTable, weights: WeightConfig, order: int) -> Optional[str]:
+    # The table stores only the reachable cells i = n, n-2, ...; every other entry is zero.
+    for n in range(order + 1):
+        if len(table.columns[n]) != n // 2 + 1:
+            return f"weights {weights.describe()} n={n}: {len(table.columns[n])} cells stored, {n // 2 + 1} reachable"
     return None
 
 
-def _check_algebra(weights: WeightConfig, order: int) -> Optional[str]:
+def _check_algebra(_table: WalkTable, weights: WeightConfig, order: int) -> Optional[str]:
     q = weights.c1 * weights.c2
     radicand = PowerSeries([1, 0, -4 * q] + [0] * max(0, order - 2))
     s = radicand.sqrt()
@@ -266,69 +255,84 @@ def _check_algebra(weights: WeightConfig, order: int) -> Optional[str]:
     return None
 
 
-_FREE_GROUP_WORDS: dict[int, list[tuple[int, ...]]] = {
-    1: [(), (1,), (-1,), (1, 1), (-1, -1)],
-    2: [(), (1,), (-2,), (1, 2), (2, -1)],
-}
+# The cells (label, i, n, key) of a comparison: the full square row by row
+# for gf (a reader keeps one row), the corner i <= n length by length for the
+# oracles (a memo holds one length), and target words length-major for the
+# free group (one word enumeration per length).
+def _square(where: str, weights: WeightConfig, order: int) -> list:
+    return [(f"{where} i={i} n={n}", i, n, i) for i, n in product(range(order + 1), repeat=2)]
 
 
-def _verify_checks(scope: str, n_max: int, m_max: int, max_states: int) -> list[Check]:
-    table = cache(lambda weights: build_table(weights, n_max))  # one per weight configuration
+def _corner(where: str, weights: WeightConfig, order: int) -> list:
+    return [(f"{where} i={i} n={n}", i, n, i) for n in range(order + 1) for i in range(n + 1)]
 
-    def against_dp(weights: WeightConfig, cells: Sequence[tuple], routes: list) -> Optional[str]:
-        """First disagreement with dp over the cells, in order, or None: a
-        cell (label, i, n, key) compares A(i, n) with each route's value(key, n)."""
+
+_FREE_GROUP_WORDS = {1: [(), (1,), (-1,), (1, 1), (-1, -1)], 2: [(), (1,), (-2,), (1, 2), (2, -1)]}
+
+
+def _words(where: str, weights: WeightConfig, order: int) -> list:
+    targets = [target for target in _FREE_GROUP_WORDS[weights.m // 2] if len(target) <= order]
+    return [(f"{where} target={target} n={n}", len(target), n, target) for n in range(order + 1) for target in targets]
+
+
+def _free_group_route(weights: WeightConfig, order: int, states: int) -> Callable[[tuple, int], int]:
+    """Opener, as in ROUTES, of the words reducing to a target on the 2g-regular tree; runs the guard."""
+    g = weights.m // 2
+    return free_group_guard(g, order, states) or partial(free_group_count, g, max_states=states)
+
+
+# Every check of verify, in output order: (scope, title template, oracle cap
+# or None, check).  The cap is the largest order an oracle sweeps in seconds;
+# the rest run to the full requested order.  A check is a function (table,
+# weights, order) -> failure or None, or a comparison with dp, (cells,
+# readers): readers are (FAIL-line label, opener), and an opener's reader
+# maps a cell's (key, n) to the value dp gives A(i, n).
+CHECKS: tuple[tuple[str, str, Optional[int], object], ...] = (
+    ("tree", "dp = gf = closed form, {where}, n<={order}", None,
+     (_square, (("closed form", ROUTES["walks", "gf"]), ("constructed gf", ROUTES["dyck", "gf"])))),
+    ("tree", "dp = tree oracle, {where}, n<={order}", 10, (_corner, (("tree oracle", ROUTES["walks", "tree"]),))),
+    ("tree", "mass conservation sum V_m(i)*A(i,n) = m^n, {where}", None, _check_mass),
+    ("tree", "parity vanishing, {where}", None, _check_parity),
+    ("dyck", "dp = gf, {where}, n<={order}", None, (_square, (("gf", ROUTES["dyck", "gf"]),))),
+    ("dyck", "dp = path enumeration, {where}, n<={order}", 14, (_corner, (("enumeration", ROUTES["dyck", "enum"]),))),
+    ("dyck", "series algebra (sqrt, quadratic, d_i factoring), {where}", None, _check_algebra),
+    ("dyck", "parity vanishing, {where}", None, _check_parity),
+    ("freegroup", "dp = free-group words, {where}, n<={order}", 8, (_words, (("free-group count", _free_group_route),))),
+)
+
+
+def open_check(row: tuple, where: str, weights: WeightConfig, n_max: int, max_states: int, table: Callable) -> Check:
+    """One CHECKS row on one weight configuration, as (title, run), reading ``table(weights)`` when
+    run.  Its oracle guards run now, at the row's cap: an oversized check is refused before any runs."""
+    _, template, cap, check = row
+    order = n_max if cap is None else min(n_max, cap)
+    title = template.format(where=where, order=order)
+    if callable(check):
+        return title, lambda: check(table(weights), weights, order)
+    cells, routes = check
+    readers = [(label, opener(weights, order, max_states)) for label, opener in routes]
+
+    def compare() -> Optional[str]:
         dp_table = table(weights)
-        for label, i, n, key in cells:
+        for label, i, n, key in cells(where, weights, order):
             dp = dp_table.count(i, n)
-            for name, value in routes:
-                got = value(key, n)
+            for name, read in readers:
+                got = read(key, n)
                 if got != dp:
                     return _mismatch(f"{label} {name} vs dp", dp, got)
         return None
 
-    def compare(weights: WeightConfig, where: str, order: int, oracle: bool, readers: list) -> Optional[str]:
-        # An oracle reads the corner i <= n length by length (its memo holds
-        # one length), a gf reader the full square row by row (it keeps one row).
-        pairs = [(i, n) for n in range(order + 1) for i in range(n + 1)] if oracle else product(range(order + 1), repeat=2)
-        return against_dp(weights, [(f"{where} i={i} n={n}", i, n, i) for i, n in pairs], readers)
+    return title, compare
 
-    def comparisons(part: str, configs: list[tuple[str, WeightConfig]]) -> list[Check]:
-        # Opening the readers here runs every oracle guard at its check's
-        # cap, so an oversized oracle check is refused before any check runs.
-        checks: list[Check] = []
-        for _, title, cap, routes in (comparison for comparison in COMPARISONS if comparison[0] == part):
-            order = n_max if cap is None else min(n_max, cap)
-            for where, weights in configs:
-                readers = [(label, ROUTES[command, method](weights, order, max_states)) for label, command, method in routes]
-                checks.append((f"{title}, {where}, n<={order}", partial(compare, weights, where, order, cap is not None, readers)))
-        return checks
 
-    degrees = range(2, m_max + 1)
-    checks: list[Check] = []
-    if scope in ("tree", "all"):
-        checks += comparisons("tree", [(f"m={m}", tree_weights(m)) for m in degrees])
-        checks += [
-            (f"mass conservation sum V_m(i)*A(i,n) = m^n, m={m}", lambda m=m: _check_mass(m, table(tree_weights(m))))
-            for m in degrees
-        ]
-        checks += [(f"parity vanishing, m={m}", lambda m=m: _check_parity(table(tree_weights(m)))) for m in degrees]
-    if scope in ("dyck", "all"):
-        checks += comparisons("dyck", [(f"weights {w.describe()}", w) for w in VERIFY_TRIPLES])
-        checks += [
-            (f"series algebra (sqrt, quadratic, d_i factoring), weights {w.describe()}", partial(_check_algebra, w, n_max))
-            for w in VERIFY_TRIPLES
-        ]
-        checks += [(f"parity vanishing, weights {w.describe()}", lambda w=w: _check_parity(table(w))) for w in VERIFY_TRIPLES]
-    if scope in ("freegroup", "all"):
-        free_cap = min(n_max, ORACLE_CAP_FREE)
-        for g in (1, 2):  # cells keyed by target word of length i, length-major: one word enumeration per length
-            free_group_guard(g, free_cap, max_states)
-            targets = [target for target in _FREE_GROUP_WORDS[g] if len(target) <= free_cap]
-            words = [(f"g={g} target={target} n={n}", len(target), n, target) for n in range(free_cap + 1) for target in targets]
-            route = ("free-group count", partial(free_group_count, g, max_states=max_states))
-            checks.append((f"dp = free-group words, g={g}, n<={free_cap}", partial(against_dp, tree_weights(2 * g), words, [route])))
-    return checks
+def _verify_checks(scope: str, n_max: int, m_max: int, max_states: int) -> list[Check]:
+    table = cache(lambda weights: build_table(weights, n_max))  # one per weight configuration
+    return [
+        open_check(row, where, weights, n_max, max_states, table)
+        for row in CHECKS
+        if scope in (row[0], "all")
+        for where, weights in SCOPES[row[0]](m_max)
+    ]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -338,11 +342,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = _verify_checks(args.scope, args.n_max, args.m_max, args.max_states)
     for name, run in checks:
         detail = run()
-        if detail is None:
-            print(f"PASS  {name}")
-        else:
-            print(f"FAIL  {name}: {detail}")
-            failures += 1
+        print(f"PASS  {name}" if detail is None else f"FAIL  {name}: {detail}")
+        failures += detail is not None
     print(f"{len(checks) - failures}/{len(checks)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 

@@ -22,10 +22,7 @@ _NUMBER_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
 
 def format_number(value: Rational) -> str:
     """Decimal-string form: ``"7"`` for integers, ``"num/den"`` otherwise."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))
 
 
 def parse_number(text: str) -> Fraction:
@@ -38,4 +35,6 @@ def parse_number(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) is not None else 1
+    if den == 0:
+        raise ZeroDivisionError(f"zero denominator in {text!r}")
     return Fraction(num, den)

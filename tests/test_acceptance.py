@@ -14,10 +14,10 @@ from math import comb
 
 import pytest
 
-from treewalks.genfunc import dyck_gf, poids_gf, tree_gf
-from treewalks.oracles import enumerate_dyck, free_group_count, tree_walk_count
-from treewalks.recurrence import WeightConfig, WalkTable, build_table, mass_check, tree_weights
-from treewalks.series import PowerSeries
+from treewalks.cli import CHECKS, ROUTES, SCOPES, open_check
+from treewalks.genfunc import poids_gf, tree_gf
+from treewalks.oracles import DEFAULT_MAX_STATES
+from treewalks.recurrence import WeightConfig, WalkTable, build_table, tree_weights
 
 # Cross-checked sequence prefixes, vendored from the OEIS rather than fetched:
 # even-length return counts on the m-regular tree for m = 2, 3, 4.
@@ -32,6 +32,25 @@ GENERAL_TRIPLES = (
     WeightConfig(2, 1, 5),
     WeightConfig(1, Fraction(1, 2), 2),
 )
+TRIPLES = [(f"weights {w.describe()}", w) for w in GENERAL_TRIPLES]
+TREES = SCOPES["tree"]  # (where, weights) for the degrees m = 2..m_max
+
+# The size of each cli.CHECKS row here, keyed by (scope, title template):
+# (weight configurations, order).  Each is at least verify's default size.
+SIZES = {
+    ("tree", "dp = gf = closed form, {where}, n<={order}"): (TREES(8), 60),
+    ("tree", "dp = tree oracle, {where}, n<={order}"): (TREES(4), 10),
+    ("tree", "mass conservation sum V_m(i)*A(i,n) = m^n, {where}"): (TREES(5), 16),
+    ("tree", "parity vanishing, {where}"): (TREES(8), 60),
+    ("dyck", "dp = gf, {where}, n<={order}"): (TRIPLES, 14),
+    ("dyck", "dp = path enumeration, {where}, n<={order}"): (TRIPLES, 14),
+    ("dyck", "series algebra (sqrt, quadratic, d_i factoring), {where}"): (
+        TRIPLES + [(f"weights {w.describe()}", w) for _, w in TREES(4)],
+        60,
+    ),
+    ("dyck", "parity vanishing, {where}"): (TRIPLES, 14),
+    ("freegroup", "dp = free-group words, {where}, n<={order}"): (SCOPES["freegroup"](0), 8),
+}
 
 
 def criterion(label: str):
@@ -53,130 +72,80 @@ def criterion(label: str):
 
 
 @functools.lru_cache(maxsize=None)
-def tree_table(m: int, n_max: int) -> WalkTable:
-    return build_table(tree_weights(m), n_max)
+def table(weights: WeightConfig, n_max: int) -> WalkTable:
+    return build_table(weights, n_max)
 
 
-@functools.lru_cache(maxsize=None)
-def triple_table(index: int, n_max: int) -> WalkTable:
-    return build_table(GENERAL_TRIPLES[index], n_max)
+def run_rows(*keys: tuple[str, str]) -> None:
+    """Run each keyed row of cli.CHECKS on its SIZES, as verify runs it."""
+    for key in keys:
+        row = next(row for row in CHECKS if row[:2] == key)
+        configs, order = SIZES[key]
+        for where, weights in configs:
+            title, run = open_check(row, where, weights, order, DEFAULT_MAX_STATES, lambda w: table(w, order))
+            failure = run()
+            assert failure is None, f"{title}: {failure}"
+
+
+def test_every_check_row_has_acceptance_sizes():
+    assert [row[:2] for row in CHECKS] == list(SIZES)
 
 
 @criterion("criterion 1: A_2(0,2n) = C(2n,n) for n <= 20, dp and gf")
 def test_central_binomial_identification():
-    table = tree_table(2, 40)
+    dp = table(tree_weights(2), 40)
     series = tree_gf(2, 0, 40)
     for n in range(21):
         expected = comb(2 * n, n)
-        assert table.count(0, 2 * n) == expected
+        assert dp.count(0, 2 * n) == expected
         assert series[2 * n] == expected
-    assert tuple(table.count(0, 2 * n) for n in range(11)) == OEIS_A000984
+    assert tuple(dp.count(0, 2 * n) for n in range(11)) == OEIS_A000984
 
 
-@criterion("criterion 2: closed form = recurrence, m in 2..8, i in 0..6, through t^60")
+@criterion("criterion 2: closed form = constructed gf = recurrence, m in 2..8, i, n <= 60")
 def test_closed_form_matches_recurrence():
-    for m in range(2, 9):
-        table = tree_table(m, 60)
-        for i in range(7):
-            closed = tree_gf(m, i, 60)
-            constructed = poids_gf(tree_weights(m), i, 60)
-            for n in range(61):
-                dp = table.count(i, n)
-                assert closed[n] == dp
-                assert constructed[n] == dp
+    run_rows(("tree", "dp = gf = closed form, {where}, n<={order}"))
 
 
 @criterion("criterion 3: exhaustive enumeration = dp = gf, five weight triples, n <= 14")
 def test_general_weights_equivalence():
-    for index, w in enumerate(GENERAL_TRIPLES):
-        table = triple_table(index, 14)
-        series = {i: poids_gf(w, i, 14) for i in range(15)}
-        for n in range(15):
-            for i in range(n + 1):
-                dp = table.count(i, n)
-                assert enumerate_dyck(w, i, n) == dp
-                assert series[i][n] == dp
+    run_rows(("dyck", "dp = gf, {where}, n<={order}"), ("dyck", "dp = path enumeration, {where}, n<={order}"))
 
 
 @criterion("criterion 4: explicit tree walks = recurrence, m in {2,3,4}, n <= 10")
 def test_tree_oracle_agreement():
-    for m in (2, 3, 4):
-        table = tree_table(m, 10)
-        for n in range(11):
-            for i in range(n + 1):
-                assert tree_walk_count(m, i, n) == table.count(i, n)
+    run_rows(("tree", "dp = tree oracle, {where}, n<={order}"))
 
 
 @criterion("criterion 5: free-group word counts = A_{2g}(i,n), g in {1,2}, n <= 8")
 def test_free_group_agreement():
-    words = {
-        1: [(), (1,), (-1,), (1, 1), (-1, -1)],
-        2: [(), (1,), (-2,), (1, 2), (2, -1)],
-    }
-    for g in (1, 2):
-        table = tree_table(2 * g, 8)
-        for n in range(9):
-            for target in words[g]:
-                assert free_group_count(g, target, n) == table.count(len(target), n)
+    run_rows(("freegroup", "dp = free-group words, {where}, n<={order}"))
 
 
 @criterion("criterion 6: algebraic residuals vanish mod t^61")
 def test_algebraic_residuals():
-    order = 60
-    one = PowerSeries.one(order)
-    for w in GENERAL_TRIPLES + tuple(tree_weights(m) for m in (2, 3, 4)):
-        q = w.c1 * w.c2
-        radicand = PowerSeries([1, 0, -4 * q] + [0] * (order - 2))
-        s = radicand.sqrt()
-        assert s * s == radicand
-        a = dyck_gf(w, order)
-        assert (a * a * q).shift_mul(2).truncate(order) - a + one == PowerSeries.zero(order)
-        d = poids_gf(w, 0, order)
-        lift = a * w.c1
-        for i in range(1, 7):
-            assert poids_gf(w, i, order) == (d * lift**i).shift_mul(i).truncate(order)
+    run_rows(("dyck", "series algebra (sqrt, quadratic, d_i factoring), {where}"))
 
 
 @criterion("criterion 7: sum_i V_m(i) A_m(i,n) = m^n, m in 2..5, n <= 16")
 def test_mass_conservation():
-    for m in (2, 3, 4, 5):
-        table = tree_table(m, 16)
-        for n in range(17):
-            assert mass_check(m, n, table) == Fraction(m) ** n
+    run_rows(("tree", "mass conservation sum V_m(i)*A(i,n) = m^n, {where}"))
 
 
-@criterion("criterion 8: vendored OEIS prefixes reproduced by every method")
+@criterion("criterion 8: vendored OEIS prefixes reproduced by every route")
 def test_sequence_prefixes():
-    cases = [(3, OEIS_A089022[:5], 8), (4, OEIS_A035610[:4], 6)]
-    for m, prefix, n_top in cases:
-        table = tree_table(m, n_top)
-        closed = tree_gf(m, 0, n_top)
-        constructed = poids_gf(tree_weights(m), 0, n_top)
-        for k, expected in enumerate(prefix):
-            n = 2 * k
-            assert table.count(0, n) == expected
-            assert closed[n] == expected
-            assert constructed[n] == expected
-            assert tree_walk_count(m, 0, n) == expected
-            assert enumerate_dyck(tree_weights(m), 0, n) == expected
+    for m, prefix in ((3, OEIS_A089022[:5]), (4, OEIS_A035610[:4])):
+        order = 2 * (len(prefix) - 1)
+        for key, route in ROUTES.items():
+            read = route(tree_weights(m), order, DEFAULT_MAX_STATES)
+            assert tuple(read(0, 2 * k) for k in range(len(prefix))) == prefix, key
 
 
 @criterion("criterion 9: A(i,n) = 0 whenever n < i or n and i differ in parity")
 def test_parity_vanishing():
-    for m in range(2, 9):
-        table = tree_table(m, 60)
-        for i in range(61):
-            for n in range(61):
-                if n < i or (n - i) % 2 == 1:
-                    assert table.count(i, n) == 0
-    for index, w in enumerate(GENERAL_TRIPLES):
-        table = triple_table(index, 14)
-        for i in range(15):
-            series = poids_gf(w, i, 14)
-            for n in range(15):
-                if n < i or (n - i) % 2 == 1:
-                    assert table.count(i, n) == 0
-                    assert series[n] == 0
+    # dp stores only the reachable cells; the gf's zeros are read by the
+    # full-square dp = gf rows of criteria 2 and 3.
+    run_rows(("tree", "parity vanishing, {where}"), ("dyck", "parity vanishing, {where}"))
 
 
 # The benchmark's rational draws: numerators 1, 2, 4 over denominators 3, 5, 7.

@@ -260,9 +260,25 @@ def test_verify_builds_one_table_per_weight_config(capsys, monkeypatch):
     assert len(built) == len(set(built)) == 7  # degrees 2..5 plus three non-tree triples
 
 
+def test_parity_check_fails_on_a_stored_unreachable_cell(capsys, monkeypatch):
+    def build(weights, n_max):
+        table = build_table(weights, n_max)
+        table.columns[3].append(0)  # a cell that no reachable (i, 3) reads
+        return table
+
+    monkeypatch.setattr(cli, "build_table", build)
+    code, out, _ = run(capsys, "verify", "--scope", "tree", "-n", "4", "--m-max", "2")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  parity vanishing, m=2: weights (1, 1, 2) [m=2] n=3: 3 cells stored, 2 reachable"
+    ]
+
+
 def test_every_route_is_compared_with_dp_in_verify():
-    compared = {(command, method) for *_, routes in cli.COMPARISONS for _, command, method in routes}
-    assert compared == {key for key in cli.ROUTES if key[1] != "dp"}
+    compared = {opener for *_, check in cli.CHECKS if not callable(check) for _, opener in check[1]}
+    keys = {route: key for key, route in cli.ROUTES.items()}
+    assert {keys[opener] for opener in compared if opener in keys} == {key for key in cli.ROUTES if key[1] != "dp"}
+    assert len(compared - set(keys)) == 1  # the free-group words, which no subcommand reads
 
 
 def test_gf_reader_builds_each_row_when_read_and_keeps_only_the_last(monkeypatch):
@@ -310,7 +326,7 @@ def test_zero_denominator_weight_is_usage_error(capsys):
     code, out, err = run(capsys, "dyck", "1", "1/0", "1", "-n", "3")
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err == "error: zero denominator in '1/0'\n"
 
 
 @pytest.mark.parametrize(

@@ -37,5 +37,5 @@ def test_parse_rejects_garbage(text):
 
 
 def test_parse_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="'3/0'"):
         parse_number("3/0")
