@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run every cross-method invariant and report pass/fail per check")
     verify.add_argument("--scope", choices=(*SCOPES, "all"), default="all")
     verify.add_argument("-n", "--n-max", type=_natural, default=10, dest="n_max")
-    verify.add_argument("--m-max", type=int, default=4, dest="m_max")
+    verify.add_argument("--m-max", type=int, dest="m_max")  # read by --scope tree and all, default 4
     verify.set_defaults(handler=_cmd_verify)
 
     bfile = sub.add_parser("bfile", help="OEIS b-file of the parity-filtered sequence A_m(i, i+2k)")
@@ -163,7 +163,7 @@ def _count(args: argparse.Namespace, command: str, weights: WeightConfig, meta: 
     """Print A(i, n) for the selected lengths n by the route --method picks."""
     i = args.i
     ns = range(i, args.n_max + 1, 2) if args.parity_filter else range(args.n_max + 1)
-    read = ROUTES[command, args.method](weights, max(ns, default=0), args.max_states)
+    read = ROUTES[command, args.method](weights, ns[-1] if ns else 0, args.max_states)
     if not ns:  # still read height i, so a height the route rejects exits 2
         read(i, 0)
     values = [read(i, n) for n in ns]
@@ -336,10 +336,13 @@ def _verify_checks(scope: str, n_max: int, m_max: int, max_states: int) -> list[
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.m_max < 2:
+    if args.m_max is not None and args.scope in ("dyck", "freegroup"):
+        raise ValueError(f"--scope {args.scope} does not read --m-max")
+    m_max = 4 if args.m_max is None else args.m_max
+    if m_max < 2:
         raise ValueError("--m-max must be >= 2")
     failures = 0
-    checks = _verify_checks(args.scope, args.n_max, args.m_max, args.max_states)
+    checks = _verify_checks(args.scope, args.n_max, m_max, args.max_states)
     for name, run in checks:
         detail = run()
         print(f"PASS  {name}" if detail is None else f"FAIL  {name}: {detail}")
@@ -357,11 +360,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
-    except FeasibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+    except (FeasibilityError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ValueError, ZeroDivisionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,8 +29,8 @@ algebraic solution of that counting system, one radical (sqrt) per call:
                          with ``poids_gf``, so the two cross-check.
 
 ``poids_gf`` and ``tree_gf`` estimate the memory of their series before
-building any, and refuse an estimate over ``recurrence.MAX_TABLE_BYTES``
-with :class:`~treewalks.recurrence.FeasibilityError`.
+building any, and :func:`~treewalks.recurrence.check_cost` refuses an
+estimate over ``recurrence.MAX_TABLE_BYTES``.
 
 The removable t^2 (or t) factors in these formulas are handled by exact
 shift division with a hard zero check on the low coefficients, never by
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .recurrence import MAX_TABLE_BYTES, FeasibilityError, WeightConfig, step_bits, tree_weights
+from .recurrence import MAX_TABLE_BYTES, WeightConfig, check_cost, int_bytes, step_bits, tree_weights
 from .series import PowerSeries
 
 __all__ = ["dyck_gf", "irreducible_gf", "poids_gf", "tree_gf"]
@@ -58,12 +58,6 @@ def _check_order(order: int) -> None:
 _FRACTION_BYTES = 56
 
 
-def _int_bytes(bits: int) -> int:
-    """Memory of a Python int of ``bits`` bits (30-bit digits of 4 bytes,
-    a 24-byte header) plus its 8-byte slot in a list or tuple."""
-    return 4 * (bits // 30 + 1) + 32
-
-
 def _widest_int_bits(weights: WeightConfig, order: int) -> int:
     """Bits of the widest int a ``poids_gf`` or ``tree_gf`` series of this
     order holds, numerators and denominators alike (see :func:`_check_size`)."""
@@ -75,32 +69,26 @@ def _check_size(weights: WeightConfig, order: int) -> None:
     """Refuse, before building any series, a computation whose series would
     hold more than ``MAX_TABLE_BYTES``.
 
-    The series kernel stores c_k as num_k / (den * base^k), with den as
-    small as that base allows.  With D the lcm of the weight denominators,
-    every base in ``poids_gf`` and ``tree_gf`` divides D^2: the sqrt grades
-    by the denominator of 4*c1*c2 (times 4 when a halving is not exact,
-    which needs an even D), and the inverse widens that only to another
-    divisor of D^2.  A coefficient of t^k is at most (M/D)^k in size, M as
-    in :func:`treewalks.recurrence.step_bits`, and den * base^k adds at most
-    2*log2(D) bits per step of the order, so an int needs about
-    order * (numerator + denominator bits) of ``step_bits``.  The width
-    charged is (order + 2) such steps, which also covers the constant
-    factors (c3/c2, powers of c1) that the intermediate series carry; a
-    sweep in the tests checks it against the widest int each computation
-    builds.  The estimate charges that width to every coefficient of three
-    series of order + 3 coefficients (a few more are alive at once, but
-    most of their ints are narrower), plus the ``Fraction`` tuple that
-    reading the result caches, at the dp widths of A(i, n).
+    The series kernel stores c_k as num_k / (den * base^k), with den as small
+    as that base allows.  With D the lcm of the weight denominators, every
+    base here divides D^2: the sqrt grades by the denominator of 4*c1*c2
+    (times 4 when a halving is not exact, which needs an even D), and the
+    inverse widens that only to another divisor of D^2.  A coefficient of
+    t^k is at most (M/D)^k, M as in :func:`step_bits`, and den * base^k adds
+    at most 2*log2(D) bits per power of t, so an int needs about k steps of
+    ``step_bits``, numerator plus denominator bits.  (order + 2) steps also
+    cover the constant factors (c3/c2, powers of c1) of the intermediate
+    series; a sweep in the tests checks that width against the widest int
+    each computation builds.  It is charged to every coefficient of three
+    series of order + 3 coefficients (a few more are alive at once, but most
+    of their ints are narrower), plus the ``Fraction`` tuple that reading
+    the result caches, at the dp widths of A(i, n).
     """
     numerator, denominator = step_bits(weights)
-    graded = 3 * (order + 3) * _int_bytes(_widest_int_bits(weights, order))
-    cached = (order + 1) * (_FRACTION_BYTES + _int_bytes(order * numerator) + _int_bytes(order * denominator))
-    estimate = graded + cached
-    if estimate > MAX_TABLE_BYTES:
-        raise FeasibilityError(
-            f"series of order {order} for weights {weights.describe()} need an estimated "
-            f"{estimate} bytes, over the ceiling of {MAX_TABLE_BYTES}"
-        )
+    graded = 3 * (order + 3) * int_bytes(_widest_int_bits(weights, order))
+    cached = (order + 1) * (_FRACTION_BYTES + int_bytes(order * numerator) + int_bytes(order * denominator))
+    what = lambda: f"series of order {order} for weights {weights.describe()}"
+    check_cost(what, graded + cached, MAX_TABLE_BYTES, "bytes")
 
 
 def _sqrt_radical(product: Fraction, order: int) -> PowerSeries:

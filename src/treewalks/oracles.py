@@ -10,10 +10,11 @@ coefficients:
   freely reducing each one.
 
 Each enumeration refuses inputs whose state space exceeds ``max_states``
-(default 10^7) with :class:`FeasibilityError`, before enumerating anything:
-these are desk-scale verification tools, not production counters.  The
-state count of each lives in its guard (``dyck_guard``, ``tree_guard``,
-``free_group_guard``), which callers may also run ahead of a batch.
+(default 10^7), at once at any size and before enumerating anything: these
+are desk-scale verification tools, not production counters.  The state
+count of each lives in its guard (``dyck_guard``, ``tree_guard``,
+``free_group_guard``, which callers may also run ahead of a batch), and
+:func:`treewalks.recurrence.check_cost` raises the :class:`FeasibilityError`.
 
 Each oracle memoizes only the length it last enumerated, and counts on ints
 there: the Dyck paths by end height and by down-steps landing on the axis
@@ -32,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .recurrence import FeasibilityError, WeightConfig
+from .recurrence import FeasibilityError, WeightConfig, check_cost
 
 __all__ = [
     "DEFAULT_MAX_STATES",
@@ -150,8 +151,7 @@ def _paths_by_end(n: int) -> Counter[tuple[int, int]]:
 
 def dyck_guard(n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
     """Refuse length-n path enumeration over ``max_states`` step sequences (2^n)."""
-    if 2**n > max_states:
-        raise FeasibilityError(f"2^{n} step sequences exceed the ceiling of {max_states}")
+    check_cost(lambda: f"the length-{n} path enumeration", (2, n), max_states, "step sequences")
 
 
 def enumerate_dyck(
@@ -232,16 +232,16 @@ def _tree_distribution(m: int, n: int) -> tuple[TruncatedTree, tuple[int, ...]]:
 
 
 def tree_guard(m: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
-    """Refuse the depth-n ball of the m-regular tree if it has more than
-    ``max_states`` vertices: 1 + m + m(m-1) + ... + m(m-1)^(n-1)."""
-    size = level = 1
-    for d in range(n):
-        level *= m if d == 0 else m - 1
-        size += level
-    if size > max_states:
-        raise FeasibilityError(
-            f"the depth-{n} ball of the {m}-regular tree exceeds {max_states} vertices"
-        )
+    """Refuse the depth-n ball of the m-regular tree if it has more than ``max_states`` vertices:
+    1 + m + m(m-1) + ... + m(m-1)^(n-1), or (m(m-1)^n - 2)/(m-2) for m >= 3, which is within a
+    factor m/(m-2) of (m-1)^n; the ball is refused on that power, uncounted, when it is over."""
+    what = lambda: f"the depth-{n} ball of the {m}-regular tree"
+    if m >= 3:
+        check_cost(what, (m - 1, n), max_states, "vertices")
+        size = (m * (m - 1) ** n - 2) // (m - 2)
+    else:
+        size = 1 + m * (n if m == 2 else min(n, 1))
+    check_cost(what, size, max_states, "vertices")
 
 
 def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> int:
@@ -304,8 +304,7 @@ def _reductions(g: int, n: int) -> Counter[tuple[int, ...]]:
 
 def free_group_guard(g: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
     """Refuse enumerating the (2g)^n words of length n over ``max_states``."""
-    if (2 * g) ** n > max_states:
-        raise FeasibilityError(f"(2*{g})^{n} words exceed the ceiling of {max_states}")
+    check_cost(lambda: f"the length-{n} word enumeration over {g} generators", (2 * g, n), max_states, "words")
 
 
 def free_group_count(

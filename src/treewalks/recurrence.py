@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Callable
 
 from .rationals import Rational, format_number
 
@@ -30,6 +31,8 @@ __all__ = [
     "WalkTable",
     "tree_weights",
     "build_table",
+    "check_cost",
+    "int_bytes",
     "mass_check",
     "step_bits",
 ]
@@ -87,10 +90,24 @@ class FeasibilityError(RuntimeError):
     """A computation was refused because its estimated cost exceeds a ceiling."""
 
 
-# Ceiling on the estimated size of a dp table.  The estimate bounds every
-# entry by the widest one, so a table at the ceiling really holds about
-# two thirds of it.
+# Ceiling on the estimated memory of a dp table or a series computation.  An
+# estimate charges every int the widest width, so a dp table at it holds ~2/3.
 MAX_TABLE_BYTES = 1 << 30
+
+
+def check_cost(what: Callable[[], str], estimate: int | tuple[int, int], ceiling: int, unit: str) -> None:
+    """The one refusal rule: refuse ``what()``, called only to word the refusal, if its estimated
+    cost in ``unit`` is over ``ceiling``.  An estimate (base, exponent) is base^exponent, shown in
+    that closed form and never evaluated once base >= 2 and exponent >= bit_length(ceiling)."""
+    base, exponent = estimate if isinstance(estimate, tuple) else (estimate, 1)
+    if base >= 2 and exponent >= ceiling.bit_length() or base**exponent > ceiling:
+        shown = f"{base}^{exponent}" if isinstance(estimate, tuple) else estimate
+        raise FeasibilityError(f"{what()} needs an estimated {shown} {unit}, exceeding the ceiling of {ceiling} {unit}")
+
+
+def int_bytes(bits: int) -> int:
+    """CPython's bytes for a ``bits``-bit int in a list: 4 per 30-bit digit, 24 of header, 8 of slot."""
+    return 4 * (bits // 30 + 1) + 32
 
 
 def _scale(weights: WeightConfig) -> int:
@@ -173,24 +190,19 @@ def build_table(weights: WeightConfig, n_max: int) -> WalkTable:
     only the a-term, because A(n+1, n-1) is unreachable.
 
     Before allocating anything, the table's memory is estimated in closed
-    form and a table over ``MAX_TABLE_BYTES`` is refused with
-    :class:`FeasibilityError`.  There are sum(n // 2 + 1) =
-    n_max^2 // 4 + n_max + 1 reachable cells, and
-    |N(i, n)| <= max(|a| + |b|, |c|)^n, so no entry is wider than
-    n_max * bit_length(max(|a| + |b|, |c|)) bits (:func:`step_bits`); each
-    entry also pays the fixed size of a Python int and its list slot.
+    form and a table over ``MAX_TABLE_BYTES`` is refused by :func:`check_cost`.
+    There are sum(n // 2 + 1) = n_max^2 // 4 + n_max + 1 reachable cells, and
+    |N(i, n)| <= max(|a| + |b|, |c|)^n, so no entry is wider than n_max *
+    bit_length(max(|a| + |b|, |c|)) bits (:func:`step_bits`), and each is
+    charged the :func:`int_bytes` of that width.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     scale = _scale(weights)
     a, b, c = (w.numerator * (scale // w.denominator) for w in (weights.c1, weights.c2, weights.c3))
     cells = n_max * n_max // 4 + n_max + 1
-    estimate = cells * (n_max * step_bits(weights)[0] // 8 + 40)
-    if estimate > MAX_TABLE_BYTES:
-        raise FeasibilityError(
-            f"a dp table of order {n_max} for weights {weights.describe()} needs an estimated "
-            f"{estimate} bytes, over the ceiling of {MAX_TABLE_BYTES}"
-        )
+    what = lambda: f"a dp table of order {n_max} for weights {weights.describe()}"
+    check_cost(what, cells * int_bytes(n_max * step_bits(weights)[0]), MAX_TABLE_BYTES, "bytes")
     columns = [[1]]
     for n in range(1, n_max + 1):
         prev = columns[-1]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 import treewalks.cli as cli
 import treewalks.oracles as oracles
 from treewalks.rationals import parse_number
-from treewalks.recurrence import build_table, tree_weights
+from treewalks.oracles import DEFAULT_MAX_STATES
+from treewalks.recurrence import MAX_TABLE_BYTES, build_table, tree_weights
 
 
 def run(capsys, *argv):
@@ -244,6 +246,12 @@ def test_verify_scope_selects_checks(capsys):
     assert "enumeration" not in out
 
 
+def test_verify_tree_scope_defaults_to_degree_four(capsys):
+    code, out, _ = run(capsys, "verify", "--scope", "tree", "-n", "1")
+    assert code == 0
+    assert [line.rsplit(", ", 1)[-1] for line in out.splitlines() if "mass conservation" in line] == ["m=2", "m=3", "m=4"]
+
+
 def test_verify_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(cli, "enumerate_dyck", lambda w, i, n, max_states=0: Fraction(999))
     code, out, _ = run(capsys, "verify", "--scope", "dyck", "-n", "4")
@@ -352,6 +360,8 @@ def test_negative_start_is_usage_error(capsys, argv):
         ("bfile", "-m", "3", "--count", "4", "--format", "csv"),
         ("bfile", "-m", "3", "--count", "4", "--parity-filter"),
         ("bfile", "-m", "3", "--count", "4", "--max-states", "10"),
+        ("verify", "--scope", "dyck", "-n", "3", "--m-max", "9"),
+        ("verify", "--scope", "freegroup", "-n", "3", "--m-max", "4"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
@@ -428,6 +438,33 @@ def test_huge_gf_request_is_refused_at_once(capsys, argv):
     assert code == 3
     assert out == ""
     assert "estimated" in err and "ceiling" in err
+
+
+@pytest.mark.parametrize(
+    "argv,estimate,ceiling",
+    [
+        *((("walks", "-m", "3", "-n", "1000000000", "--method", method), None, MAX_TABLE_BYTES) for method in ("dp", "gf")),
+        (("walks", "-m", "3", "-n", "1000000000", "--method", "tree"), "2^1000000000", DEFAULT_MAX_STATES),
+        (("walks", "-m", "5", "-n", "400000", "--method", "tree"), "4^400000", DEFAULT_MAX_STATES),
+        (("dyck", "1", "1", "1", "-n", "1000000000", "--method", "enum"), "2^1000000000", DEFAULT_MAX_STATES),
+        # 2^20000 has 6021 digits, more than str() converts by default
+        (("dyck", "1", "1", "1", "-n", "20000", "--method", "enum"), "2^20000", DEFAULT_MAX_STATES),
+        (("bfile", "-m", "3", "--count", "500000000"), None, MAX_TABLE_BYTES),
+    ],
+)
+def test_refusal_names_its_estimate_and_ceiling_at_once(capsys, argv, estimate, ceiling):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
+    shown = re.fullmatch(r"error: .* needs an estimated (\S+) (.+), exceeding the ceiling of (\d+) \2\n", err)
+    assert shown, err
+    assert int(shown[3]) == ceiling
+    if estimate is None:
+        assert int(shown[1]) > ceiling
+    else:
+        assert shown[1] == estimate
 
 
 def test_memory_error_exits_infeasible(capsys, monkeypatch):

@@ -641,5 +641,6 @@ def _doubled_origin(build_table):
 def test_verify_catches_each_corrupted_route(capsys, monkeypatch, route, scope, fail_line):
     original = getattr(cli, route)
     monkeypatch.setattr(cli, route, _doubled_origin(original) if route == "build_table" else _doubled(original))
-    assert cli.main(["verify", "--scope", scope, "-n", "4", "--m-max", "2"]) == 1
+    m_max = ["--m-max", "2"] if scope == "tree" else []  # only --scope tree and all read it
+    assert cli.main(["verify", "--scope", scope, "-n", "4", *m_max]) == 1
     assert fail_line in capsys.readouterr().out.splitlines()

@@ -252,8 +252,9 @@ def test_guard_names_the_limit_and_the_estimate():
         build_table(tree_weights(3), 50_000)
     message = str(refused.value)
     assert str(MAX_TABLE_BYTES) in message
-    # 50000^2 // 4 + 50001 cells, each at most 50000 * bit_length(3) bits plus 40 bytes
-    assert str((50_000**2 // 4 + 50_001) * (100_000 // 8 + 40)) in message
+    # 50000^2 // 4 + 50001 cells, each at most 50000 * bit_length(3) bits: 30-bit
+    # digits of 4 bytes, plus a 24-byte header and an 8-byte slot
+    assert str((50_000**2 // 4 + 50_001) * (4 * (100_000 // 30 + 1) + 32)) in message
 
 
 @pytest.mark.parametrize(
