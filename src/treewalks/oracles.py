@@ -12,16 +12,19 @@ coefficients:
 Each enumeration refuses inputs whose state space exceeds ``max_states``
 (default 10^7), at once at any size and before enumerating anything: these
 are desk-scale verification tools, not production counters.  The state
-count of each lives in its guard (``dyck_guard``, ``tree_guard``,
-``free_group_guard``, which callers may also run ahead of a batch), and
-:func:`treewalks.recurrence.check_cost` raises the :class:`FeasibilityError`.
+count of each (for the tree, its edge moves) lives in its guard
+(``dyck_guard``, ``tree_guard``, ``free_group_guard``, which callers may
+also run ahead of a batch), and :func:`treewalks.recurrence.check_cost`
+raises the :class:`FeasibilityError`.
 
-Each oracle memoizes only the length it last enumerated, and counts on ints
-there: the Dyck paths by end height and by down-steps landing on the axis
-(the weights are applied to those tallies afterwards), the tree walks by end
-vertex, and the free-group words by their reduction.  Callers ask length by
-length, so every later height, weight or target word of that length is a
-cache hit.
+Each oracle counts on ints: the Dyck paths by end height and by down-steps
+landing on the axis (the weights are applied to those tallies afterwards), the
+tree walks by end vertex, and the free-group words by their reduction.  The
+path and word oracles memoize only the length they last enumerated; the tree
+oracle keeps, for the degree it last walked, the ball and its counts at the
+last length, and a longer length advances them from there.  Callers ask
+length by length, so every later height, weight or target word of a length is
+a cache hit, and a run up to length n walks each step once.
 """
 
 from __future__ import annotations
@@ -180,13 +183,15 @@ def enumerate_dyck(
 
 
 class TruncatedTree:
-    """The m-regular tree out to a fixed depth, given by its parent list.
+    """The m-regular tree out to a depth, given by its parent list.
 
     The root has m children and every deeper internal vertex has m-1, so
     each vertex has degree m once its parent is counted.  Vertices are
     numbered breadth first: ``parent[v]`` is the parent of v (``None`` for
     the root 0), and ``levels[d]`` is the range of vertices at distance d.
-    The edges are the pairs (v, parent[v]) for v >= 1.
+    The edges are the pairs (v, parent[v]) for v >= 1.  :meth:`grow` adds
+    the next level in place, and the constructor grows the bare root
+    ``depth`` times.
     """
 
     def __init__(self, m: int, depth: int):
@@ -195,53 +200,75 @@ class TruncatedTree:
         if depth < 0:
             raise ValueError("depth must be >= 0")
         self.m = m
-        self.depth = depth
+        self.depth = 0
         self.parent: list[int | None] = [None]
         self.levels: list[range] = [range(1)]
         for _ in range(depth):
-            start = len(self.parent)
-            for v in self.levels[-1]:
-                fanout = m if v == 0 else m - 1
-                self.parent.extend([v] * fanout)
-            self.levels.append(range(start, len(self.parent)))
+            self.grow()
+
+    def grow(self) -> None:
+        """Add the vertices at distance depth + 1, the children of the deepest level."""
+        start = len(self.parent)
+        for v in self.levels[-1]:
+            fanout = self.m if v == 0 else self.m - 1
+            self.parent.extend([v] * fanout)
+        self.levels.append(range(start, len(self.parent)))
+        self.depth += 1
 
     def vertex_count(self) -> int:
         return len(self.parent)
 
 
 @lru_cache(maxsize=1)
-def _tree_distribution(m: int, n: int) -> tuple[TruncatedTree, tuple[int, ...]]:
-    """Counts of length-n walks from the root to every vertex.
+def _walks_from_root(m: int) -> list:
+    """The memo of one degree, [tree, counts]: the ball the walks have reached
+    and the number of length-``tree.depth`` walks from the root to each of its
+    vertices.  It starts at length 0 and :func:`_walk` advances it."""
+    return [TruncatedTree(m, 0), [1]]
 
-    A step moves every walk along one edge (v, parent[v]), down or up.
-    Before step k + 1 no walk is farther than k from the root, so the step
-    only needs the edges inside the depth-(k + 1) ball, v < levels[k + 1].stop.
+
+def _walk(m: int, n: int, max_states: int) -> tuple[TruncatedTree, list[int]]:
+    """Counts of length-n walks from the root to every vertex of the depth-n
+    ball, after :func:`tree_guard`.
+
+    Advances the memo of degree m from its length, or from the root when n is
+    shorter.  Step k + 1 first grows the depth-(k + 1) ball, the farthest a
+    walk can then reach, and then moves every walk along each of its edges
+    (v, parent[v]), down and up.
     """
-    tree = TruncatedTree(m, n)
+    tree_guard(m, n, max_states)
+    memo = _walks_from_root(m)
+    if n < memo[0].depth:
+        memo[:] = TruncatedTree(m, 0), [1]
+    tree, counts = memo
     parent = tree.parent
-    counts = [0] * tree.vertex_count()
-    counts[0] = 1
-    for step in range(n):
-        fresh = [0] * len(counts)
-        for v in range(1, tree.levels[step + 1].stop):
+    while tree.depth < n:
+        tree.grow()
+        counts += [0] * (len(parent) - len(counts))
+        fresh = [0] * len(parent)
+        for v in range(1, len(parent)):
             p = parent[v]
             fresh[v] += counts[p]
             fresh[p] += counts[v]
-        counts = fresh
-    return tree, tuple(counts)
+        counts = memo[1] = fresh
+    return tree, counts
 
 
 def tree_guard(m: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
-    """Refuse the depth-n ball of the m-regular tree if it has more than ``max_states`` vertices:
-    1 + m + m(m-1) + ... + m(m-1)^(n-1), or (m(m-1)^n - 2)/(m-2) for m >= 3, which is within a
-    factor m/(m-2) of (m-1)^n; the ball is refused on that power, uncounted, when it is over."""
-    what = lambda: f"the depth-{n} ball of the {m}-regular tree"
+    """Refuse walking to length n on the m-regular tree if it moves counts along more than
+    ``max_states`` edges.  Step k covers the depth-k ball, |ball_k| - 1 edges, so a run from
+    length 0 makes sum_{k=1..n} (|ball_k| - 1) edge moves: n at m = 1, n(n+1) at m = 2, and
+    m((m-1)((m-1)^n - 1)/(m-2) - n)/(m-2) at m >= 3, within a factor (m-1)/(m-2) of the
+    depth-n ball.  At m >= 3 and n >= 1 the run is refused on the lower bound (m-1)^n of its
+    last step's moves, uncounted, when that is over."""
+    what = lambda: f"walking to length {n} on the {m}-regular tree"
     if m >= 3:
-        check_cost(what, (m - 1, n), max_states, "vertices")
-        size = (m * (m - 1) ** n - 2) // (m - 2)
+        if n:
+            check_cost(what, (m - 1, n), max_states, "edge moves")
+        moves = m * ((m - 1) * ((m - 1) ** n - 1) // (m - 2) - n) // (m - 2)
     else:
-        size = 1 + m * (n if m == 2 else min(n, 1))
-    check_cost(what, size, max_states, "vertices")
+        moves = n * (n + 1) if m == 2 else n
+    check_cost(what, moves, max_states, "edge moves")
 
 
 def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> int:
@@ -250,14 +277,16 @@ def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
     count is the same at every vertex of the level, a symmetry the test
     suite spot-checks).
 
-    The tree is truncated at depth n, which loses nothing: no length-n walk
-    leaves that ball.
+    The tree is built out to depth n, which loses nothing: no length-n walk
+    leaves that ball.  The memo of the degree last walked keeps the ball and
+    its counts at the last length asked for, so asking the lengths in
+    increasing order walks each step once.
     """
     if i < 0 or n < 0:
         raise ValueError("distance and length must be non-negative")
     if i > n:
         return 0
-    tree, counts = tree_walk_distribution(m, n, max_states)
+    tree, counts = _walk(m, n, max_states)
     if not tree.levels[i]:
         return 0
     return counts[tree.levels[i][0]]
@@ -266,11 +295,12 @@ def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
 def tree_walk_distribution(
     m: int, n: int, max_states: int = DEFAULT_MAX_STATES
 ) -> tuple[TruncatedTree, tuple[int, ...]]:
-    """The full end-vertex count distribution after n steps, with its tree."""
+    """The full end-vertex count distribution after n steps, with its own
+    depth-n tree, which later requests leave as it is."""
     if n < 0:
         raise ValueError("length must be non-negative")
-    tree_guard(m, n, max_states)
-    return _tree_distribution(m, n)
+    counts = tuple(_walk(m, n, max_states)[1])
+    return TruncatedTree(m, n), counts
 
 
 def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:

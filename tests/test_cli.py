@@ -401,7 +401,7 @@ def test_huge_oracle_request_is_refused_at_once(capsys, argv):
 @pytest.mark.parametrize(
     "argv,oracle",
     [
-        (("walks", "-m", "3", "-n", "6", "--method", "tree", "--max-states", "100"), "tree_walk_count"),  # 190 vertices
+        (("walks", "-m", "3", "-n", "6", "--method", "tree", "--max-states", "100"), "tree_walk_count"),  # 360 edge moves
         (("dyck", "1", "1", "1", "-n", "6", "--method", "enum", "--max-states", "50"), "enumerate_dyck"),  # 2^6 sequences
     ],
 )
@@ -450,6 +450,8 @@ def test_huge_gf_request_is_refused_at_once(capsys, argv):
         # 2^20000 has 6021 digits, more than str() converts by default
         (("dyck", "1", "1", "1", "-n", "20000", "--method", "enum"), "2^20000", DEFAULT_MAX_STATES),
         (("bfile", "-m", "3", "--count", "500000000"), None, MAX_TABLE_BYTES),
+        # 4000000 * 4000001 edge moves, though the depth-4000000 ball has only 8000001 vertices
+        (("walks", "-m", "2", "-n", "4000000", "--method", "tree"), "16000004000000", DEFAULT_MAX_STATES),
     ],
 )
 def test_refusal_names_its_estimate_and_ceiling_at_once(capsys, argv, estimate, ceiling):

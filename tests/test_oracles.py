@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tree_walk_reference import walk_from_scratch
 from treewalks.oracles import (
     FeasibilityError,
     LatticePath,
@@ -216,12 +217,16 @@ def test_tree_internal_degrees():
             assert children[v] + has_parent == m
 
 
-@pytest.mark.parametrize("m,depth", [(1, 0), (1, 4), (2, 5), (3, 4), (5, 3), (6, 2)])
+# (5, 10) is verify's largest tree oracle run: 2330150 edge moves, under the default ceiling
+@pytest.mark.parametrize(
+    "m,depth", [(1, 0), (1, 4), (2, 5), (3, 4), (5, 3), (6, 2), (2, 0), (3, 0), (2, 1), (4, 6), (7, 4), (5, 10)]
+)
 def test_tree_guard_counts_the_built_ball(m, depth):
-    size = TruncatedTree(m, depth).vertex_count()
-    tree_guard(m, depth, max_states=size)
+    # step k moves counts along the |ball_k| - 1 edges of the built depth-k ball
+    moves = sum(TruncatedTree(m, k).vertex_count() - 1 for k in range(1, depth + 1))
+    tree_guard(m, depth, max_states=moves)
     with pytest.raises(FeasibilityError):
-        tree_guard(m, depth, max_states=size - 1)
+        tree_guard(m, depth, max_states=moves - 1)
 
 
 def test_enumeration_guards_count_the_sequences():
@@ -270,6 +275,30 @@ def test_single_edge_matches_recurrence_at_its_two_vertices():
     for n in range(9):
         for i in range(min(n, 1) + 1):
             assert tree_walk_count(1, i, n) == table.count(i, n)
+
+
+def test_tree_oracle_memo_matches_the_from_scratch_walk():
+    # The memo grows one ball per degree and advances its counts from the last
+    # length asked for; each answer, in any order of lengths and degrees, must
+    # equal a walk run from the root for that length alone.
+    lengths = [*range(8), *range(7, -1, -1), 5, 5, 5, 3, 7, 2, 2, 6, 0, 4]
+    reference = cache(walk_from_scratch)
+    held = []
+    for m in (1, 2, 3, 4, 3, 5):
+        for k, n in enumerate(lengths):
+            levels, expected = reference(m, n)
+            want = [expected[level[0]] if level else 0 for level in levels]
+            if k % 2:
+                assert [tree_walk_count(m, i, n) for i in range(n + 1)] == want
+            tree, counts = tree_walk_distribution(m, n)
+            assert counts == expected
+            assert tree.levels == levels
+            assert [tree_walk_count(m, i, n) for i in range(n + 1)] == want
+            held.append((tree, counts, levels))
+    # a pair already returned is left as it was by every later, longer request
+    for tree, counts, levels in held:
+        assert len(counts) == tree.vertex_count()
+        assert tree.levels == levels
 
 
 def test_level_counts_are_symmetric():
