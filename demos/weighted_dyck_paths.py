@@ -2,35 +2,31 @@
 
 A path takes U = (+1,+1) and D = (+1,-1) steps and never dips below the
 x-axis.  Its weight multiplies c1 per U and c2 per D; its poids swaps in
-c3 for every D that lands on the axis.  Splitting a path at its returns
-to the axis turns the poids into weight * (c3/c2)^(number of components).
+c3 for every D that lands on the axis.  The poids-sum A(i, n) over all
+length-n paths ending at height i is computed here three ways: by
+enumerating every step sequence, by the recurrence table, and from the
+generating function.
 """
 
 from fractions import Fraction
 
-from treewalks import (
-    LatticePath,
-    WeightConfig,
-    build_table,
-    irreducible_components,
-    poids_gf,
-    weight_and_poids,
-)
+from treewalks import WeightConfig, build_table, enumerate_dyck, poids_gf
 
 w = WeightConfig(c1=1, c2=2, c3=3)
 
-for steps in ("UD", "UUDD", "UDUD", "UUDDUD"):
-    path = LatticePath(steps)
-    weight, poids = weight_and_poids(path, w)
-    parts = [p.steps for p in irreducible_components(path)]
-    print(f"{steps:8s} weight={weight}  poids={poids}  components={parts}")
-    assert poids == weight * Fraction(w.c3, w.c2) ** len(parts)
+# Brute force against the recurrence: enumerate_dyck filters all 2^n step
+# sequences and tallies the paths that never dip below the axis.
+table = build_table(w, 10)
+print("poids-sums by enumeration and by the recurrence:")
+for i, n in ((0, 2), (0, 4), (1, 5), (2, 6), (0, 10)):
+    enum = enumerate_dyck(w, i, n)
+    print(f"  A({i}, {n:2d}): enum={enum}  dp={table.count(i, n)}")
+    assert enum == table.count(i, n)
 
 # The poids-sums A(i, n) over all length-n paths ending at height i obey
 #   A(0, n) = c3 * A(1, n-1)
 #   A(i, n) = c1 * A(i-1, n-1) + c2 * A(i+1, n-1)
 # and the table agrees with the generating function d(t) * (c1*t*a(t))^i.
-table = build_table(w, 10)
 print("\npoids-sums ending on the axis (even lengths):")
 print("  dp:", [str(table.count(0, 2 * n)) for n in range(6)])
 series = poids_gf(w, 0, 10)

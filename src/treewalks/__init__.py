@@ -18,16 +18,12 @@ no floating point appears anywhere in the computation path.
 from .genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
 from .oracles import (
     DEFAULT_MAX_STATES,
-    LatticePath,
     TruncatedTree,
     enumerate_dyck,
     free_group_count,
-    irreducible_components,
-    is_reduced,
     reduce_word,
     tree_walk_count,
     tree_walk_distribution,
-    weight_and_poids,
 )
 from .rationals import format_number, parse_number
 from .recurrence import FeasibilityError, WalkTable, WeightConfig, build_table, mass_check, tree_weights
@@ -36,7 +32,6 @@ from .series import PowerSeries
 __all__ = [
     "DEFAULT_MAX_STATES",
     "FeasibilityError",
-    "LatticePath",
     "PowerSeries",
     "TruncatedTree",
     "WalkTable",
@@ -46,9 +41,7 @@ __all__ = [
     "enumerate_dyck",
     "format_number",
     "free_group_count",
-    "irreducible_components",
     "irreducible_gf",
-    "is_reduced",
     "mass_check",
     "parse_number",
     "poids_gf",
@@ -57,7 +50,6 @@ __all__ = [
     "tree_walk_count",
     "tree_walk_distribution",
     "tree_weights",
-    "weight_and_poids",
 ]
 
 __version__ = "0.1.0"

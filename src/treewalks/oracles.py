@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -41,94 +40,18 @@ from .recurrence import FeasibilityError, WeightConfig, check_cost
 __all__ = [
     "DEFAULT_MAX_STATES",
     "FeasibilityError",
-    "LatticePath",
     "TruncatedTree",
-    "weight_and_poids",
-    "irreducible_components",
     "dyck_guard",
     "enumerate_dyck",
     "tree_guard",
     "tree_walk_count",
     "tree_walk_distribution",
     "reduce_word",
-    "is_reduced",
     "free_group_guard",
     "free_group_count",
 ]
 
 DEFAULT_MAX_STATES = 10_000_000
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    """A U/D step sequence whose running height never goes negative."""
-
-    steps: str
-
-    def __post_init__(self) -> None:
-        height = 0
-        for k, step in enumerate(self.steps):
-            if step == "U":
-                height += 1
-            elif step == "D":
-                height -= 1
-            else:
-                raise ValueError(f"step {k} is {step!r}; only 'U' and 'D' are allowed")
-            if height < 0:
-                raise ValueError(f"path {self.steps!r} dips below the x-axis after step {k}")
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def heights(self) -> list[int]:
-        """Height after each step (length == number of steps)."""
-        out = []
-        height = 0
-        for step in self.steps:
-            height += 1 if step == "U" else -1
-            out.append(height)
-        return out
-
-    @property
-    def final_height(self) -> int:
-        return self.steps.count("U") - self.steps.count("D")
-
-
-def weight_and_poids(path: LatticePath, weights: WeightConfig) -> tuple[Fraction, Fraction]:
-    """(weight, poids) of a path: c1 per U; c2 per D, or c3 when the D lands
-    at height 0.  The t-exponent is implicit in the path length."""
-    weight = Fraction(1)
-    poids = Fraction(1)
-    height = 0
-    for step in path.steps:
-        if step == "U":
-            height += 1
-            weight *= weights.c1
-            poids *= weights.c1
-        else:
-            height -= 1
-            weight *= weights.c2
-            poids *= weights.c3 if height == 0 else weights.c2
-    return weight, poids
-
-
-def irreducible_components(path: LatticePath) -> list[LatticePath]:
-    """Split an axis-ending path at its returns to height 0.
-
-    Each component starts and ends on the axis and stays strictly above it
-    in between; their concatenation is the original path.
-    """
-    if path.final_height != 0:
-        raise ValueError(f"path {path.steps!r} ends at height {path.final_height}, not 0")
-    components = []
-    height = 0
-    start = 0
-    for k, step in enumerate(path.steps):
-        height += 1 if step == "U" else -1
-        if height == 0:
-            components.append(LatticePath(path.steps[start : k + 1]))
-            start = k + 1
-    return components
 
 
 @lru_cache(maxsize=1)
@@ -321,10 +244,6 @@ def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
-def is_reduced(word: Sequence[int]) -> bool:
-    return all(word[k] != -word[k + 1] for k in range(len(word) - 1))
-
-
 @lru_cache(maxsize=1)
 def _reductions(g: int, n: int) -> Counter[tuple[int, ...]]:
     """How many of the (2g)^n words of length n reduce to each reduced word."""
@@ -355,7 +274,7 @@ def free_group_count(
     for x in target:
         if not isinstance(x, int) or x == 0 or abs(x) > g:
             raise ValueError(f"target letter {x!r} outside the +-1..+-{g} alphabet")
-    if not is_reduced(target):
+    if reduce_word(target) != target:
         raise ValueError(f"target word {target!r} is not reduced")
     free_group_guard(g, n, max_states)
     return _reductions(g, n)[target]

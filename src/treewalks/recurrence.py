@@ -7,8 +7,8 @@ The table A(i, n) solves
     A(i, n) = c1 * A(i-1, n-1) + c2 * A(i+1, n-1)     for i >= 1, n >= 1
 
 For general weights, A(i, n) is the poids-sum over nonnegative U/D lattice
-paths of length n ending at height i (see :mod:`treewalks.oracles` for the
-path vocabulary).  For the specialization (c1, c2, c3) = (1, m-1, m) it
+paths of length n ending at height i (see :func:`treewalks.oracles.enumerate_dyck`
+for the path vocabulary).  For the specialization (c1, c2, c3) = (1, m-1, m) it
 counts length-n walks on the m-regular tree that end at a fixed vertex at
 distance i from the start: such a vertex has one neighbor closer to the
 start and m-1 neighbors farther, except the start itself whose m neighbors
@@ -153,27 +153,6 @@ class WalkTable:
             return Fraction(0)
         value = self.columns[n][i // 2]
         return Fraction(value) if self._powers is None else Fraction(value, self._powers[n])
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        """All of A(i, 0..n_max)."""
-        if not 0 <= i <= self.n_max:
-            raise IndexError(f"i={i} outside 0..{self.n_max}")
-        return tuple(self.count(i, n) for n in range(self.n_max + 1))
-
-    def to_json_dict(self) -> dict:
-        """JSON-ready export of the full square; every number is a decimal string."""
-        weights: dict[str, object] = {
-            "c1": format_number(self.weights.c1),
-            "c2": format_number(self.weights.c2),
-            "c3": format_number(self.weights.c3),
-        }
-        if self.weights.m is not None:
-            weights["m"] = str(self.weights.m)
-        return {
-            "weights": weights,
-            "n_max": self.n_max,
-            "entries": [[format_number(v) for v in self.row(i)] for i in range(self.n_max + 1)],
-        }
 
     def __repr__(self) -> str:
         return f"WalkTable(weights={self.weights.describe()}, n_max={self.n_max})"

@@ -152,10 +152,6 @@ class PowerSeries:
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coeffs)
 
-    def decimal_strings(self) -> list[str]:
-        """Coefficients as decimal strings, index = power of t."""
-        return [format_number(c) for c in self.coeffs]
-
     # -- ring operations (all truncate to the common order) ----------------
 
     def _aligned(self, other: PowerSeries) -> tuple[list[int], list[int], int, int]:

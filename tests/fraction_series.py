@@ -72,10 +72,6 @@ class PowerSeries:
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coeffs)
 
-    def decimal_strings(self) -> list[str]:
-        """Coefficients as decimal strings, index = power of t."""
-        return [format_number(c) for c in self.coeffs]
-
     # -- ring operations (all truncate to the common order) ----------------
 
     def truncate(self, order: int) -> PowerSeries:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -13,22 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poids_reference import LatticePath, irreducible_components, valid_paths, weight_and_poids
 from tree_walk_reference import walk_from_scratch
 from treewalks.oracles import (
     FeasibilityError,
-    LatticePath,
     TruncatedTree,
     dyck_guard,
     enumerate_dyck,
     free_group_count,
     free_group_guard,
-    irreducible_components,
-    is_reduced,
     reduce_word,
     tree_guard,
     tree_walk_count,
     tree_walk_distribution,
-    weight_and_poids,
 )
 from treewalks.recurrence import WeightConfig, build_table, tree_weights
 
@@ -40,7 +36,7 @@ def weight_triples(require_c2: bool = False) -> st.SearchStrategy[WeightConfig]:
     return st.builds(WeightConfig, small_weights, c2, small_weights)
 
 
-# --- lattice paths ------------------------------------------------------------
+# --- lattice paths: the per-path poids reference ------------------------------
 
 
 def test_path_accepts_valid_sequences():
@@ -168,17 +164,6 @@ def test_enumeration_matches_recurrence(w, n):
 
 
 SIGNED_WEIGHTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3), Fraction(3))
-
-
-@cache
-def valid_paths() -> list[LatticePath]:
-    """Every path of length <= 12 that never dips below the axis."""
-    paths = []
-    for n in range(13):
-        for steps in itertools.product("UD", repeat=n):
-            with contextlib.suppress(ValueError):
-                paths.append(LatticePath("".join(steps)))
-    return paths
 
 
 # Every pair of positions meets every pair of values (an orthogonal array):
@@ -330,7 +315,7 @@ def test_reduce_word_rejects_zero():
 @given(st.lists(st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0), max_size=30))
 def test_reduce_word_idempotent(letters):
     once = reduce_word(letters)
-    assert is_reduced(once)
+    assert all(a != -b for a, b in zip(once, once[1:]))
     assert reduce_word(once) == once
 
 
@@ -366,7 +351,7 @@ def test_free_group_matches_recurrence(g):
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_free_group_count_matches_per_word_reduction(g):
     alphabet = [x for k in range(1, g + 1) for x in (k, -k)]
-    targets = [t for size in range(4) for t in itertools.product(alphabet, repeat=size) if is_reduced(t)]
+    targets = [t for size in range(4) for t in itertools.product(alphabet, repeat=size) if reduce_word(t) == t]
     for n in range(7):
         reductions = [reduce_word(word) for word in itertools.product(alphabet, repeat=n)]
         for target in targets:

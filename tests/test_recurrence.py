@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treewalks.rationals import format_number, parse_number
 from treewalks.recurrence import (
     MAX_TABLE_BYTES,
     FeasibilityError,
@@ -213,8 +212,7 @@ def _assert_matches_reference(weights: WeightConfig, n_max: int) -> None:
             assert type(got) is Fraction
             assert got == (rows[i][n] if i <= n_max else 0), (i, n)
     for i in range(n_max + 1):
-        assert table.row(i) == tuple(rows[i])
-    assert table.to_json_dict()["entries"] == [[format_number(v) for v in row] for row in rows]
+        assert tuple(table.count(i, n) for n in range(n_max + 1)) == tuple(rows[i])
 
 
 SWEEP_WEIGHTS = [
@@ -292,24 +290,3 @@ def test_mass_check_usage_errors():
         mass_check(2, 1, build_table(WeightConfig(1, 1, 2), 4))
     with pytest.raises(IndexError):
         mass_check(3, 9, table)
-
-
-# --- export ----------------------------------------------------------------------
-
-
-def test_json_export_round_trip():
-    w = WeightConfig(1, Fraction(1, 2), 2)
-    table = build_table(w, 5)
-    doc = table.to_json_dict()
-    assert doc["n_max"] == 5
-    assert doc["weights"] == {"c1": "1", "c2": "1/2", "c3": "2"}
-    assert len(doc["entries"]) == 6
-    for i, row in enumerate(doc["entries"]):
-        assert len(row) == 6
-        for n, text in enumerate(row):
-            assert parse_number(text) == table.count(i, n)
-
-
-def test_json_export_carries_tree_tag():
-    doc = build_table(tree_weights(3), 2).to_json_dict()
-    assert doc["weights"]["m"] == "3"

@@ -57,10 +57,6 @@ def test_immutable():
         f.coeffs = (Fraction(2),)
 
 
-def test_decimal_strings():
-    assert PowerSeries([1, Fraction(-1, 2), 0]).decimal_strings() == ["1", "-1/2", "0"]
-
-
 def test_str_rendering():
     assert str(PowerSeries([1, 0, -2])) == "1 - 2*t^2 + O(t^3)"
     assert str(PowerSeries([-1, 1])) == "-1 + t + O(t^2)"
@@ -269,7 +265,6 @@ def _assert_same(got, want):
         assert got.coeffs == want.coeffs
         assert got.order == want.order
         assert list(got) == list(want)
-        assert got.decimal_strings() == want.decimal_strings()
         assert str(got) == str(want)
         assert repr(got) == repr(want)
         assert got == PowerSeries(want.coeffs)
