@@ -4,7 +4,7 @@ The same numbers are computed three independent ways and verified to agree
 coefficient by coefficient:
 
 * a dynamic-programming recurrence on integers scaled by D^n, D the
-  lcm of the weight denominators (:func:`build_table`),
+  lcm of the weight denominators (:func:`build_table`, :func:`dp_row`),
 * coefficient extraction from closed-form algebraic generating functions
   (:func:`tree_gf`, :func:`poids_gf`),
 * brute-force enumeration oracles: all lattice paths, walks on an
@@ -26,7 +26,7 @@ from .oracles import (
     tree_walk_distribution,
 )
 from .rationals import format_number, parse_number
-from .recurrence import FeasibilityError, WalkTable, WeightConfig, build_table, mass_check, tree_weights
+from .recurrence import FeasibilityError, WalkTable, WeightConfig, build_table, dp_row, mass_check, tree_weights
 from .series import PowerSeries
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "WalkTable",
     "WeightConfig",
     "build_table",
+    "dp_row",
     "dyck_gf",
     "enumerate_dyck",
     "format_number",

@@ -33,7 +33,7 @@ from .oracles import (
     tree_walk_count,
 )
 from .rationals import Rational, format_number, parse_number
-from .recurrence import WalkTable, WeightConfig, build_table, mass_check, tree_weights
+from .recurrence import WalkTable, WeightConfig, build_table, dp_row, mass_check, tree_weights
 from .series import PowerSeries
 
 __all__ = ["main", "entrypoint"]
@@ -139,21 +139,24 @@ def _emit(ns: Sequence[int], values: Sequence[Fraction], meta: dict, fmt: str, s
             print(f"{start + k} {s}")
 
 
-def _rows(row: Callable[[int], PowerSeries]) -> Callable[[int, int], Fraction]:
-    """Reader of A(i, n) = row(i)[n]; builds each row when first read and keeps only the last."""
+def _rows(row: Callable[[int], Sequence[Rational]]) -> Callable[[int, int], Rational]:
+    """Reader of A(i, n) = row(i)[n], for a dp row or a gf series; builds each row when first
+    read and keeps only the last."""
     row = lru_cache(maxsize=1)(row)
     return lambda i, n: row(i)[n]
 
 
 # Every route to A(i, n), keyed by (command, method): route(weights, order,
-# max_states) opens a reader (i, n) -> A(i, n) for n <= order.  Opening an
-# oracle route runs its guard, so an oversized enumeration is refused before
-# any.  Routes look library functions up as module globals when they run.
+# max_states) opens a reader (i, n) -> A(i, n) for n <= order.  dp and gf
+# readers build the one row of height i they are asked for, and keep it.
+# Opening an oracle route runs its guard, so an oversized enumeration is
+# refused before any.  Routes look library functions up as module globals
+# when they run.
 ROUTES: dict[tuple[str, str], Callable[[WeightConfig, int, int], Callable[[int, int], Rational]]] = {
-    ("walks", "dp"): lambda w, order, states: build_table(w, order).count,
+    ("walks", "dp"): lambda w, order, states: _rows(lambda i: dp_row(w, i, order)),
     ("walks", "gf"): lambda w, order, states: _rows(lambda i: tree_gf(w.m, i, order)),
     ("walks", "tree"): lambda w, order, states: tree_guard(w.m, order, states) or partial(tree_walk_count, w.m, max_states=states),
-    ("dyck", "dp"): lambda w, order, states: build_table(w, order).count,
+    ("dyck", "dp"): lambda w, order, states: _rows(lambda i: dp_row(w, i, order)),
     ("dyck", "gf"): lambda w, order, states: _rows(lambda i: poids_gf(w, i, order)),
     ("dyck", "enum"): lambda w, order, states: dyck_guard(order, states) or partial(enumerate_dyck, w, max_states=states),
 }

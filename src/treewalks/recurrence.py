@@ -1,4 +1,5 @@
-"""Walk-count tables from the three-clause recurrence.
+"""Walk counts from the three-clause recurrence: the whole table
+(:func:`build_table`) or one row of it (:func:`dp_row`).
 
 The table A(i, n) solves
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable
+from typing import Callable, Iterator
 
 from .rationals import Rational, format_number
 
@@ -31,6 +32,7 @@ __all__ = [
     "WalkTable",
     "tree_weights",
     "build_table",
+    "dp_row",
     "check_cost",
     "int_bytes",
     "mass_check",
@@ -158,44 +160,74 @@ class WalkTable:
         return f"WalkTable(weights={self.weights.describe()}, n_max={self.n_max})"
 
 
-def build_table(weights: WeightConfig, n_max: int) -> WalkTable:
-    """Fill the table column by column in n, on integers.
+def _columns(weights: WeightConfig, n_max: int, top: int) -> Iterator[list[int]]:
+    """Yield the columns n = 0..n_max of the recurrence on integers, each cut to
+    the heights that can still reach a height <= ``top`` by length n_max, that
+    is h <= top + n_max - n.
 
     With the integer weights a, b, c = D*c1, D*c2, D*c3 the scaled entries
     N(i, n) = A(i, n) * D^n obey the same recurrence, N(0, n) = c*N(1, n-1)
     and N(i, n) = a*N(i-1, n-1) + b*N(i+1, n-1), since each step contributes
-    exactly one weight.  Column n reads column n-1, of the other parity:
-    the cell i = 0 (n even) has only the c-term and the top cell i = n has
-    only the a-term, because A(n+1, n-1) is unreachable.
+    exactly one weight.  Column n holds N(2k + n % 2, n) at index k and reads
+    column n-1, of the other parity: the cell i = 0 (n even) has only the
+    c-term and the top cell i = n has only the a-term, because A(n+1, n-1) is
+    unreachable.  Where column n-1 was cut, that a-only top cell lies above
+    the cut of column n and is dropped.
 
-    Before allocating anything, the table's memory is estimated in closed
-    form and a table over ``MAX_TABLE_BYTES`` is refused by :func:`check_cost`.
-    There are sum(n // 2 + 1) = n_max^2 // 4 + n_max + 1 reachable cells, and
-    |N(i, n)| <= max(|a| + |b|, |c|)^n, so no entry is wider than n_max *
-    bit_length(max(|a| + |b|, |c|)) bits (:func:`step_bits`), and each is
-    charged the :func:`int_bytes` of that width.
+    Before anything is computed, the whole table's memory is estimated in
+    closed form and a table over ``MAX_TABLE_BYTES`` is refused by
+    :func:`check_cost`.  There are sum(n // 2 + 1) = n_max^2 // 4 + n_max + 1
+    reachable cells, and |N(i, n)| <= max(|a| + |b|, |c|)^n, so no entry is
+    wider than n_max * bit_length(max(|a| + |b|, |c|)) bits (:func:`step_bits`),
+    and each is charged the :func:`int_bytes` of that width.  A cut table holds
+    fewer cells but is charged the same, so the estimate also bounds the work.
+
+    For tree weights every yielded column is checked to hold non-negative
+    integer counts, else ``ArithmeticError``.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    scale = _scale(weights)
-    a, b, c = (w.numerator * (scale // w.denominator) for w in (weights.c1, weights.c2, weights.c3))
     cells = n_max * n_max // 4 + n_max + 1
     what = lambda: f"a dp table of order {n_max} for weights {weights.describe()}"
     check_cost(what, cells * int_bytes(n_max * step_bits(weights)[0]), MAX_TABLE_BYTES, "bytes")
-    columns = [[1]]
-    for n in range(1, n_max + 1):
-        prev = columns[-1]
-        column = [c * prev[0]] if n % 2 == 0 else []
-        column += [a * x + b * y for x, y in zip(prev, prev[1:])]
-        column.append(a * prev[-1])
-        columns.append(column)
-    if weights.m is not None:
-        power = 1
-        for column in columns:
+    scale = _scale(weights)
+    a, b, c = (w.numerator * (scale // w.denominator) for w in (weights.c1, weights.c2, weights.c3))
+    power = 1
+    column = [1]
+    for n in range(n_max + 1):
+        if n:
+            prev = column
+            column = [c * prev[0]] if n % 2 == 0 else []
+            column += [a * x + b * y for x, y in zip(prev, prev[1:])]
+            column.append(a * prev[-1])
+            del column[(min(n, top + n_max - n) - n % 2) // 2 + 1 :]
+        if weights.m is not None:
             if any(v < 0 or v % power for v in column):
                 raise ArithmeticError("tree walk counts must be non-negative integers")
             power *= scale
-    return WalkTable(weights, n_max, columns)
+        yield column
+
+
+def build_table(weights: WeightConfig, n_max: int) -> WalkTable:
+    """Fill the whole table column by column in n, on integers (see :func:`_columns`)."""
+    return WalkTable(weights, n_max, list(_columns(weights, n_max, n_max)))
+
+
+def dp_row(weights: WeightConfig, i: int, n_max: int) -> list[Fraction]:
+    """[A(i, n) for n in 0..n_max], holding one column of the recurrence and the row.
+
+    The same recurrence as :func:`build_table`, under the same guard, with
+    each column cut to the heights that can still reach i by length n_max.
+    """
+    if i < 0:
+        raise ValueError("indices must be non-negative")
+    scale = _scale(weights)
+    row = []
+    power = 1
+    for n, column in enumerate(_columns(weights, n_max, i)):
+        row.append(Fraction(column[i // 2], power) if n >= i and (n - i) % 2 == 0 else Fraction(0))
+        power *= scale
+    return row
 
 
 def mass_check(m: int, n: int, table: WalkTable) -> Fraction:

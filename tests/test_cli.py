@@ -469,12 +469,19 @@ def test_refusal_names_its_estimate_and_ceiling_at_once(capsys, argv, estimate, 
         assert shown[1] == estimate
 
 
-def test_memory_error_exits_infeasible(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "route,argv",
+    [
+        ("dp_row", ("walks", "-m", "3", "-n", "5")),
+        ("build_table", ("verify", "--scope", "tree", "-n", "3", "--m-max", "2")),
+    ],
+)
+def test_memory_error_exits_infeasible(capsys, monkeypatch, route, argv):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "build_table", exhausted)
-    code, out, err = run(capsys, "walks", "-m", "3", "-n", "5")
+    monkeypatch.setattr(cli, route, exhausted)
+    code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("error:")

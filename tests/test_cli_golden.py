@@ -588,6 +588,23 @@ def test_pinned_stdout_and_exit_code(capsys, monkeypatch, argv, code, stdout):
     assert capsys.readouterr().out == stdout
 
 
+DP_GOLDEN = [
+    (argv, code, stdout)
+    for argv, code, stdout in GOLDEN
+    if argv[0] in ("walks", "dyck", "bfile") and ("--method" not in argv or "dp" in argv)
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout", DP_GOLDEN, ids=[" ".join(argv) for argv, _, _ in DP_GOLDEN])
+def test_dp_routes_build_no_table(capsys, monkeypatch, argv, code, stdout):
+    def whole_table(*args):
+        raise AssertionError("a dp route built the whole table")
+
+    monkeypatch.setattr(cli, "build_table", whole_table)
+    assert cli.main(list(argv)) == code
+    assert capsys.readouterr().out == stdout
+
+
 def _doubled(fn):
     return lambda *args, **kwargs: fn(*args, **kwargs) * 2
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -14,6 +15,7 @@ from treewalks.recurrence import (
     FeasibilityError,
     WeightConfig,
     build_table,
+    dp_row,
     mass_check,
     tree_weights,
 )
@@ -240,6 +242,52 @@ signed_weights = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 @given(st.builds(WeightConfig, signed_weights, signed_weights, signed_weights), st.integers(0, 40))
 def test_integer_kernel_matches_reference_on_any_weights(w, n_max):
     _assert_matches_reference(w, n_max)
+
+
+# --- one row of the recurrence ------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(WeightConfig, signed_weights, signed_weights, signed_weights), st.integers(0, 40))
+@example(WeightConfig(0, 0, 0), 40)
+@example(tree_weights(1), 40)
+def test_dp_row_matches_the_table_row(w, n_max):
+    table = build_table(w, n_max)
+    for i in range(n_max + 3):
+        row = dp_row(w, i, n_max)
+        assert all(type(value) is Fraction for value in row)
+        assert row == [table.count(i, n) for n in range(n_max + 1)], i  # count gives 0 for n < i
+
+
+def test_dp_row_above_the_order_is_zero():
+    assert dp_row(tree_weights(3), 9, 5) == [0] * 6
+    assert dp_row(WeightConfig(Fraction(1, 3), 2, 5), 1, 0) == [0]
+
+
+def test_dp_row_shares_the_table_guard_and_checks():
+    with pytest.raises(FeasibilityError) as row_refused:
+        dp_row(tree_weights(3), 0, 50_000)
+    with pytest.raises(FeasibilityError) as table_refused:
+        build_table(tree_weights(3), 50_000)
+    assert str(row_refused.value) == str(table_refused.value)
+    w = tree_weights(3)
+    object.__setattr__(w, "c2", Fraction(-5))  # bypass the tag validation
+    with pytest.raises(ArithmeticError):
+        dp_row(w, 1, 3)
+    with pytest.raises(ValueError):
+        dp_row(tree_weights(2), 0, -1)
+
+
+def test_dp_row_holds_one_column_and_the_row():
+    # build_table at this order holds about 350 MiB
+    tracemalloc.start()
+    try:
+        row = dp_row(tree_weights(3), 0, 2480)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row[2] == 3 and len(row) == 2481
+    assert peak < 8 << 20
 
 
 # --- feasibility guard --------------------------------------------------------------
