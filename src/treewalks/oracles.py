@@ -4,10 +4,17 @@ Three independent oracles cross-check the recurrence table and the series
 coefficients:
 
 * weighted Dyck paths, by filtering all 2^n step sequences;
-* walks on an explicitly built truncated tree, given by its parent list,
-  by moving a count distribution along every edge one step at a time;
+* walks on the truncated tree, numbered breadth first, by moving a count
+  distribution along every edge one step at a time;
 * products of free-group generators, by enumerating all (2g)^n words and
   freely reducing each one.
+
+A tree step is a fixed number of C-level list passes, never a Python loop
+per edge: the breadth-first numbering puts the edges at strided slices.  The
+words and paths stream through one generator per letter, each extending its
+prefix's state (the reduced stack, or the height and axis returns) in one
+operation, so words and paths that share a prefix share its work.  Every
+vertex, word and step sequence is still visited.
 
 Each enumeration refuses inputs whose state space exceeds ``max_states``
 (default 10^7), at once at any size and before enumerating anything: these
@@ -21,7 +28,7 @@ Each oracle counts on ints: the Dyck paths by end height and by down-steps
 landing on the axis (the weights are applied to those tallies afterwards), the
 tree walks by end vertex, and the free-group words by their reduction.  The
 path and word oracles memoize only the length they last enumerated; the tree
-oracle keeps, for the degree it last walked, the ball and its counts at the
+oracle keeps, for the degree it last walked, its counts over the ball at the
 last length, and a longer length advances them from there.  Callers ask
 length by length, so every later height, weight or target word of a length is
 a cache hit, and a run up to length n walks each step once.
@@ -29,11 +36,11 @@ a cache hit, and a run up to length n walks each step once.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .recurrence import FeasibilityError, WeightConfig, check_cost
 
@@ -54,25 +61,24 @@ __all__ = [
 DEFAULT_MAX_STATES = 10_000_000
 
 
+def _step_paths(paths: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """Extend each (height, down-steps landing on the axis) by U and by D,
+    dropping a path at its first dip below the axis."""
+    for height, returns in paths:
+        yield height + 1, returns
+        if height:
+            yield height - 1, returns + (height == 1)
+
+
 @lru_cache(maxsize=1)
 def _paths_by_end(n: int) -> Counter[tuple[int, int]]:
     """Number of valid length-n paths, keyed by (final height, down-steps
-    landing on the axis)."""
-    tally: Counter[tuple[int, int]] = Counter()
-    for steps in itertools.product("UD", repeat=n):
-        height = returns = 0
-        for step in steps:
-            if step == "U":
-                height += 1
-            else:
-                height -= 1
-                if height < 0:
-                    break
-                if height == 0:
-                    returns += 1
-        else:
-            tally[height, returns] += 1
-    return tally
+    landing on the axis).  Every step sequence streams through n chained
+    :func:`_step_paths`, one per step, until it dips below the axis."""
+    paths: Iterable[tuple[int, int]] = [(0, 0)]
+    for _ in range(n):
+        paths = _step_paths(paths)
+    return Counter(paths)
 
 
 def dyck_guard(n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
@@ -85,9 +91,10 @@ def enumerate_dyck(
 ) -> Fraction:
     """Poids-sum over all valid length-n paths ending at height i.
 
-    Iterates over all 2^n step sequences and filters, on purpose: the point
+    Enumerates all 2^n step sequences and filters, on purpose: the point
     of this oracle is independence from any counting cleverness under test.
-    The paths are tallied on ints by end height and by the number j of
+    The sequences share their prefixes, and each is dropped at its first
+    dip below the axis.  The paths are tallied on ints by end height and by the number j of
     down-steps landing on the axis.  A path ending at height i has
     (n + i)/2 up-steps and (n - i)/2 down-steps, so its poids is
     c1^((n+i)/2) * c2^((n-i)/2 - j) * c3^j, and the weights are applied
@@ -112,9 +119,9 @@ class TruncatedTree:
     each vertex has degree m once its parent is counted.  Vertices are
     numbered breadth first: ``parent[v]`` is the parent of v (``None`` for
     the root 0), and ``levels[d]`` is the range of vertices at distance d.
-    The edges are the pairs (v, parent[v]) for v >= 1.  :meth:`grow` adds
-    the next level in place, and the constructor grows the bare root
-    ``depth`` times.
+    The edges are the pairs (v, parent[v]) for v >= 1.  This is the explicit
+    tree that the walk's numbering is checked against, and the tree
+    :func:`tree_walk_distribution` returns beside its counts.
     """
 
     def __init__(self, m: int, depth: int):
@@ -123,58 +130,67 @@ class TruncatedTree:
         if depth < 0:
             raise ValueError("depth must be >= 0")
         self.m = m
-        self.depth = 0
+        self.depth = depth
         self.parent: list[int | None] = [None]
         self.levels: list[range] = [range(1)]
         for _ in range(depth):
-            self.grow()
-
-    def grow(self) -> None:
-        """Add the vertices at distance depth + 1, the children of the deepest level."""
-        start = len(self.parent)
-        for v in self.levels[-1]:
-            fanout = self.m if v == 0 else self.m - 1
-            self.parent.extend([v] * fanout)
-        self.levels.append(range(start, len(self.parent)))
-        self.depth += 1
+            start = len(self.parent)
+            for v in self.levels[-1]:
+                self.parent.extend([v] * (m if v == 0 else m - 1))
+            self.levels.append(range(start, len(self.parent)))
 
     def vertex_count(self) -> int:
         return len(self.parent)
 
 
+def _ball_size(m: int, depth: int) -> int:
+    """Vertices within distance ``depth`` of the root, 1 + m(1 + k + ... + k^(depth-1))
+    with k = m - 1; at depth i - 1 that is the first vertex at distance i."""
+    return 1 + m * (depth if m == 2 else ((m - 1) ** depth - 1) // (m - 2))
+
+
 @lru_cache(maxsize=1)
 def _walks_from_root(m: int) -> list:
-    """The memo of one degree, [tree, counts]: the ball the walks have reached
-    and the number of length-``tree.depth`` walks from the root to each of its
-    vertices.  It starts at length 0 and :func:`_walk` advances it."""
-    return [TruncatedTree(m, 0), [1]]
+    """The memo of one degree, [length, counts]: the number of walks of that
+    length from the root to each vertex of the depth-``length`` ball, numbered
+    breadth first.  It starts at length 0 and :func:`_walk` advances it."""
+    return [0, [1]]
 
 
-def _walk(m: int, n: int, max_states: int) -> tuple[TruncatedTree, list[int]]:
+def _walk(m: int, n: int, max_states: int) -> list[int]:
     """Counts of length-n walks from the root to every vertex of the depth-n
-    ball, after :func:`tree_guard`.
+    ball, numbered breadth first, after :func:`tree_guard`.
 
     Advances the memo of degree m from its length, or from the root when n is
-    shorter.  Step k + 1 first grows the depth-(k + 1) ball, the farthest a
-    walk can then reach, and then moves every walk along each of its edges
-    (v, parent[v]), down and up.
+    shorter.  With k = m - 1 the root's children are 1..m and the children
+    of a vertex v >= 1 are m+1+(v-1)k .. m+vk, so the j-th children of the
+    vertices 1, 2, ... sit at the stride-k slice from m+1+j.  A step to the
+    depth-(d + 1) ball, the farthest a walk can then reach, moves every walk
+    along each edge in a fixed number of list passes: down by slice
+    assignment, from the root to 1..m and from 1, 2, ... to their j-th
+    children, and up by adding each stride-k slice of children, read only
+    inside the depth-d ball, onto their parents.
     """
     tree_guard(m, n, max_states)
     memo = _walks_from_root(m)
-    if n < memo[0].depth:
-        memo[:] = TruncatedTree(m, 0), [1]
-    tree, counts = memo
-    parent = tree.parent
-    while tree.depth < n:
-        tree.grow()
-        counts += [0] * (len(parent) - len(counts))
-        fresh = [0] * len(parent)
-        for v in range(1, len(parent)):
-            p = parent[v]
-            fresh[v] += counts[p]
-            fresh[p] += counts[v]
-        counts = memo[1] = fresh
-    return tree, counts
+    if n < memo[0]:
+        memo[:] = 0, [1]
+    length, counts = memo
+    k = m - 1
+    while length < n:
+        reached = len(counts)
+        fresh = [0] * (1 + m + k * (reached - 1))
+        fresh[1 : m + 1] = [counts[0]] * m
+        fresh[0] = sum(counts[1 : m + 1])
+        for j in range(k):
+            fresh[m + 1 + j :: k] = counts[1:]
+        for j in range(k):
+            up = counts[m + 1 + j : reached : k]
+            fresh[1 : len(up) + 1] = map(add, fresh[1 : len(up) + 1], up)
+        length += 1
+        counts = fresh
+        memo[:] = length, counts
+    return counts
 
 
 def tree_guard(m: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
@@ -196,23 +212,22 @@ def tree_guard(m: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
 
 def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> int:
     """Number of length-n walks on the m-regular tree from the root to one
-    fixed vertex at distance i (the first-built vertex of that level; the
-    count is the same at every vertex of the level, a symmetry the test
-    suite spot-checks).
+    fixed vertex at distance i (the first vertex of that level in the
+    breadth-first numbering; the count is the same at every vertex of the
+    level, a symmetry the test suite spot-checks).
 
-    The tree is built out to depth n, which loses nothing: no length-n walk
-    leaves that ball.  The memo of the degree last walked keeps the ball and
-    its counts at the last length asked for, so asking the lengths in
-    increasing order walks each step once.
+    The walk covers the depth-n ball, which loses nothing: no length-n walk
+    leaves it.  The memo of the degree last walked keeps the counts over the
+    ball at the last length asked for, so asking the lengths in increasing
+    order walks each step once.
     """
     if i < 0 or n < 0:
         raise ValueError("distance and length must be non-negative")
     if i > n:
         return 0
-    tree, counts = _walk(m, n, max_states)
-    if not tree.levels[i]:
-        return 0
-    return counts[tree.levels[i][0]]
+    counts = _walk(m, n, max_states)
+    first = _ball_size(m, i - 1) if i else 0
+    return counts[first] if first < len(counts) else 0
 
 
 def tree_walk_distribution(
@@ -222,7 +237,7 @@ def tree_walk_distribution(
     depth-n tree, which later requests leave as it is."""
     if n < 0:
         raise ValueError("length must be non-negative")
-    counts = tuple(_walk(m, n, max_states)[1])
+    counts = tuple(_walk(m, n, max_states))
     return TruncatedTree(m, n), counts
 
 
@@ -244,11 +259,25 @@ def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
+def _append_letters(words: Iterable[tuple[int, ...]], alphabet: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Append each letter to each reduced word, cancelling it against the last letter."""
+    for word in words:
+        for x in alphabet:
+            yield word[:-1] if word and word[-1] == -x else word + (x,)
+
+
 @lru_cache(maxsize=1)
 def _reductions(g: int, n: int) -> Counter[tuple[int, ...]]:
-    """How many of the (2g)^n words of length n reduce to each reduced word."""
+    """How many of the (2g)^n words of length n reduce to each reduced word.
+
+    Every word streams through n chained :func:`_append_letters`, one per
+    letter, which extend the reduced stack of its prefix as :func:`reduce_word`
+    would, without its validation."""
     alphabet = tuple(range(1, g + 1)) + tuple(range(-1, -g - 1, -1))
-    return Counter(reduce_word(word) for word in itertools.product(alphabet, repeat=n))
+    words: Iterable[tuple[int, ...]] = [()]
+    for _ in range(n):
+        words = _append_letters(words, alphabet)
+    return Counter(words)
 
 
 def free_group_guard(g: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:

@@ -160,19 +160,20 @@ class WalkTable:
         return f"WalkTable(weights={self.weights.describe()}, n_max={self.n_max})"
 
 
-def _columns(weights: WeightConfig, n_max: int, top: int) -> Iterator[list[int]]:
+def _columns(weights: WeightConfig, n_max: int, bottom: int, top: int) -> Iterator[tuple[int, list[int]]]:
     """Yield the columns n = 0..n_max of the recurrence on integers, each cut to
-    the heights that can still reach a height <= ``top`` by length n_max, that
-    is h <= top + n_max - n.
+    the heights that can still reach a height in ``bottom``..``top`` by length
+    n_max, that is bottom - (n_max - n) <= h <= top + (n_max - n).
 
     With the integer weights a, b, c = D*c1, D*c2, D*c3 the scaled entries
     N(i, n) = A(i, n) * D^n obey the same recurrence, N(0, n) = c*N(1, n-1)
     and N(i, n) = a*N(i-1, n-1) + b*N(i+1, n-1), since each step contributes
-    exactly one weight.  Column n holds N(2k + n % 2, n) at index k and reads
-    column n-1, of the other parity: the cell i = 0 (n even) has only the
-    c-term and the top cell i = n has only the a-term, because A(n+1, n-1) is
-    unreachable.  Where column n-1 was cut, that a-only top cell lies above
-    the cut of column n and is dropped.
+    exactly one weight.  Column n holds N(2k + n % 2, n) at index k - skip,
+    yielded as (skip, column), where skip counts the cells cut from below, and
+    reads column n-1, of the other parity: the cell i = 0 (n even) has only
+    the c-term and the top cell i = n has only the a-term, because
+    A(n+1, n-1) is unreachable.  Where column n-1 was cut, the cells past
+    either cut of column n are not computed or are dropped.
 
     Before anything is computed, the whole table's memory is estimated in
     closed form and a table over ``MAX_TABLE_BYTES`` is refused by
@@ -193,39 +194,46 @@ def _columns(weights: WeightConfig, n_max: int, top: int) -> Iterator[list[int]]
     scale = _scale(weights)
     a, b, c = (w.numerator * (scale // w.denominator) for w in (weights.c1, weights.c2, weights.c3))
     power = 1
-    column = [1]
+    skip, column = 0, [1]
     for n in range(n_max + 1):
-        if n:
+        parity = n % 2
+        if n and column:
             prev = column
-            column = [c * prev[0]] if n % 2 == 0 else []
+            column = [c * prev[0]] if parity == 0 and skip == 0 else []
             column += [a * x + b * y for x, y in zip(prev, prev[1:])]
             column.append(a * prev[-1])
-            del column[(min(n, top + n_max - n) - n % 2) // 2 + 1 :]
+            if parity == 0 and skip:
+                skip += 1  # column n-1's heights 2(skip + j) + 1 lead to 2(skip + 1 + j)
+        low = max(0, (bottom - (n_max - n) - parity + 1) // 2 - skip)
+        del column[:low]
+        skip += low
+        del column[max(0, (top + (n_max - n) - parity) // 2 + 1 - skip) :]
         if weights.m is not None:
             if any(v < 0 or v % power for v in column):
                 raise ArithmeticError("tree walk counts must be non-negative integers")
             power *= scale
-        yield column
+        yield skip, column
 
 
 def build_table(weights: WeightConfig, n_max: int) -> WalkTable:
     """Fill the whole table column by column in n, on integers (see :func:`_columns`)."""
-    return WalkTable(weights, n_max, list(_columns(weights, n_max, n_max)))
+    return WalkTable(weights, n_max, [column for _, column in _columns(weights, n_max, 0, n_max)])
 
 
 def dp_row(weights: WeightConfig, i: int, n_max: int) -> list[Fraction]:
     """[A(i, n) for n in 0..n_max], holding one column of the recurrence and the row.
 
     The same recurrence as :func:`build_table`, under the same guard, with
-    each column cut to the heights that can still reach i by length n_max.
+    each column cut to the heights that can still reach i by length n_max,
+    from above and from below.
     """
     if i < 0:
         raise ValueError("indices must be non-negative")
     scale = _scale(weights)
     row = []
     power = 1
-    for n, column in enumerate(_columns(weights, n_max, i)):
-        row.append(Fraction(column[i // 2], power) if n >= i and (n - i) % 2 == 0 else Fraction(0))
+    for n, (skip, column) in enumerate(_columns(weights, n_max, i, i)):
+        row.append(Fraction(column[i // 2 - skip], power) if n >= i and (n - i) % 2 == 0 else Fraction(0))
         power *= scale
     return row
 

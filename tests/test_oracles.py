@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyck_path_reference import paths_by_end_per_sequence
 from poids_reference import LatticePath, irreducible_components, valid_paths, weight_and_poids
 from tree_walk_reference import walk_from_scratch
 from treewalks.oracles import (
@@ -26,6 +28,7 @@ from treewalks.oracles import (
     tree_walk_count,
     tree_walk_distribution,
 )
+from treewalks.oracles import _ball_size, _paths_by_end, _reductions
 from treewalks.recurrence import WeightConfig, build_table, tree_weights
 
 small_weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
@@ -150,6 +153,11 @@ def test_enumerate_dyck_empty_path_misses_height_one():
     assert enumerate_dyck(WeightConfig(1, 1, 1), 1, 0) == 0
 
 
+@pytest.mark.parametrize("n", range(15))
+def test_path_stream_matches_the_per_sequence_filter(n):
+    assert _paths_by_end(n) == paths_by_end_per_sequence(n)
+
+
 def test_enumerate_dyck_guard():
     with pytest.raises(FeasibilityError):
         enumerate_dyck(WeightConfig(1, 1, 1), 0, 24, max_states=1000)
@@ -191,6 +199,28 @@ def test_tree_level_sizes(m, depth):
     expected = [1] + [m * (m - 1) ** (d - 1) for d in range(1, depth + 1)]
     assert [len(level) for level in tree.levels] == expected
     assert tree.vertex_count() == sum(expected)
+
+
+def _depths_to_ball(m: int, vertices: int = 10**4, deepest: int = 200) -> list[int]:
+    """Depths 0, 1, ... whose ball has at most ``vertices`` vertices, up to
+    ``deepest`` (the ball grows only linearly, or not at all, at m <= 2)."""
+    return [d for d in range(deepest + 1) if _ball_size(m, d) <= vertices]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_breadth_first_child_arithmetic_matches_the_parent_list(m):
+    # the tree oracle's numbering: the root's children are 1..m, those of
+    # v >= 1 are m+1+(v-1)k .. m+vk with k = m - 1, and the depth-d ball
+    # is the first _ball_size(m, d) vertices
+    k = m - 1
+    for depth in _depths_to_ball(m):
+        tree = TruncatedTree(m, depth)
+        assert _ball_size(m, depth) == tree.vertex_count()
+        parent: list[int | None] = [None] * tree.vertex_count()
+        for v in range(tree.levels[-1].start):
+            for child in range(1, m + 1) if v == 0 else range(m + 1 + (v - 1) * k, m + v * k + 1):
+                parent[child] = v
+        assert parent == tree.parent
 
 
 def test_tree_internal_degrees():
@@ -286,6 +316,17 @@ def test_tree_oracle_memo_matches_the_from_scratch_walk():
         assert tree.levels == levels
 
 
+def test_tree_walk_distribution_matches_the_from_scratch_walk_in_shuffled_order():
+    # every length whose ball has at most 10^4 vertices, up to 200 at m <= 2,
+    # asked in shuffled order so the memo both advances and restarts
+    rng = random.Random(0)
+    for m in range(1, 8):
+        lengths = _depths_to_ball(m)
+        rng.shuffle(lengths)
+        for n in lengths:
+            assert tree_walk_distribution(m, n)[1] == walk_from_scratch(m, n)[1]
+
+
 def test_level_counts_are_symmetric():
     # every vertex of a level is equivalent, so the designated-vertex choice
     # cannot matter; check the whole distribution for m in {1, 3, 5}, n <= 6
@@ -346,6 +387,12 @@ def test_free_group_matches_recurrence(g):
     for target in words[g]:
         for n in range(7):
             assert free_group_count(g, target, n) == table.count(len(target), n)
+
+
+@pytest.mark.parametrize("g,n", itertools.product([1, 2, 3], range(7)))
+def test_word_stream_matches_per_word_reduction(g, n):
+    alphabet = [x for k in range(1, g + 1) for x in (k, -k)]
+    assert _reductions(g, n) == Counter(reduce_word(word) for word in itertools.product(alphabet, repeat=n))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

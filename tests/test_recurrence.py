@@ -19,6 +19,7 @@ from treewalks.recurrence import (
     mass_check,
     tree_weights,
 )
+from treewalks.recurrence import _columns
 
 small_weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
 weight_triples = st.builds(WeightConfig, small_weights, small_weights, small_weights)
@@ -262,6 +263,18 @@ def test_dp_row_matches_the_table_row(w, n_max):
 def test_dp_row_above_the_order_is_zero():
     assert dp_row(tree_weights(3), 9, 5) == [0] * 6
     assert dp_row(WeightConfig(Fraction(1, 3), 2, 5), 1, 0) == [0]
+
+
+@pytest.mark.parametrize("i", [0, 1, 7, 20, 29, 30, 33])
+def test_dp_row_columns_hold_only_the_heights_within_reach(i):
+    # column n keeps the cells within n_max - n of the row, cut from above and
+    # from below; index k - skip holds the height 2k + n % 2
+    w = WeightConfig(Fraction(1, 3), Fraction(4, 5), Fraction(2, 7))
+    table = build_table(w, 30)
+    for n, (skip, column) in enumerate(_columns(w, 30, i, i)):
+        heights = range(2 * skip + n % 2, 2 * (skip + len(column)) + n % 2, 2)
+        assert [abs(h - i) <= 30 - n for h in heights] == [True] * len(column)
+        assert column == table.columns[n][skip : skip + len(column)]
 
 
 def test_dp_row_shares_the_table_guard_and_checks():
