@@ -7,8 +7,8 @@ coefficient by coefficient:
   lcm of the weight denominators (:func:`build_table`, :func:`dp_row`),
 * coefficient extraction from closed-form algebraic generating functions
   (:func:`tree_gf`, :func:`poids_gf`),
-* brute-force enumeration oracles: all lattice paths, walks on an
-  explicitly built tree, and free-group word products
+* brute-force enumeration oracles: all lattice paths, all walks on the
+  tree's vertices numbered breadth first, and free-group word products
   (:mod:`treewalks.oracles`).
 
 All arithmetic is over arbitrary-precision integers and exact rationals;
@@ -18,12 +18,10 @@ no floating point appears anywhere in the computation path.
 from .genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
 from .oracles import (
     DEFAULT_MAX_STATES,
-    TruncatedTree,
     enumerate_dyck,
     free_group_count,
     reduce_word,
     tree_walk_count,
-    tree_walk_distribution,
 )
 from .rationals import format_number, parse_number
 from .recurrence import FeasibilityError, WalkTable, WeightConfig, build_table, dp_row, mass_check, tree_weights
@@ -33,7 +31,6 @@ __all__ = [
     "DEFAULT_MAX_STATES",
     "FeasibilityError",
     "PowerSeries",
-    "TruncatedTree",
     "WalkTable",
     "WeightConfig",
     "build_table",
@@ -49,7 +46,6 @@ __all__ = [
     "reduce_word",
     "tree_gf",
     "tree_walk_count",
-    "tree_walk_distribution",
     "tree_weights",
 ]
 

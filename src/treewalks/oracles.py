@@ -4,8 +4,8 @@ Three independent oracles cross-check the recurrence table and the series
 coefficients:
 
 * weighted Dyck paths, by filtering all 2^n step sequences;
-* walks on the truncated tree, numbered breadth first, by moving a count
-  distribution along every edge one step at a time;
+* walks on the depth-n ball of the tree, numbered breadth first, by moving
+  a count distribution along every edge one step at a time;
 * products of free-group generators, by enumerating all (2g)^n words and
   freely reducing each one.
 
@@ -47,12 +47,10 @@ from .recurrence import FeasibilityError, WeightConfig, check_cost
 __all__ = [
     "DEFAULT_MAX_STATES",
     "FeasibilityError",
-    "TruncatedTree",
     "dyck_guard",
     "enumerate_dyck",
     "tree_guard",
     "tree_walk_count",
-    "tree_walk_distribution",
     "reduce_word",
     "free_group_guard",
     "free_group_count",
@@ -110,37 +108,6 @@ def enumerate_dyck(
         if height == i:
             total += count * c1**ups * c2 ** (downs - j) * c3**j
     return total
-
-
-class TruncatedTree:
-    """The m-regular tree out to a depth, given by its parent list.
-
-    The root has m children and every deeper internal vertex has m-1, so
-    each vertex has degree m once its parent is counted.  Vertices are
-    numbered breadth first: ``parent[v]`` is the parent of v (``None`` for
-    the root 0), and ``levels[d]`` is the range of vertices at distance d.
-    The edges are the pairs (v, parent[v]) for v >= 1.  This is the explicit
-    tree that the walk's numbering is checked against, and the tree
-    :func:`tree_walk_distribution` returns beside its counts.
-    """
-
-    def __init__(self, m: int, depth: int):
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"tree degree must be an integer >= 1, got {m!r}")
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        self.m = m
-        self.depth = depth
-        self.parent: list[int | None] = [None]
-        self.levels: list[range] = [range(1)]
-        for _ in range(depth):
-            start = len(self.parent)
-            for v in self.levels[-1]:
-                self.parent.extend([v] * (m if v == 0 else m - 1))
-            self.levels.append(range(start, len(self.parent)))
-
-    def vertex_count(self) -> int:
-        return len(self.parent)
 
 
 def _ball_size(m: int, depth: int) -> int:
@@ -221,6 +188,8 @@ def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
     ball at the last length asked for, so asking the lengths in increasing
     order walks each step once.
     """
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"tree degree must be an integer >= 1, got {m!r}")
     if i < 0 or n < 0:
         raise ValueError("distance and length must be non-negative")
     if i > n:
@@ -228,17 +197,6 @@ def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
     counts = _walk(m, n, max_states)
     first = _ball_size(m, i - 1) if i else 0
     return counts[first] if first < len(counts) else 0
-
-
-def tree_walk_distribution(
-    m: int, n: int, max_states: int = DEFAULT_MAX_STATES
-) -> tuple[TruncatedTree, tuple[int, ...]]:
-    """The full end-vertex count distribution after n steps, with its own
-    depth-n tree, which later requests leave as it is."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    counts = tuple(_walk(m, n, max_states))
-    return TruncatedTree(m, n), counts
 
 
 def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:

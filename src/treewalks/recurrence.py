@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator
 
-from .rationals import Rational, format_number
+from .rationals import format_number
 
 __all__ = [
     "MAX_TABLE_BYTES",

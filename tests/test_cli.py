@@ -5,9 +5,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -328,6 +332,26 @@ def test_help_exits_cleanly(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "walks" in out and "verify" in out
+
+
+@pytest.mark.parametrize(
+    "argv,code,out",
+    [
+        (("walks", "-m", "3", "-n", "6"), 0, "1 0 3 0 15 0 87\n"),
+        (("dyck", "1", "1/0", "1", "-n", "3"), 2, ""),
+        (("walks", "-m", "3", "-n", "50000"), 3, ""),
+    ],
+    ids=["values", "usage-error", "infeasible"],
+)
+def test_module_entry_point_exits_with_main_code(argv, code, out):
+    # the in-process tests call cli.main; this runs `python -m treewalks.cli`,
+    # so the exit code must pass through entrypoint's sys.exit
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "treewalks.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (code, out)
 
 
 def test_zero_denominator_weight_is_usage_error(capsys):

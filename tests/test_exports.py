@@ -1,12 +1,16 @@
-"""Every exported name resolves, and so does every name the benchmark's tracer wraps."""
+"""Every exported name resolves, so does every name the benchmark's tracer wraps,
+and every name a module of the package imports is used or exported."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "treewalks"
 
 MODULES = (
     "treewalks",
@@ -43,3 +47,26 @@ def test_exports_and_traced_names_resolve(name):
         # the tracer patches each method in PowerSeries.__dict__, so it must be defined there
         unpatchable = [method for method in series_methods if method not in module.PowerSeries.__dict__]
         assert not unpatchable, f"the tracer wraps {unpatchable}, which PowerSeries does not define"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports (``__future__`` aside) that its code never reads
+    and its ``__all__`` does not re-export."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_import_is_used_or_exported(path):
+    unused = _unused_imports(path)
+    assert not unused, f"{path.name} imports {unused} and never uses them"

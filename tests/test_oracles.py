@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from dyck_path_reference import paths_by_end_per_sequence
 from poids_reference import LatticePath, irreducible_components, valid_paths, weight_and_poids
-from tree_walk_reference import walk_from_scratch
+from tree_walk_reference import ball, walk_from_scratch
 from treewalks.oracles import (
+    DEFAULT_MAX_STATES,
     FeasibilityError,
-    TruncatedTree,
     dyck_guard,
     enumerate_dyck,
     free_group_count,
@@ -26,9 +26,8 @@ from treewalks.oracles import (
     reduce_word,
     tree_guard,
     tree_walk_count,
-    tree_walk_distribution,
 )
-from treewalks.oracles import _ball_size, _paths_by_end, _reductions
+from treewalks.oracles import _ball_size, _paths_by_end, _reductions, _walk
 from treewalks.recurrence import WeightConfig, build_table, tree_weights
 
 small_weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
@@ -195,10 +194,10 @@ def test_tallied_enumeration_matches_per_step_poids(c1, c2):
 
 @pytest.mark.parametrize("m,depth", [(2, 5), (3, 4), (4, 3), (1, 3)])
 def test_tree_level_sizes(m, depth):
-    tree = TruncatedTree(m, depth)
+    parent, levels = ball(m, depth)
     expected = [1] + [m * (m - 1) ** (d - 1) for d in range(1, depth + 1)]
-    assert [len(level) for level in tree.levels] == expected
-    assert tree.vertex_count() == sum(expected)
+    assert [len(level) for level in levels] == expected
+    assert len(parent) == sum(expected)
 
 
 def _depths_to_ball(m: int, vertices: int = 10**4, deepest: int = 200) -> list[int]:
@@ -214,21 +213,21 @@ def test_breadth_first_child_arithmetic_matches_the_parent_list(m):
     # is the first _ball_size(m, d) vertices
     k = m - 1
     for depth in _depths_to_ball(m):
-        tree = TruncatedTree(m, depth)
-        assert _ball_size(m, depth) == tree.vertex_count()
-        parent: list[int | None] = [None] * tree.vertex_count()
-        for v in range(tree.levels[-1].start):
+        built, levels = ball(m, depth)
+        assert _ball_size(m, depth) == len(built)
+        parent: list[int | None] = [None] * len(built)
+        for v in range(levels[-1].start):
             for child in range(1, m + 1) if v == 0 else range(m + 1 + (v - 1) * k, m + v * k + 1):
                 parent[child] = v
-        assert parent == tree.parent
+        assert parent == built
 
 
 def test_tree_internal_degrees():
     for m, depth in [(3, 4), (1, 3), (2, 5), (5, 3)]:
-        tree = TruncatedTree(m, depth)
-        children = Counter(tree.parent)
-        for v in range(tree.levels[depth].start):
-            has_parent = tree.parent[v] is not None
+        parent, levels = ball(m, depth)
+        children = Counter(parent)
+        for v in range(levels[depth].start):
+            has_parent = parent[v] is not None
             assert children[v] + has_parent == m
 
 
@@ -238,7 +237,7 @@ def test_tree_internal_degrees():
 )
 def test_tree_guard_counts_the_built_ball(m, depth):
     # step k moves counts along the |ball_k| - 1 edges of the built depth-k ball
-    moves = sum(TruncatedTree(m, k).vertex_count() - 1 for k in range(1, depth + 1))
+    moves = sum(len(ball(m, k)[0]) - 1 for k in range(1, depth + 1))
     tree_guard(m, depth, max_states=moves)
     with pytest.raises(FeasibilityError):
         tree_guard(m, depth, max_states=moves - 1)
@@ -275,6 +274,12 @@ def test_tree_walk_count_guard():
         tree_walk_count(3, 0, 30, max_states=1000)
 
 
+@pytest.mark.parametrize("m", [-1, 0])
+def test_tree_walk_count_rejects_a_degree_below_one(m):
+    with pytest.raises(ValueError, match=f"tree degree must be an integer >= 1, got {m}"):
+        tree_walk_count(m, 0, 3)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_tree_matches_recurrence(m):
     table = build_table(tree_weights(m), 8)
@@ -305,18 +310,16 @@ def test_tree_oracle_memo_matches_the_from_scratch_walk():
             want = [expected[level[0]] if level else 0 for level in levels]
             if k % 2:
                 assert [tree_walk_count(m, i, n) for i in range(n + 1)] == want
-            tree, counts = tree_walk_distribution(m, n)
-            assert counts == expected
-            assert tree.levels == levels
+            counts = _walk(m, n, DEFAULT_MAX_STATES)
+            assert tuple(counts) == expected
             assert [tree_walk_count(m, i, n) for i in range(n + 1)] == want
-            held.append((tree, counts, levels))
-    # a pair already returned is left as it was by every later, longer request
-    for tree, counts, levels in held:
-        assert len(counts) == tree.vertex_count()
-        assert tree.levels == levels
+            held.append((counts, expected))
+    # a count list already returned is left as it was by every later request
+    for counts, expected in held:
+        assert tuple(counts) == expected
 
 
-def test_tree_walk_distribution_matches_the_from_scratch_walk_in_shuffled_order():
+def test_tree_walk_matches_the_from_scratch_walk_in_shuffled_order():
     # every length whose ball has at most 10^4 vertices, up to 200 at m <= 2,
     # asked in shuffled order so the memo both advances and restarts
     rng = random.Random(0)
@@ -324,7 +327,7 @@ def test_tree_walk_distribution_matches_the_from_scratch_walk_in_shuffled_order(
         lengths = _depths_to_ball(m)
         rng.shuffle(lengths)
         for n in lengths:
-            assert tree_walk_distribution(m, n)[1] == walk_from_scratch(m, n)[1]
+            assert tuple(_walk(m, n, DEFAULT_MAX_STATES)) == walk_from_scratch(m, n)[1]
 
 
 def test_level_counts_are_symmetric():
@@ -332,8 +335,8 @@ def test_level_counts_are_symmetric():
     # cannot matter; check the whole distribution for m in {1, 3, 5}, n <= 6
     for m in (1, 3, 5):
         for n in range(7):
-            tree, counts = tree_walk_distribution(m, n)
-            for level in tree.levels:
+            counts = _walk(m, n, DEFAULT_MAX_STATES)
+            for level in ball(m, n)[1]:
                 values = {counts[v] for v in level}
                 assert len(values) <= 1
 
