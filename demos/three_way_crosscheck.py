@@ -31,10 +31,11 @@ for i in range(n_max + 1):
             print(f"  MISMATCH at i={i} n={n}: dp={dp} gf={gf} enum={brute}")
 print(f"  {(n_max + 1) ** 2} cells compared, {mismatches} mismatches")
 
-# For tree weights there is a fourth method: walk the actual tree.
+# For tree weights there is a fourth method: the breadth-first tree oracle,
+# which moves walk counts over the tree's vertices numbered breadth first.
 m = 3
 table = build_table(tree_weights(m), 8)
-print(f"\ndegree-{m} tree vs. explicit tree walking, n <= 8:")
+print(f"\ndegree-{m} tree vs. the breadth-first tree oracle, n <= 8:")
 agree = all(
     tree_walk_count(m, i, n) == table.count(i, n) for n in range(9) for i in range(n + 1)
 )

@@ -13,7 +13,6 @@ validation error, 3 enumeration refused by the feasibility guard.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -133,6 +132,8 @@ def _emit(ns: Sequence[int], values: Sequence[Fraction], meta: dict, fmt: str, s
         for n, s in zip(ns, strs):
             print(f"{n},{s}")
     elif fmt == "json":
+        import json  # here, not at the top: only --format json pays for the import
+
         print(json.dumps({**meta, "n": list(ns), "values": strs}))
     else:  # bfile: one "index value" line per term, indices consecutive
         for k, s in enumerate(strs):
@@ -358,6 +359,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # CPython refuses str() and int() of an int over 4300 digits; values of any size must print and
+    # parse, so the limit is lifted while main runs and restored for in-process callers.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
@@ -369,6 +375,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ZeroDivisionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entrypoint() -> None:

@@ -4,7 +4,10 @@ Every quantity in this package is an arbitrary-precision integer or an exact
 rational (``fractions.Fraction``).  Nothing here ever rounds: walk counts are
 exact integers and series coefficients are exact fractions.  The serialized
 form is a decimal string, ``"7"`` or ``"-2/3"``, never a fixed-width machine
-word, so exported values survive arbitrary magnitudes.
+word, so exported values survive arbitrary magnitudes.  CPython refuses
+``str()`` and ``int()`` of an int over 4300 digits by default; the CLI lifts
+that limit while it runs, and a library caller printing larger values lifts it
+with ``sys.set_int_max_str_digits(0)``.
 """
 
 from __future__ import annotations

@@ -18,12 +18,11 @@ are all at distance 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator
 
-from .rationals import format_number
+from .rationals import Rational, format_number
 
 __all__ = [
     "MAX_TABLE_BYTES",
@@ -40,34 +39,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class WeightConfig:
     """Step weights: c1 per U, c2 per D off the axis, c3 per D landing on it.
 
     ``m`` tags the m-regular-tree specialization and is validated against
-    the weights, not trusted.
+    the weights, not trusted.  Immutable, compared and hashed by
+    (c1, c2, c3, m).  Written out by hand with ``__slots__``: a generated
+    class would load ``inspect`` and ``ast`` into every CLI process, which
+    costs more start-up than a small query's whole computation.
     """
+
+    __slots__ = ("c1", "c2", "c3", "m")
 
     c1: Fraction
     c2: Fraction
     c3: Fraction
-    m: int | None = None
+    m: int | None
 
-    def __post_init__(self) -> None:
-        for name in ("c1", "c2", "c3"):
-            value = getattr(self, name)
+    def __init__(self, c1: Rational, c2: Rational, c3: Rational, m: int | None = None) -> None:
+        for name, value in (("c1", c1), ("c2", c2), ("c3", c3)):
             if isinstance(value, float):
                 raise TypeError(f"weight {name}={value!r} is a float; weights must be exact")
             object.__setattr__(self, name, Fraction(value))
-        if self.m is not None:
-            if not isinstance(self.m, int) or self.m < 1:
-                raise ValueError(f"tree degree must be an integer >= 1, got {self.m!r}")
-            expected = (Fraction(1), Fraction(self.m - 1), Fraction(self.m))
+        object.__setattr__(self, "m", m)
+        if m is not None:
+            if not isinstance(m, int) or m < 1:
+                raise ValueError(f"tree degree must be an integer >= 1, got {m!r}")
+            expected = (Fraction(1), Fraction(m - 1), Fraction(m))
             if (self.c1, self.c2, self.c3) != expected:
                 raise ValueError(
                     f"weights ({self.c1}, {self.c2}, {self.c3}) are not the "
-                    f"degree-{self.m} tree specialization (1, m-1, m)"
+                    f"degree-{m} tree specialization (1, m-1, m)"
                 )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__; by default they set each slot, which __setattr__ refuses
+        return WeightConfig, self._key()
+
+    def _key(self) -> tuple:
+        return self.c1, self.c2, self.c3, self.m
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"WeightConfig(c1={self.c1!r}, c2={self.c2!r}, c3={self.c3!r}, m={self.m!r})"
 
     def describe(self) -> str:
         parts = ", ".join(format_number(c) for c in (self.c1, self.c2, self.c3))

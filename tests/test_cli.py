@@ -354,6 +354,98 @@ def test_module_entry_point_exits_with_main_code(argv, code, out):
     assert (done.returncode, done.stdout) == (code, out)
 
 
+# --- values of any size ---------------------------------------------------------
+
+# The last values of these requests pass 10^4 digits, over CPython's default
+# 4300-digit limit on str() of an int.  The strings are built by hand: the
+# test process keeps that limit, so it cannot str() them either.
+HUGE = "1" + "0" * 420
+HUGE_ROWS = {"walks": ("walks", "-m", HUGE, "-n", "50"), "dyck": ("dyck", HUGE, "1", "1", "-n", "50")}
+CATALAN_25 = "4861946401452"
+
+
+def _last_value(out: str, fmt: str) -> str:
+    if fmt == "json":
+        return json.loads(out)["values"][-1]
+    return out.split("\n")[-2].split("," if fmt == "csv" else " ")[-1]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json", "bfile"])
+@pytest.mark.parametrize("command", sorted(HUGE_ROWS))
+def test_values_over_the_digit_limit_print_by_dp_and_gf(capsys, command, fmt):
+    last = set()
+    for method in ("dp", "gf"):
+        code, out, err = run(capsys, *HUGE_ROWS[command], "--method", method, "--format", fmt)
+        assert (code, err) == (0, "")
+        last.add(_last_value(out, fmt))
+    (value,) = last
+    assert len(value) > 10_000 and value.isdigit()
+    if command == "dyck":  # A(0, 50) = c1^25 * Catalan(25) when c2 = c3 = 1
+        assert value == CATALAN_25 + "0" * (420 * 25)
+
+
+def test_bfile_prints_values_over_the_digit_limit(capsys):
+    _, walks, _ = run(capsys, *HUGE_ROWS["walks"], "--format", "bfile")
+    code, out, err = run(capsys, "bfile", "-m", HUGE, "--count", "26")
+    assert (code, err) == (0, "")
+    assert out.split("\n")[-2] == "25 " + _last_value(walks, "bfile")
+    assert len(_last_value(out, "bfile")) > 10_000
+
+
+def test_weight_over_the_digit_limit_parses(capsys):
+    weight = "1" + "0" * 5000
+    code, out, err = run(capsys, "dyck", weight, "1", "1", "-n", "2")
+    assert (code, out, err) == (0, f"1 0 {weight}\n", "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before 3.10.7")
+@pytest.mark.parametrize("argv", [HUGE_ROWS["dyck"], ("dyck", "1", "1/0", "1", "-n", "3"), ("--help",)])
+def test_main_restores_the_int_digit_limit(capsys, argv):
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+# --- start-up --------------------------------------------------------------------
+
+# Runs main in a fresh interpreter and reports on stderr the modules that
+# importing and running it loaded, beyond those loaded before the import.
+STARTUP = """
+import sys
+before = set(sys.modules)
+from treewalks.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _fresh_main(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return done.returncode, done.stdout, set(done.stderr.split())
+
+
+def test_startup_loads_no_dataclasses_inspect_or_json():
+    code, out, loaded = _fresh_main("walks", "-m", "2", "-n", "0")
+    assert (code, out) == (0, "1\n")
+    assert "treewalks.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json"}
+
+
+def test_json_format_still_prints_its_record_in_a_fresh_process():
+    code, out, loaded = _fresh_main("walks", "-m", "3", "-n", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"m": 3, "i": 0, "method": "dp", "n": [0, 1, 2], "values": ["1", "0", "3"]}
+
+
 def test_zero_denominator_weight_is_usage_error(capsys):
     code, out, err = run(capsys, "dyck", "1", "1/0", "1", "-n", "3")
     assert code == 2

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import functools
+import pickle
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -53,15 +57,55 @@ def test_weight_config_coerces_to_fractions():
 
 
 def test_weight_config_validates_tree_tag():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("weights (1, 2, 4) are not the degree-3 tree specialization (1, m-1, m)")):
         WeightConfig(1, 2, 4, m=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tree degree must be an integer >= 1, got 0$"):
         WeightConfig(1, -1, 0, m=0)
+    with pytest.raises(ValueError, match="^tree degree must be an integer >= 1, got 1.0$"):
+        WeightConfig(1, 0, 1, m=1.0)
 
 
 def test_weight_config_rejects_floats():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^weight c2=0.1 is a float; weights must be exact$"):
         WeightConfig(1, 0.1, 2)
+    with pytest.raises(TypeError, match="^weight c3=2.0 is a float"):
+        WeightConfig(c1=1, c2=1, c3=2.0)
+
+
+def test_weight_config_equality_and_hash_over_its_fields():
+    w = WeightConfig(1, 2, 3, m=3)
+    assert w == tree_weights(3) == WeightConfig(c1=Fraction(1), c2=Fraction(2), c3=Fraction(3), m=3)
+    assert hash(w) == hash(tree_weights(3))
+    assert WeightConfig(1, 2, 3) != w  # m is part of the key
+    assert WeightConfig(1, Fraction(1, 2), 2) == WeightConfig(Fraction(2, 2), Fraction(2, 4), 2)
+    assert WeightConfig(1, 2, 3) != (Fraction(1), Fraction(2), Fraction(3), None)
+    assert {w: "tree", WeightConfig(1, 2, 3): "dyck"}[tree_weights(3)] == "tree"
+    built = []
+    keyed = functools.cache(lambda weights: built.append(weights) or len(built))
+    assert keyed(w) == keyed(tree_weights(3)) == 1 and keyed(WeightConfig(1, 2, 3)) == 2
+
+
+def test_weight_config_is_immutable():
+    w = tree_weights(3)
+    for field in ("c1", "m"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(w, field, 2)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(w, field)
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    assert w == tree_weights(3)
+    assert copy.deepcopy(w) == pickle.loads(pickle.dumps(w)) == w
+
+
+def test_weight_config_repr_and_describe():
+    w = WeightConfig(c1=1, c2=2, c3=3, m=3)
+    assert repr(w) == "WeightConfig(c1=Fraction(1, 1), c2=Fraction(2, 1), c3=Fraction(3, 1), m=3)"
+    assert repr(WeightConfig(1, Fraction(-1, 2), 0)) == (
+        "WeightConfig(c1=Fraction(1, 1), c2=Fraction(-1, 2), c3=Fraction(0, 1), m=None)"
+    )
+    assert w.describe() == "(1, 2, 3) [m=3]"
+    assert WeightConfig(1, Fraction(-1, 2), 0).describe() == "(1, -1/2, 0)"
 
 
 # --- table values -----------------------------------------------------------------
