@@ -140,9 +140,9 @@ def _emit(ns: Sequence[int], values: Sequence[Fraction], meta: dict, fmt: str, s
             print(f"{start + k} {s}")
 
 
-def _rows(row: Callable[[int], Sequence[Rational]]) -> Callable[[int, int], Rational]:
-    """Reader of A(i, n) = row(i)[n], for a dp row or a gf series; builds each row when first
-    read and keeps only the last."""
+def _rows(row: Callable[[int], PowerSeries]) -> Callable[[int, int], Rational]:
+    """Reader of A(i, n) = row(i)[n], the t^n coefficient of the dp or gf series d_i(t); builds
+    each row when first read and keeps only the last."""
     row = lru_cache(maxsize=1)(row)
     return lambda i, n: row(i)[n]
 
@@ -250,7 +250,7 @@ def _check_algebra(_table: WalkTable, weights: WeightConfig, order: int) -> Opti
             return f"weights {weights.describe()}: b differs from c1*c2*t^2*a"
     if weights.c2 != 0:
         d = poids_gf(weights, 0, order)
-        lift = dyck_gf(weights, order) * weights.c1
+        lift = a * weights.c1
         for i in range(1, min(6, order) + 1):
             direct = poids_gf(weights, i, order)
             factored = (d * lift**i).shift_mul(i).truncate(order)

@@ -28,9 +28,8 @@ algebraic solution of that counting system, one radical (sqrt) per call:
                          one sqrt for both factors; it shares no series
                          with ``poids_gf``, so the two cross-check.
 
-``poids_gf`` and ``tree_gf`` estimate the memory of their series before
-building any, and :func:`~treewalks.recurrence.check_cost` refuses an
-estimate over ``recurrence.MAX_TABLE_BYTES``.
+Each public function estimates its series' memory before building any, and
+:func:`~treewalks.recurrence.check_cost` refuses one over ``MAX_TABLE_BYTES``.
 
 The removable t^2 (or t) factors in these formulas are handled by exact
 shift division with a hard zero check on the low coefficients, never by
@@ -41,8 +40,7 @@ recurrence table is coefficient for coefficient.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .rationals import Rational
 from .recurrence import MAX_TABLE_BYTES, WeightConfig, check_cost, int_bytes, step_bits, tree_weights
 from .series import PowerSeries
 
@@ -59,8 +57,8 @@ _FRACTION_BYTES = 56
 
 
 def _widest_int_bits(weights: WeightConfig, order: int) -> int:
-    """Bits of the widest int a ``poids_gf`` or ``tree_gf`` series of this
-    order holds, numerators and denominators alike (see :func:`_check_size`)."""
+    """Bits of the widest int a series of this order holds in any function
+    here, numerators and denominators alike (see :func:`_check_size`)."""
     numerator, denominator = step_bits(weights)
     return (order + 2) * (numerator + denominator)
 
@@ -91,13 +89,15 @@ def _check_size(weights: WeightConfig, order: int) -> None:
     check_cost(what, graded + cached, MAX_TABLE_BYTES, "bytes")
 
 
-def _sqrt_radical(product: Fraction, order: int) -> PowerSeries:
+def _sqrt_radical(product: Rational, order: int) -> PowerSeries:
     """sqrt(1 - 4*product*t^2), truncated at ``order``."""
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
-    if order >= 2:
-        coeffs[2] = Fraction(-4) * product
-    return PowerSeries(coeffs).sqrt()
+    radicand = [product.denominator, 0, -4 * product.numerator] + [0] * (order - 2)
+    return PowerSeries._graded(radicand[: order + 1], product.denominator, 1).sqrt()
+
+
+def _irreducible(weights: WeightConfig, order: int) -> PowerSeries:
+    """b(t) = (1 - sqrt(1 - 4*c1*c2*t^2)) / 2, unguarded: each caller checks the order it was asked."""
+    return (PowerSeries.one(order) - _sqrt_radical(weights.c1 * weights.c2, order)) / 2
 
 
 def dyck_gf(weights: WeightConfig, order: int) -> PowerSeries:
@@ -108,11 +108,11 @@ def dyck_gf(weights: WeightConfig, order: int) -> PowerSeries:
     constant series 1.
     """
     _check_order(order)
+    _check_size(weights, order)
     q = weights.c1 * weights.c2
     if q == 0:
         return PowerSeries.one(order)
-    s = _sqrt_radical(q, order + 2)
-    return (PowerSeries.one(order + 2) - s).shift_div(2) / (2 * q)
+    return _irreducible(weights, order + 2).shift_div(2) / q
 
 
 def irreducible_gf(weights: WeightConfig, order: int) -> tuple[PowerSeries, PowerSeries]:
@@ -125,8 +125,8 @@ def irreducible_gf(weights: WeightConfig, order: int) -> tuple[PowerSeries, Powe
     _check_order(order)
     if weights.c2 == 0:
         raise ValueError("degenerate weights: c2 = 0 leaves the poids ratio c3/c2 undefined")
-    s = _sqrt_radical(weights.c1 * weights.c2, order)
-    b = (PowerSeries.one(order) - s) * Fraction(1, 2)
+    _check_size(weights, order)
+    b = _irreducible(weights, order)
     return b, b * (weights.c3 / weights.c2)
 
 
@@ -146,8 +146,8 @@ def poids_gf(weights: WeightConfig, i: int, order: int) -> PowerSeries:
     if i > order:
         return PowerSeries.zero(order)
     inner = order - i
-    b, c = irreducible_gf(weights, inner + 2)
-    d = (PowerSeries.one(inner) - c).inverse()
+    b = _irreducible(weights, inner + 2)
+    d = (PowerSeries.one(inner) - b * (weights.c3 / weights.c2)).inverse()
     if i == 0:
         return d
     lift = (b / weights.c2).shift_div(2)
@@ -173,7 +173,7 @@ def tree_gf(m: int, i: int, order: int) -> PowerSeries:
     if i > order:
         return PowerSeries.zero(order)
     inner = order - i
-    s = _sqrt_radical(Fraction(m - 1), inner + 2)
+    s = _sqrt_radical(m - 1, inner + 2)
     base = (PowerSeries.constant(m - 2, inner) + s * m).inverse() * (2 * (m - 1))
     if i == 0:
         return base

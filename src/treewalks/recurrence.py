@@ -1,5 +1,5 @@
 """Walk counts from the three-clause recurrence: the whole table
-(:func:`build_table`) or one row of it (:func:`dp_row`).
+(:func:`build_table`) or one row of it as the series d_i(t) (:func:`dp_row`).
 
 The table A(i, n) solves
 
@@ -23,6 +23,7 @@ from math import lcm
 from typing import Callable, Iterator
 
 from .rationals import Rational, format_number
+from .series import PowerSeries
 
 __all__ = [
     "MAX_TABLE_BYTES",
@@ -245,22 +246,19 @@ def build_table(weights: WeightConfig, n_max: int) -> WalkTable:
     return WalkTable(weights, n_max, [column for _, column in _columns(weights, n_max, 0, n_max)])
 
 
-def dp_row(weights: WeightConfig, i: int, n_max: int) -> list[Fraction]:
-    """[A(i, n) for n in 0..n_max], holding one column of the recurrence and the row.
+def dp_row(weights: WeightConfig, i: int, n_max: int) -> PowerSeries:
+    """d_i(t) = sum_n A(i, n) t^n to order n_max, holding one column and the row.
 
     The same recurrence as :func:`build_table`, under the same guard, with
     each column cut to the heights that can still reach i by length n_max,
-    from above and from below.
+    from above and from below.  The row N(i, n) = A(i, n) * D^n (0 off
+    parity) is the series' graded ints as it stands: den 1, base D.
     """
     if i < 0:
         raise ValueError("indices must be non-negative")
-    scale = _scale(weights)
-    row = []
-    power = 1
-    for n, (skip, column) in enumerate(_columns(weights, n_max, i, i)):
-        row.append(Fraction(column[i // 2 - skip], power) if n >= i and (n - i) % 2 == 0 else Fraction(0))
-        power *= scale
-    return row
+    row = [column[i // 2 - skip] if n >= i and (n - i) % 2 == 0 else 0
+           for n, (skip, column) in enumerate(_columns(weights, n_max, i, i))]
+    return PowerSeries._graded(row, 1, _scale(weights))
 
 
 def mass_check(m: int, n: int, table: WalkTable) -> Fraction:

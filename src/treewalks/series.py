@@ -16,9 +16,9 @@ return a series on a wider base: at most ``|c0|`` times wider for an
 inverse, ``4 * den`` times for a sqrt.  No coefficient is ever
 normalised.  The only gcds are one linear scan per series built, which
 keeps ``den`` coprime to the numerators, and one in ``inverse``, which
-keeps its base as narrow as the constant term allows.
-``Fraction`` is only the API edge: ``coeffs`` builds the exact rationals
-once, on first read, and keeps them.
+keeps its base as narrow as the constant term allows.  A dp row is the
+same type (den 1, base D).  ``Fraction`` is only the API edge: the list
+constructor reads rationals, ``coeffs`` builds them once, on first read.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class PowerSeries:
 
     @classmethod
     def zero(cls, order: int) -> PowerSeries:
-        return cls([Fraction(0)] * (order + 1))
+        return cls.constant(0, order)
 
     @classmethod
     def one(cls, order: int) -> PowerSeries:
@@ -124,7 +124,7 @@ class PowerSeries:
     def constant(cls, value: Rational, order: int) -> PowerSeries:
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        return cls([Fraction(value)] + [Fraction(0)] * order)
+        return cls._graded([value.numerator] + [0] * order, value.denominator, 1)
 
     # -- inspection --------------------------------------------------------
 
@@ -134,7 +134,8 @@ class PowerSeries:
         if self._coeffs is None:
             scale, values = self._den, []
             for x in self._num:
-                values.append(Fraction(x, scale))
+                # Fraction(x) keeps x itself: no gcd, and no copy of a long int
+                values.append(Fraction(x, scale) if scale > 1 else Fraction(x))
                 scale *= self._base
             object.__setattr__(self, "_coeffs", tuple(values))
         return self._coeffs

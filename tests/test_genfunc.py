@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from math import comb, lcm
 
 import pytest
@@ -15,7 +17,7 @@ from poids_reference import irreducible_components, valid_paths, weight_and_poid
 from treewalks.genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
 from treewalks.oracles import enumerate_dyck
 from treewalks.rationals import format_number
-from treewalks.recurrence import WeightConfig, build_table, tree_weights
+from treewalks.recurrence import FeasibilityError, WeightConfig, build_table, dp_row, tree_weights
 from treewalks.series import PowerSeries
 
 small_weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
@@ -284,4 +286,66 @@ def test_size_guard_bounds_the_widest_int(monkeypatch, weights, order):
         if weights.m is not None:
             tree_gf(weights.m, i, order)
         assert 0 < widest <= bound, (i, widest, bound)
+    for gf in (dyck_gf, irreducible_gf):
+        widest = 0
+        gf(weights, order)
+        assert 0 < widest <= bound, (gf.__name__, widest, bound)
     assert all(scale**2 % base == 0 for base in bases), bases
+
+
+# --- dp and gf hand back the same series -----------------------------------------------
+
+SIGNED_GRID = (0, 1, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), 3, Fraction(-7, 4), Fraction(11, 13))
+
+
+@pytest.mark.parametrize("c1", SIGNED_GRID)
+def test_dp_row_is_the_poids_series_on_a_signed_grid(c1):
+    for c2, c3 in product(SIGNED_GRID, repeat=2):
+        if c2 == 0:
+            continue
+        w = WeightConfig(c1, c2, c3)
+        for i in (0, 1, 3, 11):
+            row = dp_row(w, i, 10)
+            assert row.order == 10 and row == poids_gf(w, i, 10), (w, i)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_dp_row_is_the_tree_series(m):
+    for i in (0, 1, 2, 5, 19, 20, 21, 40):
+        row = dp_row(tree_weights(m), i, 20)
+        assert row.order == 20 and row == tree_gf(m, i, 20), i
+
+
+def test_rows_build_no_series_through_the_rational_constructor(monkeypatch):
+    def refuse(self, coeffs):
+        raise RuntimeError("PowerSeries built from a list of rationals")
+
+    monkeypatch.setattr(PowerSeries, "__init__", refuse)
+    w = WeightConfig(Fraction(1, 3), Fraction(-4, 5), Fraction(2, 7))
+    for i in (0, 3, 9):  # 9 is above the order: the zero series
+        for row in (dp_row(w, i, 8), dp_row(tree_weights(3), i, 8), poids_gf(w, i, 8), tree_gf(3, i, 8)):
+            assert row.order == 8
+    for series in (dyck_gf(w, 8), *irreducible_gf(w, 8), dyck_gf(WeightConfig(0, 1, 1), 8)):
+        assert series.order == 8
+    with pytest.raises(RuntimeError):
+        PowerSeries([1])
+
+
+@pytest.mark.parametrize("gf", [dyck_gf, irreducible_gf])
+def test_dyck_and_irreducible_gf_are_refused_at_once(gf):
+    started = time.perf_counter()
+    with pytest.raises(FeasibilityError, match=r"^series of order 200000 for weights \(1, 1, 1\) needs an estimated"):
+        gf(WeightConfig(1, 1, 1), 200_000)
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("i", [0, 1, 4, 12])
+def test_each_gf_is_guarded_once_at_the_order_asked(monkeypatch, i):
+    checked = []
+    original = genfunc._check_size
+    monkeypatch.setattr(genfunc, "_check_size", lambda w, order: checked.append(order) or original(w, order))
+    routes = (partial(poids_gf, RATIONAL, i), partial(tree_gf, 3, i), partial(dyck_gf, RATIONAL), partial(irreducible_gf, RATIONAL))
+    for gf in routes:
+        checked.clear()
+        gf(10)
+        assert checked == [10], gf

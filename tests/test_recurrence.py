@@ -24,6 +24,7 @@ from treewalks.recurrence import (
     tree_weights,
 )
 from treewalks.recurrence import _columns
+from treewalks.series import PowerSeries
 
 small_weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
 weight_triples = st.builds(WeightConfig, small_weights, small_weights, small_weights)
@@ -300,13 +301,14 @@ def test_dp_row_matches_the_table_row(w, n_max):
     table = build_table(w, n_max)
     for i in range(n_max + 3):
         row = dp_row(w, i, n_max)
+        assert type(row) is PowerSeries and row.order == n_max
         assert all(type(value) is Fraction for value in row)
-        assert row == [table.count(i, n) for n in range(n_max + 1)], i  # count gives 0 for n < i
+        assert row.coeffs == tuple(table.count(i, n) for n in range(n_max + 1)), i  # count gives 0 for n < i
 
 
 def test_dp_row_above_the_order_is_zero():
-    assert dp_row(tree_weights(3), 9, 5) == [0] * 6
-    assert dp_row(WeightConfig(Fraction(1, 3), 2, 5), 1, 0) == [0]
+    assert dp_row(tree_weights(3), 9, 5).coeffs == (0,) * 6
+    assert dp_row(WeightConfig(Fraction(1, 3), 2, 5), 1, 0).coeffs == (0,)
 
 
 @pytest.mark.parametrize("i", [0, 1, 7, 20, 29, 30, 33])
@@ -343,7 +345,7 @@ def test_dp_row_holds_one_column_and_the_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert row[2] == 3 and len(row) == 2481
+    assert row[2] == 3 and row.order == 2480
     assert peak < 8 << 20
 
 
