@@ -10,11 +10,15 @@ coefficients:
   freely reducing each one.
 
 A tree step is a fixed number of C-level list passes, never a Python loop
-per edge: the breadth-first numbering puts the edges at strided slices.  The
-words and paths stream through one generator per letter, each extending its
-prefix's state (the reduced stack, or the height and axis returns) in one
-operation, so words and paths that share a prefix share its work.  Every
-vertex, word and step sequence is still visited.
+per edge: the breadth-first numbering puts the edges at strided slices, and
+each parent gets the counts of all its children in one pass.  The words and
+paths stream through one generator per letter, each extending its prefix's
+state (the reduced stack, or the height and axis returns) in one operation,
+so words and paths that share a prefix share its work.  A reduced word is one
+int whose base-(2g+1) digits are its letters, so a push or a pop is one
+multiplication or division; like the tree's breadth-first numbers, each such
+code names one vertex of the 2g-regular tree.  Every vertex, word and step
+sequence is still visited.
 
 Each enumeration refuses inputs whose state space exceeds ``max_states``
 (default 10^7), at once at any size and before enumerating anything: these
@@ -135,8 +139,9 @@ def _walk(m: int, n: int, max_states: int) -> list[int]:
     depth-(d + 1) ball, the farthest a walk can then reach, moves every walk
     along each edge in a fixed number of list passes: down by slice
     assignment, from the root to 1..m and from 1, 2, ... to their j-th
-    children, and up by adding each stride-k slice of children, read only
-    inside the depth-d ball, onto their parents.
+    children, and up by adding the k stride-k slices of children, read only
+    inside the depth-d ball, onto their parents in one streamed pass.  At
+    m = 1 (k = 0) the root's one child has no children.
     """
     tree_guard(m, n, max_states)
     memo = _walks_from_root(m)
@@ -149,11 +154,16 @@ def _walk(m: int, n: int, max_states: int) -> list[int]:
         fresh = [0] * (1 + m + k * (reached - 1))
         fresh[1 : m + 1] = [counts[0]] * m
         fresh[0] = sum(counts[1 : m + 1])
-        for j in range(k):
-            fresh[m + 1 + j :: k] = counts[1:]
-        for j in range(k):
-            up = counts[m + 1 + j : reached : k]
-            fresh[1 : len(up) + 1] = map(add, fresh[1 : len(up) + 1], up)
+        if k:
+            below = counts[1:]
+            for j in range(k):
+                fresh[m + 1 + j :: k] = below
+            del below  # freed before the k child slices are held at once
+            parents = max(0, reached - m - 1) // k  # 1..parents have children in the ball
+            up = fresh[1 : parents + 1]
+            for j in range(k):
+                up = map(add, up, counts[m + 1 + j : reached : k])
+            fresh[1 : parents + 1] = up
         length += 1
         counts = fresh
         memo[:] = length, counts
@@ -217,24 +227,42 @@ def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
-def _append_letters(words: Iterable[tuple[int, ...]], alphabet: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Append each letter to each reduced word, cancelling it against the last letter."""
+def _code(g: int, word: Iterable[int]) -> int:
+    """A reduced word as one int: its letters are the base-(2g+1) digits, the
+    last letter in the lowest digit, with +k as digit k and -k as digit g + k.
+    The empty word is 0, and each code names one vertex of the 2g-regular
+    Cayley tree."""
+    code = 0
+    for x in word:
+        code = code * (2 * g + 1) + (x if x > 0 else g - x)
+    return code
+
+
+def _append_letters(words: Iterable[int], g: int) -> Iterator[int]:
+    """Append each letter to each reduced word held as a :func:`_code`: a
+    stack whose top is the lowest digit.  Digit d pops a top that it cancels,
+    digit (d + g - 1) % 2g + 1, and is pushed on any other."""
+    base = 2 * g + 1
+    cancels = (0, *((d + g - 1) % (2 * g) + 1 for d in range(1, base)))
+    digits = range(1, base)
     for word in words:
-        for x in alphabet:
-            yield word[:-1] if word and word[-1] == -x else word + (x,)
+        undo = cancels[word % base]
+        pushed = word * base
+        for d in digits:
+            yield word // base if d == undo else pushed + d
 
 
 @lru_cache(maxsize=1)
-def _reductions(g: int, n: int) -> Counter[tuple[int, ...]]:
-    """How many of the (2g)^n words of length n reduce to each reduced word.
+def _reductions(g: int, n: int) -> Counter[int]:
+    """How many of the (2g)^n words of length n reduce to each reduced word,
+    keyed by its :func:`_code`.
 
     Every word streams through n chained :func:`_append_letters`, one per
     letter, which extend the reduced stack of its prefix as :func:`reduce_word`
     would, without its validation."""
-    alphabet = tuple(range(1, g + 1)) + tuple(range(-1, -g - 1, -1))
-    words: Iterable[tuple[int, ...]] = [()]
+    words: Iterable[int] = [0]
     for _ in range(n):
-        words = _append_letters(words, alphabet)
+        words = _append_letters(words, g)
     return Counter(words)
 
 
@@ -264,4 +292,4 @@ def free_group_count(
     if reduce_word(target) != target:
         raise ValueError(f"target word {target!r} is not reduced")
     free_group_guard(g, n, max_states)
-    return _reductions(g, n)[target]
+    return _reductions(g, n)[_code(g, target)]

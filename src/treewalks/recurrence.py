@@ -210,7 +210,8 @@ def _columns(weights: WeightConfig, n_max: int, bottom: int, top: int) -> Iterat
     fewer cells but is charged the same, so the estimate also bounds the work.
 
     For tree weights every yielded column is checked to hold non-negative
-    integer counts, else ``ArithmeticError``.
+    integer counts, else ``ArithmeticError``.  Validated tree weights have
+    D = 1, so divisibility by D^n is tested only where D > 1.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -235,7 +236,7 @@ def _columns(weights: WeightConfig, n_max: int, bottom: int, top: int) -> Iterat
         skip += low
         del column[max(0, (top + (n_max - n) - parity) // 2 + 1 - skip) :]
         if weights.m is not None:
-            if any(v < 0 or v % power for v in column):
+            if min(column, default=0) < 0 or power > 1 and any(v % power for v in column):
                 raise ArithmeticError("tree walk counts must be non-negative integers")
             power *= scale
         yield skip, column

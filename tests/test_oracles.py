@@ -27,8 +27,9 @@ from treewalks.oracles import (
     tree_guard,
     tree_walk_count,
 )
-from treewalks.oracles import _ball_size, _paths_by_end, _reductions, _walk
-from treewalks.recurrence import WeightConfig, build_table, tree_weights
+from treewalks.cli import _FREE_GROUP_WORDS
+from treewalks.oracles import _ball_size, _code, _paths_by_end, _reductions, _walk
+from treewalks.recurrence import WeightConfig, build_table, dp_row, tree_weights
 
 small_weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
 
@@ -304,7 +305,7 @@ def test_tree_oracle_memo_matches_the_from_scratch_walk():
     lengths = [*range(8), *range(7, -1, -1), 5, 5, 5, 3, 7, 2, 2, 6, 0, 4]
     reference = cache(walk_from_scratch)
     held = []
-    for m in (1, 2, 3, 4, 3, 5):
+    for m in (1, 2, 3, 4, 3, 5, 7):
         for k, n in enumerate(lengths):
             levels, expected = reference(m, n)
             want = [expected[level[0]] if level else 0 for level in levels]
@@ -395,7 +396,21 @@ def test_free_group_matches_recurrence(g):
 @pytest.mark.parametrize("g,n", itertools.product([1, 2, 3], range(7)))
 def test_word_stream_matches_per_word_reduction(g, n):
     alphabet = [x for k in range(1, g + 1) for x in (k, -k)]
-    assert _reductions(g, n) == Counter(reduce_word(word) for word in itertools.product(alphabet, repeat=n))
+    expected = Counter(_code(g, reduce_word(word)) for word in itertools.product(alphabet, repeat=n))
+    assert _reductions(g, n) == expected
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_word_code_is_injective_on_reduced_words(g):
+    alphabet = [x for k in range(1, g + 1) for x in (k, -k)]
+    reduced = {word for n in range(7) for word in itertools.product(alphabet, repeat=n) if reduce_word(word) == word}
+    assert len(reduced) == 1 + sum(2 * g * (2 * g - 1) ** (n - 1) for n in range(1, 7))
+    assert len({_code(g, word) for word in reduced}) == len(reduced)
+
+
+@pytest.mark.parametrize("target", _FREE_GROUP_WORDS[2])
+def test_free_group_count_matches_the_dp_row(target):
+    assert free_group_count(2, target, 10) == dp_row(tree_weights(4), len(target), 10)[10]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

@@ -230,6 +230,27 @@ def test_tree_tag_demands_non_negative_counts():
         build_table(w, 3)
 
 
+@pytest.mark.parametrize(
+    "signed,n_max",
+    [
+        ({"c1": Fraction(-1)}, 1),  # N(1, 1) = -1
+        ({"c3": Fraction(-3)}, 2),  # N(0, 2) = -3
+        ({"c1": Fraction(-1), "c2": Fraction(1, 2)}, 1),  # D = 2: N(1, 1) = -2, a multiple of D^1
+    ],
+    ids=["c1", "c3", "c1 with D=2"],
+)
+def test_tree_tag_demands_non_negative_counts_of_each_weight(signed, n_max):
+    # a negative weight set around the tag check is refused at the first
+    # length where a count turns negative, also where that count is divisible
+    # by D^n, so that only the sign test can see it
+    w = tree_weights(3)
+    for name, value in signed.items():
+        object.__setattr__(w, name, value)
+    build_table(w, n_max - 1)
+    with pytest.raises(ArithmeticError):
+        build_table(w, n_max)
+
+
 # --- integer kernel against the square Fraction loop -------------------------------
 
 
