@@ -1,7 +1,7 @@
 """Three independent computations of the same numbers, compared exactly.
 
 The recurrence table, the generating-function coefficients, and a
-brute-force sweep over all 2^n step sequences have nothing in common but
+brute-force sweep over the step sequences have nothing in common but
 the answer; any bug in one shows up as a mismatch against the others.
 """
 

@@ -14,7 +14,7 @@ from treewalks import WeightConfig, build_table, enumerate_dyck, poids_gf
 
 w = WeightConfig(c1=1, c2=2, c3=3)
 
-# Brute force against the recurrence: enumerate_dyck filters all 2^n step
+# Brute force against the recurrence: enumerate_dyck filters all step
 # sequences and tallies the paths that never dip below the axis.
 table = build_table(w, 10)
 print("poids-sums by enumeration and by the recurrence:")

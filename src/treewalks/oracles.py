@@ -1,41 +1,37 @@
 """Brute-force ground truth: exhaustive enumerators kept too simple to be wrong.
 
 Three independent oracles cross-check the recurrence table and the series
-coefficients:
+coefficients: weighted Dyck paths, by filtering step sequences; walks on the
+tree, numbered breadth first, by moving a count distribution along every edge
+of the ball one step at a time; and free-group words, by freely reducing each.
 
-* weighted Dyck paths, by filtering all 2^n step sequences;
-* walks on the depth-n ball of the tree, numbered breadth first, by moving
-  a count distribution along every edge one step at a time;
-* products of free-group generators, by enumerating all (2g)^n words and
-  freely reducing each one.
-
-A tree step is a fixed number of C-level list passes, never a Python loop
-per edge: the breadth-first numbering puts the edges at strided slices, and
-each parent gets the counts of all its children in one pass.  The words and
-paths stream through one generator per letter, each extending its prefix's
-state (the reduced stack, or the height and axis returns) in one operation,
-so words and paths that share a prefix share its work.  A reduced word is one
-int whose base-(2g+1) digits are its letters, so a push or a pop is one
-multiplication or division; like the tree's breadth-first numbers, each such
-code names one vertex of the 2g-regular tree.  Every vertex, word and step
-sequence is still visited.
+Each enumerates every sequence up to length n - 1 and takes the last step at
+its target only, summing the length-(n - 1) counts over the target's
+predecessors: the tree vertex's neighbours, the reduced words t x^-1 for the
+2g letters x, the heights i - 1 and i + 1.  So every length-n walk, word and
+path is counted once, through its last step.  A tree step is a fixed number
+of C-level list passes over strided slices of the breadth-first numbering.
+The words and paths stream through one generator per letter, so those that
+share a prefix share its work.  A reduced word is one int whose base-(2g+1)
+digits are its letters, so a push or a pop is one multiplication or division.
 
 Each enumeration refuses inputs whose state space exceeds ``max_states``
-(default 10^7), at once at any size and before enumerating anything: these
-are desk-scale verification tools, not production counters.  The state
-count of each (for the tree, its edge moves) lives in its guard
-(``dyck_guard``, ``tree_guard``, ``free_group_guard``, which callers may
-also run ahead of a batch), and :func:`treewalks.recurrence.check_cost`
-raises the :class:`FeasibilityError`.
+(default 10^7), at once at any size and before enumerating anything: its
+guard (``dyck_guard``, ``tree_guard``, ``free_group_guard``, which callers
+may run ahead of a batch) passes the estimate to
+:func:`treewalks.recurrence.check_cost`, which raises the
+:class:`FeasibilityError`.  A guard charges the whole length-n enumeration,
+an upper bound on the run to n - 1 (about 2x for the paths, 2g x for the
+words, (m - 1)x for the tree at m >= 3) kept so that no refusal moves.
 
-Each oracle counts on ints: the Dyck paths by end height and by down-steps
-landing on the axis (the weights are applied to those tallies afterwards), the
-tree walks by end vertex, and the free-group words by their reduction.  The
-path and word oracles memoize only the length they last enumerated; the tree
-oracle keeps, for the degree it last walked, its counts over the ball at the
-last length, and a longer length advances them from there.  Callers ask
-length by length, so every later height, weight or target word of a length is
-a cache hit, and a run up to length n walks each step once.
+Each oracle counts on ints: the paths by end height and by down-steps landing
+on the axis (the weights are applied to those tallies afterwards), the tree
+walks by end vertex, the words by their reduction.  The path and word oracles
+memoize the one length they last enumerated; the tree oracle keeps, for the
+degree it last walked, its counts over the ball at the last length, and a
+longer length advances them from there.  Callers ask length by length, so
+later heights, weights and targets of a length are cache hits, and a run up
+to length n walks each step once.
 """
 
 from __future__ import annotations
@@ -93,11 +89,14 @@ def enumerate_dyck(
 ) -> Fraction:
     """Poids-sum over all valid length-n paths ending at height i.
 
-    Enumerates all 2^n step sequences and filters, on purpose: the point
-    of this oracle is independence from any counting cleverness under test.
-    The sequences share their prefixes, and each is dropped at its first
-    dip below the axis.  The paths are tallied on ints by end height and by the number j of
-    down-steps landing on the axis.  A path ending at height i has
+    Enumerates all 2^(n-1) step sequences of length n - 1 and filters, on
+    purpose: the point of this oracle is independence from any counting
+    cleverness under test.  The sequences share their prefixes, and each is
+    dropped at its first dip below the axis.  The paths are tallied on ints
+    by end height and by the number j of down-steps landing on the axis.  A
+    length-n path ending at height i is one of those ending at height i - 1
+    followed by an up-step, or at height i + 1 followed by a down-step, which
+    lands on the axis when i = 0; only those two tallies are read.  It has
     (n + i)/2 up-steps and (n - i)/2 down-steps, so its poids is
     c1^((n+i)/2) * c2^((n-i)/2 - j) * c3^j, and the weights are applied
     once per tally key instead of once per step.
@@ -105,12 +104,19 @@ def enumerate_dyck(
     if i < 0 or n < 0:
         raise ValueError("height and length must be non-negative")
     dyck_guard(n, max_states)
+    if n == 0:
+        return Fraction(int(i == 0))
+    tally: Counter[int] = Counter()
+    for (height, j), count in _paths_by_end(n - 1).items():
+        if height == i - 1:
+            tally[j] += count
+        elif height == i + 1:
+            tally[j + (i == 0)] += count
     c1, c2, c3 = weights.c1, weights.c2, weights.c3
     ups, downs = (n + i) // 2, (n - i) // 2
     total = Fraction(0)
-    for (height, j), count in _paths_by_end(n).items():
-        if height == i:
-            total += count * c1**ups * c2 ** (downs - j) * c3**j
+    for j, count in tally.items():
+        total += count * c1**ups * c2 ** (downs - j) * c3**j
     return total
 
 
@@ -189,14 +195,20 @@ def tree_guard(m: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
 
 def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> int:
     """Number of length-n walks on the m-regular tree from the root to one
-    fixed vertex at distance i (the first vertex of that level in the
+    fixed vertex v at distance i (the first vertex of that level in the
     breadth-first numbering; the count is the same at every vertex of the
     level, a symmetry the test suite spot-checks).
 
-    The walk covers the depth-n ball, which loses nothing: no length-n walk
-    leaves it.  The memo of the degree last walked keeps the counts over the
-    ball at the last length asked for, so asking the lengths in increasing
-    order walks each step once.
+    The walk covers the depth-(n - 1) ball to length n - 1, which loses
+    nothing: no shorter walk leaves it.  The last step is taken at v only: the
+    count is the sum of the length-(n - 1) counts at v's neighbours, its
+    parent and its children m+1+(v-1)k .. m+vk with k = m - 1, by the same
+    breadth-first arithmetic :func:`_walk` uses; a child outside the ball
+    counts 0.  The 1-regular tree is one edge, with no vertex at distance 2
+    or more.  The memo of the degree last walked keeps the counts over the
+    ball at the last length n - 1 asked for, so asking the lengths in
+    increasing order walks each step once.  :func:`tree_guard` charges the
+    walk to length n, an upper bound kept so that no refusal moves.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"tree degree must be an integer >= 1, got {m!r}")
@@ -204,9 +216,18 @@ def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
         raise ValueError("distance and length must be non-negative")
     if i > n:
         return 0
-    counts = _walk(m, n, max_states)
-    first = _ball_size(m, i - 1) if i else 0
-    return counts[first] if first < len(counts) else 0
+    tree_guard(m, n, max_states)
+    if m == 1 and i > 1:
+        return 0
+    if n == 0:
+        return 1
+    counts = _walk(m, n - 1, max_states)
+    if i == 0:
+        return sum(counts[1 : m + 1])
+    k = m - 1
+    v = _ball_size(m, i - 1)
+    parent = (v - m - 1) // k + 1 if v > m else 0
+    return counts[parent] + sum(counts[m + 1 + (v - 1) * k : m + v * k + 1])
 
 
 def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
@@ -280,6 +301,12 @@ def free_group_count(
     Equals the walk count A_{2g}(len(target), n) on the 2g-regular tree, for
     any choice of reduced target of that length; the test suite checks the
     word-choice independence empirically.
+
+    The (2g)^(n-1) words of length n - 1 are enumerated, and the last letter
+    is taken at the target only: a word w x reduces to t exactly when w
+    reduces to t x^-1, so the count is the sum over the 2g letters x of the
+    words of length n - 1 reducing to ``reduce_word(t + (-x,))``.
+    :func:`free_group_guard` charges the (2g)^n words of length n.
     """
     if not isinstance(g, int) or g < 1:
         raise ValueError(f"need at least one generator, got g={g!r}")
@@ -292,4 +319,7 @@ def free_group_count(
     if reduce_word(target) != target:
         raise ValueError(f"target word {target!r} is not reduced")
     free_group_guard(g, n, max_states)
-    return _reductions(g, n)[_code(g, target)]
+    if n == 0:
+        return int(not target)
+    reductions = _reductions(g, n - 1)
+    return sum(reductions[_code(g, reduce_word((*target, -x)))] for k in range(1, g + 1) for x in (k, -k))

@@ -503,6 +503,10 @@ def test_huge_dp_table_is_refused_at_once(capsys):
     [
         ("walks", "-m", "3", "-n", "30", "--method", "tree"),
         ("dyck", "1", "1", "1", "-n", "30", "--method", "enum"),
+        # the first lengths over the default ceiling, though the oracle would
+        # enumerate only to the length before
+        ("walks", "-m", "3", "-n", "21", "--method", "tree"),
+        ("dyck", "1", "1", "1", "-n", "24", "--method", "enum"),
     ],
 )
 def test_huge_oracle_request_is_refused_at_once(capsys, argv):

@@ -28,7 +28,7 @@ from treewalks.oracles import (
     tree_walk_count,
 )
 from treewalks.cli import _FREE_GROUP_WORDS
-from treewalks.oracles import _ball_size, _code, _paths_by_end, _reductions, _walk
+from treewalks.oracles import _ball_size, _code, _paths_by_end, _reductions, _walk, _walks_from_root
 from treewalks.recurrence import WeightConfig, build_table, dp_row, tree_weights
 
 small_weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
@@ -190,6 +190,29 @@ def test_tallied_enumeration_matches_per_step_poids(c1, c2):
             assert enumerate_dyck(w, i, n) == sums[i, n]
 
 
+def _poids_at_length(w: WeightConfig, i: int, n: int) -> Fraction:
+    """The poids-sum read off the length-n tallies themselves, at height i."""
+    ups, downs = (n + i) // 2, (n - i) // 2
+    tallies = _paths_by_end(n)
+    return sum(
+        (count * w.c1**ups * w.c2 ** (downs - j) * w.c3**j for (h, j), count in tallies.items() if h == i),
+        Fraction(0),
+    )
+
+
+@pytest.mark.parametrize(
+    "c1,c2", itertools.product(SIGNED_WEIGHTS, repeat=2), ids=lambda c: str(c)
+)
+def test_path_last_step_matches_the_length_n_tallies(c1, c2):
+    # the oracle reads the length n - 1 tallies at heights i - 1 and i + 1;
+    # the reference reads the length-n tallies at height i, up to i = n + 1
+    c3 = SIGNED_WEIGHTS[(SIGNED_WEIGHTS.index(c1) + 2 * SIGNED_WEIGHTS.index(c2)) % len(SIGNED_WEIGHTS)]
+    w = WeightConfig(c1, c2, c3)
+    for n in range(13):
+        expected = [_poids_at_length(w, i, n) for i in range(n + 2)]
+        assert [enumerate_dyck(w, i, n) for i in range(n + 2)] == expected
+
+
 # --- walks on the truncated tree ----------------------------------------------
 
 
@@ -251,6 +274,38 @@ def test_enumeration_guards_count_the_sequences():
         dyck_guard(5, max_states=2**5 - 1)
     with pytest.raises(FeasibilityError):
         free_group_guard(2, 3, max_states=4**3 - 1)
+
+
+# the longest accepted length under the default ceiling of 10^7, per degree
+TREE_GUARD_LONGEST = {2: 3161, 3: 20, 4: 13, 5: 11, 6: 9, 7: 8, 8: 8}
+
+
+@pytest.mark.parametrize("m,longest", TREE_GUARD_LONGEST.items())
+def test_tree_guard_charges_the_walk_to_length_n(m, longest):
+    # the oracle walks only to n - 1 but is still charged the walk to n, so
+    # each refusal stays at the same length
+    tree_guard(m, longest)
+    with pytest.raises(FeasibilityError):
+        tree_guard(m, longest + 1)
+    with pytest.raises(FeasibilityError):
+        tree_walk_count(m, 0, longest + 1)
+
+
+@pytest.mark.parametrize("g,longest", [(1, 23), (2, 11), (3, 8)])
+def test_word_guard_charges_the_words_of_length_n(g, longest):
+    free_group_guard(g, longest)
+    with pytest.raises(FeasibilityError):
+        free_group_guard(g, longest + 1)
+    with pytest.raises(FeasibilityError):
+        free_group_count(g, (), longest + 1)
+
+
+def test_path_guard_charges_the_sequences_of_length_n():
+    dyck_guard(23)
+    with pytest.raises(FeasibilityError):
+        dyck_guard(24)
+    with pytest.raises(FeasibilityError):
+        enumerate_dyck(WeightConfig(1, 1, 1), 0, 24)
 
 
 def test_tree_walk_count_examples():
@@ -329,6 +384,27 @@ def test_tree_walk_matches_the_from_scratch_walk_in_shuffled_order():
         rng.shuffle(lengths)
         for n in lengths:
             assert tuple(_walk(m, n, DEFAULT_MAX_STATES)) == walk_from_scratch(m, n)[1]
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_tree_last_step_matches_the_full_walk_at_every_level(m):
+    # the count at the first vertex of each level, summed over its neighbours
+    # at length n - 1, against the walk to length n over the whole depth-n
+    # ball; at m = 1 the levels beyond distance 1 are empty and count 0
+    for n in _depths_to_ball(m):
+        levels, expected = walk_from_scratch(m, n)
+        want = [expected[level[0]] if level else 0 for level in levels]
+        assert [tree_walk_count(m, i, n) for i in range(n + 1)] == want
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_tree_memo_stops_one_length_short(m):
+    # a count at length n walks the ball only to length n - 1
+    for n in range(1, 9):
+        for i in range(n + 1):
+            tree_walk_count(m, i, n)
+            length, counts = _walks_from_root(m)
+            assert (length, len(counts)) == (n - 1, _ball_size(m, n - 1))
 
 
 def test_level_counts_are_symmetric():
@@ -421,3 +497,16 @@ def test_free_group_count_matches_per_word_reduction(g):
         reductions = [reduce_word(word) for word in itertools.product(alphabet, repeat=n)]
         for target in targets:
             assert free_group_count(g, target, n) == reductions.count(target)
+
+
+@pytest.mark.parametrize("g,n", itertools.product([1, 2, 3], range(7)))
+def test_word_last_letter_matches_the_length_n_reductions(g, n):
+    # every reduced target up to length n + 1, read off the length n - 1
+    # words against the length-n words themselves
+    expected = _reductions(g, n)
+    alphabet = [x for k in range(1, g + 1) for x in (k, -k)]
+    targets = [()]
+    for size in range(n + 1):
+        targets += [(*t, x) for t in targets if len(t) == size for x in alphabet if not t or t[-1] != -x]
+    for target in targets:
+        assert free_group_count(g, target, n) == expected[_code(g, target)]
