@@ -6,11 +6,13 @@ of length i equals the walk count A_{2g}(i, n), whichever reduced word of
 that length you pick.
 """
 
-from treewalks import build_table, free_group_count, reduce_word, tree_weights
+from treewalks import build_table, free_group_count, tree_weights
 
-print("free reduction by stack discipline:")
-for word in ([1, -1], [1, 2, -2, -1], [2, -1, 1, -2, 1]):
-    print(f"  {word} -> {list(reduce_word(word))}")
+# A product reduces by cancelling adjacent x, 1/x (letters +k, -k), and its
+# reduced word is the vertex of the Cayley tree where its walk ends.
+print("g=2, length-3 products reducing to each one-letter word:")
+print("  ", {letter: free_group_count(2, (letter,), 3) for letter in (1, -1, 2, -2)})
+print("   walks to distance 1:", int(build_table(tree_weights(4), 3).count(1, 3)))
 
 # g = 1: words over x and 1/x, i.e. walks on the integer line.
 table = build_table(tree_weights(2), 8)

@@ -16,13 +16,7 @@ no floating point appears anywhere in the computation path.
 """
 
 from .genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
-from .oracles import (
-    DEFAULT_MAX_STATES,
-    enumerate_dyck,
-    free_group_count,
-    reduce_word,
-    tree_walk_count,
-)
+from .oracles import DEFAULT_MAX_STATES, enumerate_dyck, free_group_count, tree_walk_count
 from .rationals import format_number, parse_number
 from .recurrence import FeasibilityError, WalkTable, WeightConfig, build_table, dp_row, mass_check, tree_weights
 from .series import PowerSeries
@@ -43,7 +37,6 @@ __all__ = [
     "mass_check",
     "parse_number",
     "poids_gf",
-    "reduce_word",
     "tree_gf",
     "tree_walk_count",
     "tree_weights",

@@ -7,13 +7,14 @@ of the ball one step at a time; and free-group words, by freely reducing each.
 
 Each enumerates every sequence up to length n - 1 and takes the last step at
 its target only, summing the length-(n - 1) counts over the target's
-predecessors: the tree vertex's neighbours, the reduced words t x^-1 for the
-2g letters x, the heights i - 1 and i + 1.  So every length-n walk, word and
-path is counted once, through its last step.  A tree step is a fixed number
-of C-level list passes over strided slices of the breadth-first numbering.
-The words and paths stream through one generator per letter, so those that
-share a prefix share its work.  A reduced word is one int whose base-(2g+1)
-digits are its letters, so a push or a pop is one multiplication or division.
+predecessors: the tree vertex's neighbours, the target word's 2g neighbours
+t x in the Cayley tree, the heights i - 1 and i + 1.  So every length-n walk,
+word and path is counted once, through its last step.  A tree step is a
+fixed number of C-level list passes over strided slices of the breadth-first
+numbering.  The words and paths stream through one generator per letter, so
+those that share a prefix share its work.  A reduced word is one int whose
+base-(2g+1) digits are its letters, so a push or a pop is one multiplication
+or division, and :func:`_append_letters` is the one free reduction.
 
 Each enumeration refuses inputs whose state space exceeds ``max_states``
 (default 10^7), at once at any size and before enumerating anything: its
@@ -51,7 +52,6 @@ __all__ = [
     "enumerate_dyck",
     "tree_guard",
     "tree_walk_count",
-    "reduce_word",
     "free_group_guard",
     "free_group_count",
 ]
@@ -134,9 +134,11 @@ def _walks_from_root(m: int) -> list:
     return [0, [1]]
 
 
-def _walk(m: int, n: int, max_states: int) -> list[int]:
+def _walk(m: int, n: int) -> list[int]:
     """Counts of length-n walks from the root to every vertex of the depth-n
-    ball, numbered breadth first, after :func:`tree_guard`.
+    ball, numbered breadth first.  It runs no guard: its one caller,
+    :func:`tree_walk_count`, has run :func:`tree_guard` at n + 1, and the
+    guard's charge grows with the length.
 
     Advances the memo of degree m from its length, or from the root when n is
     shorter.  With k = m - 1 the root's children are 1..m and the children
@@ -149,7 +151,6 @@ def _walk(m: int, n: int, max_states: int) -> list[int]:
     inside the depth-d ball, onto their parents in one streamed pass.  At
     m = 1 (k = 0) the root's one child has no children.
     """
-    tree_guard(m, n, max_states)
     memo = _walks_from_root(m)
     if n < memo[0]:
         memo[:] = 0, [1]
@@ -221,31 +222,13 @@ def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
         return 0
     if n == 0:
         return 1
-    counts = _walk(m, n - 1, max_states)
+    counts = _walk(m, n - 1)
     if i == 0:
         return sum(counts[1 : m + 1])
     k = m - 1
     v = _ball_size(m, i - 1)
     parent = (v - m - 1) // k + 1 if v > m else 0
     return counts[parent] + sum(counts[m + 1 + (v - 1) * k : m + v * k + 1])
-
-
-def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
-    """Freely reduce a word over generators +k and inverses -k.
-
-    Stack discipline: push each letter, pop when it cancels the letter on
-    top.  The result has no adjacent cancelling pair and reducing again is
-    a no-op.
-    """
-    stack: list[int] = []
-    for x in letters:
-        if not isinstance(x, int) or x == 0:
-            raise ValueError(f"letters are nonzero integers +-k, got {x!r}")
-        if stack and stack[-1] == -x:
-            stack.pop()
-        else:
-            stack.append(x)
-    return tuple(stack)
 
 
 def _code(g: int, word: Iterable[int]) -> int:
@@ -279,8 +262,7 @@ def _reductions(g: int, n: int) -> Counter[int]:
     keyed by its :func:`_code`.
 
     Every word streams through n chained :func:`_append_letters`, one per
-    letter, which extend the reduced stack of its prefix as :func:`reduce_word`
-    would, without its validation."""
+    letter, each extending the reduced stack of its prefix by one letter."""
     words: Iterable[int] = [0]
     for _ in range(n):
         words = _append_letters(words, g)
@@ -304,8 +286,9 @@ def free_group_count(
 
     The (2g)^(n-1) words of length n - 1 are enumerated, and the last letter
     is taken at the target only: a word w x reduces to t exactly when w
-    reduces to t x^-1, so the count is the sum over the 2g letters x of the
-    words of length n - 1 reducing to ``reduce_word(t + (-x,))``.
+    reduces to t x^-1.  As x runs over the 2g letters, so does x^-1, so the
+    count is the sum over the 2g neighbours t x of the words of length n - 1
+    reducing to each, spelled by :func:`_append_letters` from t's code.
     :func:`free_group_guard` charges the (2g)^n words of length n.
     """
     if not isinstance(g, int) or g < 1:
@@ -316,10 +299,10 @@ def free_group_count(
     for x in target:
         if not isinstance(x, int) or x == 0 or abs(x) > g:
             raise ValueError(f"target letter {x!r} outside the +-1..+-{g} alphabet")
-    if reduce_word(target) != target:
+    if any(x == -y for x, y in zip(target, target[1:])):
         raise ValueError(f"target word {target!r} is not reduced")
     free_group_guard(g, n, max_states)
     if n == 0:
         return int(not target)
     reductions = _reductions(g, n - 1)
-    return sum(reductions[_code(g, reduce_word((*target, -x)))] for k in range(1, g + 1) for x in (k, -k))
+    return sum(map(reductions.__getitem__, _append_letters([_code(g, target)], g)))

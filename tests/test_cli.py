@@ -15,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treewalks.cli as cli
@@ -637,10 +637,18 @@ def test_dyck_gf_zero_c2_is_a_usage_error_above_the_axis(capsys, i):
 
 
 SIZES = st.integers(min_value=-3, max_value=30).map(str)
+# Degrees and weights near 10^9 and 10^200: with -n <= 30 some rows print
+# values past CPython's 4300-digit str() limit.
+BIG = st.one_of(
+    st.integers(min_value=10**9 - 10**3, max_value=10**9 + 10**3),
+    st.integers(min_value=10**200, max_value=10**200 + 10**3),
+).map(str)
+DEGREES = st.one_of(SIZES, BIG)
 JUNK = st.sampled_from(["1/0", "-3", "x", "1/2", "-2/3", "0.5", "", "--", "-h", "--bogus"])
-WEIGHTS = st.one_of(SIZES, JUNK)
+WEIGHTS = st.one_of(SIZES, BIG, JUNK)
 VALUED_FLAGS = {
-    **{flag: SIZES for flag in ("-m", "-i", "-n", "--n-max", "--count", "--start", "--max-states")},
+    **{flag: SIZES for flag in ("-i", "-n", "--n-max", "--count", "--start", "--max-states")},
+    "-m": DEGREES,
     "--m-max": st.integers(min_value=-3, max_value=4).map(str),
     "--method": st.sampled_from(["dp", "gf", "tree", "enum", "x"]),
     "--format": st.sampled_from(["plain", "csv", "json", "bfile", "x"]),
@@ -649,9 +657,9 @@ VALUED_FLAGS = {
 # Each subcommand with its required arguments, so that most argv get past
 # the parser; the pieces appended after it add flags, values and junk.
 COMMANDS = st.one_of(
-    st.tuples(st.just("walks"), st.just("-m"), SIZES, st.just("-n"), SIZES),
+    st.tuples(st.just("walks"), st.just("-m"), DEGREES, st.just("-n"), SIZES),
     st.tuples(st.just("dyck"), WEIGHTS, WEIGHTS, WEIGHTS, st.just("-n"), SIZES),
-    st.tuples(st.just("bfile"), st.just("-m"), SIZES, st.just("--count"), SIZES),
+    st.tuples(st.just("bfile"), st.just("-m"), DEGREES, st.just("--count"), SIZES),
     st.tuples(st.just("verify")),
     st.tuples(JUNK),
 )
@@ -670,6 +678,10 @@ ARGV = st.builds(
 
 @settings(max_examples=200, deadline=None)
 @given(ARGV)
+# rows of values over 4300 digits, which every run of the sweep then prints
+@example(["dyck", str(10**200), str(10**200), str(10**200), "-n", "30"])
+@example(["bfile", "-m", str(10**200 + 1), "--count", "30"])
+@example(["dyck", str(10**9 + 7), str(10**200 + 1), str(10**200), "-n", "30", "--method", "gf"])
 def test_any_argv_ends_in_a_published_exit_code(argv):
     # A small default ceiling keeps the brute-force methods at desk size
     # when the argv sets none; --max-states in the argv still overrides it.

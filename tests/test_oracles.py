@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 from dyck_path_reference import paths_by_end_per_sequence
 from poids_reference import LatticePath, irreducible_components, valid_paths, weight_and_poids
 from tree_walk_reference import ball, walk_from_scratch
+from word_reference import reduce_word
+from treewalks import oracles
 from treewalks.oracles import (
-    DEFAULT_MAX_STATES,
     FeasibilityError,
     dyck_guard,
     enumerate_dyck,
     free_group_count,
     free_group_guard,
-    reduce_word,
     tree_guard,
     tree_walk_count,
 )
@@ -291,6 +291,28 @@ def test_tree_guard_charges_the_walk_to_length_n(m, longest):
         tree_walk_count(m, 0, longest + 1)
 
 
+def test_each_tree_read_runs_the_guard_once(monkeypatch):
+    # tree_walk_count guards at n once; the walk to n - 1 it then runs is
+    # covered by that charge and guards nothing again
+    calls = []
+    guard = oracles.tree_guard
+    monkeypatch.setattr(oracles, "tree_guard", lambda *args: calls.append(args[:2]) or guard(*args))
+    for m in range(1, 8):
+        for n in range(8):
+            for i in range(n + 1):
+                calls.clear()
+                tree_walk_count(m, i, n)
+                assert calls == [(m, n)]
+        calls.clear()
+        _walk(m, 7)
+        assert calls == []
+    for m, longest in TREE_GUARD_LONGEST.items():
+        calls.clear()
+        with pytest.raises(FeasibilityError):
+            tree_walk_count(m, 1, longest + 1)
+        assert calls == [(m, longest + 1)]
+
+
 @pytest.mark.parametrize("g,longest", [(1, 23), (2, 11), (3, 8)])
 def test_word_guard_charges_the_words_of_length_n(g, longest):
     free_group_guard(g, longest)
@@ -366,7 +388,7 @@ def test_tree_oracle_memo_matches_the_from_scratch_walk():
             want = [expected[level[0]] if level else 0 for level in levels]
             if k % 2:
                 assert [tree_walk_count(m, i, n) for i in range(n + 1)] == want
-            counts = _walk(m, n, DEFAULT_MAX_STATES)
+            counts = _walk(m, n)
             assert tuple(counts) == expected
             assert [tree_walk_count(m, i, n) for i in range(n + 1)] == want
             held.append((counts, expected))
@@ -383,7 +405,7 @@ def test_tree_walk_matches_the_from_scratch_walk_in_shuffled_order():
         lengths = _depths_to_ball(m)
         rng.shuffle(lengths)
         for n in lengths:
-            assert tuple(_walk(m, n, DEFAULT_MAX_STATES)) == walk_from_scratch(m, n)[1]
+            assert tuple(_walk(m, n)) == walk_from_scratch(m, n)[1]
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -412,7 +434,7 @@ def test_level_counts_are_symmetric():
     # cannot matter; check the whole distribution for m in {1, 3, 5}, n <= 6
     for m in (1, 3, 5):
         for n in range(7):
-            counts = _walk(m, n, DEFAULT_MAX_STATES)
+            counts = _walk(m, n)
             for level in ball(m, n)[1]:
                 values = {counts[v] for v in level}
                 assert len(values) <= 1
@@ -447,8 +469,13 @@ def test_free_group_count_examples():
 
 
 def test_free_group_count_validates_target():
-    with pytest.raises(ValueError):
-        free_group_count(2, (1, -1), 2)
+    # a cancelling pair anywhere in the target is refused, before the guard
+    for target in [(1, -1), (1, 2, -2), (2, -1, 1, 2), (1, 2, 1, -1), (-2, 2, 1)]:
+        with pytest.raises(ValueError) as refused:
+            free_group_count(2, target, 2)
+        assert str(refused.value) == f"target word {target!r} is not reduced"
+        with pytest.raises(ValueError, match="is not reduced"):
+            free_group_count(2, target, 100)
     with pytest.raises(ValueError):
         free_group_count(1, (2,), 3)
     with pytest.raises(ValueError):
