@@ -19,8 +19,8 @@ table = build_table(tree_weights(3), 12)
 print("degree-3 tree, returning walks:")
 print("  ", [int(table.count(0, 2 * n)) for n in range(7)])
 
-# The same numbers drop out of the closed form
-#   2(m-1) / (m-2 + m*sqrt(1 - 4(m-1)t^2)),
+# The same numbers drop out of McKay's closed form
+#   (1 - m(m-1) t L(t)) / (1 - m^2 t^2),  L(t) = t * sum_k Cat_k (m-1)^k t^(2k),
 # expanded as an exact power series.
 series = tree_gf(3, 0, 12)
 print("same sequence from the closed form:")

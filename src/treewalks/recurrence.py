@@ -103,8 +103,8 @@ class WeightConfig:
 def tree_weights(m: int) -> WeightConfig:
     """Weights (1, m-1, m) for walks on the m-regular tree.
 
-    m = 1 is accepted, though the closed-form series route rejects it: the
-    1-regular tree is a single edge, and the table is right only at its two
+    m = 1 is accepted, by the table and the closed-form series alike: the
+    1-regular tree is a single edge, and both are right only at its two
     vertices, i <= 1.  With c2 = 0 the entries for i >= 2 count lattice
     paths that have no tree vertex behind them (the tree has none there),
     so the CLI refuses m = 1 above distance 1.

@@ -54,11 +54,10 @@ def test_walks_unfiltered_by_default(capsys):
     assert out == "1 0 3 0 15\n"
 
 
-def test_walks_gf_rejects_single_edge(capsys):
-    code, out, err = run(capsys, "walks", "-m", "1", "-n", "4", "--method", "gf")
-    assert code == 2
-    assert out == ""
-    assert "m=1" in err
+def test_walks_gf_accepts_single_edge(capsys):
+    for i, row in (("0", "1 0 1 0 1 0 1\n"), ("1", "0 1 0 1 0 1 0\n")):
+        outputs = [run(capsys, "walks", "-m", "1", "-i", i, "-n", "6", "--method", method) for method in ("gf", "dp", "tree")]
+        assert outputs[0] == outputs[1] == outputs[2] == (0, row, ""), i
 
 
 def test_walks_dp_accepts_single_edge(capsys):
@@ -131,10 +130,9 @@ def test_dyck_gf_row_one(capsys):
     assert out == "0 1 0 5 0 29\n"
 
 
-def test_dyck_gf_rejects_zero_c2(capsys):
-    code, _, err = run(capsys, "dyck", "1", "0", "5", "-n", "4", "--method", "gf")
-    assert code == 2
-    assert "c2" in err
+def test_dyck_gf_accepts_zero_c2(capsys):
+    outputs = [run(capsys, "dyck", "1", "0", "3", "-n", "6", "--method", method) for method in ("gf", "dp", "enum")]
+    assert outputs[0] == outputs[1] == outputs[2] == (0, "1 0 3 0 9 0 27\n", "")
 
 
 def test_dyck_dp_accepts_zero_c2(capsys):
@@ -628,12 +626,10 @@ def test_oracle_memo_tables_hold_one_length(capsys):
     assert all(cache.cache_info().currsize <= 1 for cache in caches)
 
 
-@pytest.mark.parametrize("i", ["2", "9"])  # c2 divides the lift; beyond -n no series is built
-def test_dyck_gf_zero_c2_is_a_usage_error_above_the_axis(capsys, i):
-    code, out, err = run(capsys, "dyck", "1", "0", "5", "-i", i, "-n", "4", "--method", "gf")
-    assert code == 2
-    assert out == ""
-    assert "c2" in err
+@pytest.mark.parametrize("i", ["2", "9"])  # beyond -n the row is zero
+def test_dyck_gf_zero_c2_above_the_axis_equals_dp(capsys, i):
+    outputs = [run(capsys, "dyck", "1", "0", "5", "-i", i, "-n", "4", "--method", method) for method in ("gf", "dp")]
+    assert outputs[0] == outputs[1] == (0, "0 0 1 0 5\n" if i == "2" else "0 0 0 0 0\n", "")
 
 
 SIZES = st.integers(min_value=-3, max_value=30).map(str)

@@ -416,8 +416,10 @@ n,value
     ),
     (
         ['dyck', '1', '0', '5', '-i', '9', '-n', '4', '--method', 'gf', '--parity-filter'],
-        2,
-        "",
+        0,
+        """\
+
+""",
     ),
     (
         ['walks', '-m', '3', '-i', '5', '-n', '3', '--parity-filter', '--format', 'json'],
@@ -536,8 +538,10 @@ n,value
     ),
     (
         ['walks', '-m', '1', '-n', '4', '--method', 'gf'],
-        2,
-        "",
+        0,
+        """\
+1 0 1 0 1
+""",
     ),
     (
         ['walks', '-m', '0', '-n', '4'],
@@ -546,8 +550,10 @@ n,value
     ),
     (
         ['dyck', '1', '0', '5', '-n', '4', '--method', 'gf'],
-        2,
-        "",
+        0,
+        """\
+1 0 5 0 25
+""",
     ),
     (
         ['verify', '--m-max', '1'],

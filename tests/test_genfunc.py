@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treewalks.genfunc as genfunc
+from gf_reference import poids_reference, tree_reference
 from poids_reference import irreducible_components, valid_paths, weight_and_poids
 from treewalks.genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
 from treewalks.oracles import enumerate_dyck
 from treewalks.rationals import format_number
-from treewalks.recurrence import FeasibilityError, WeightConfig, build_table, dp_row, tree_weights
+from treewalks.recurrence import FeasibilityError, WeightConfig, build_table, dp_row, step_bits, tree_weights
 from treewalks.series import PowerSeries
 
 small_weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
@@ -152,13 +153,15 @@ def test_poids_gf_height_beyond_order():
     assert poids_gf(WeightConfig(1, 1, 1), 7, 4) == PowerSeries.zero(4)
 
 
-def test_poids_gf_rejects_zero_c2():
-    with pytest.raises(ValueError):
-        poids_gf(WeightConfig(1, 0, 5), 0, 4)
+def test_poids_gf_accepts_zero_c2():
+    # nothing divides by c2: a path steps down only onto the axis (the signed grid
+    # below compares every c2 = 0 row with dp)
+    assert decimals(poids_gf(WeightConfig(1, 0, 3), 0, 6)) == ["1", "0", "3", "0", "9", "0", "27"]
+    assert decimals(poids_gf(WeightConfig(1, 0, 5), 2, 6)) == ["0", "0", "1", "0", "5", "0", "25"]
 
 
 @settings(max_examples=30, deadline=None)
-@given(live_triples, st.integers(min_value=0, max_value=10))
+@given(weight_triples, st.integers(min_value=0, max_value=10))
 def test_poids_gf_matches_recurrence(w, n_max):
     table = build_table(w, n_max)
     for i in range(n_max + 1):
@@ -194,10 +197,15 @@ def test_tree_gf_distance_two():
 
 
 def test_tree_gf_rejects_small_degree():
-    with pytest.raises(ValueError):
-        tree_gf(1, 0, 4)
-    with pytest.raises(ValueError):
-        tree_gf(0, 0, 4)
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            tree_gf(m, 0, 4)
+
+
+def test_tree_gf_single_edge():
+    # m = 1: L = t, so d_i = t^i / (1 - t^2); test_dp_row_is_the_tree_series compares it with dp
+    assert decimals(tree_gf(1, 0, 6)) == ["1", "0", "1", "0", "1", "0", "1"]
+    assert decimals(tree_gf(1, 3, 6)) == ["0", "0", "0", "1", "0", "1", "0"]
 
 
 def test_tree_gf_distance_beyond_order():
@@ -219,7 +227,7 @@ def test_tree_gf_parity(m):
                 assert f[n] == 0
 
 
-# --- one radical per closed form, shared with no other route ---------------------------
+# --- rows take no series operation and share no series with another route -------------
 
 RATIONAL = WeightConfig(2, Fraction(1, 2), 3)
 CLOSED_FORMS = {
@@ -231,13 +239,15 @@ CLOSED_FORMS = {
 
 @pytest.mark.parametrize("i", [0, 3])
 @pytest.mark.parametrize("route", CLOSED_FORMS)
-def test_each_closed_form_takes_one_sqrt(monkeypatch, route, i):
-    gf, _ = CLOSED_FORMS[route]
-    calls = []
-    original = PowerSeries.sqrt
-    monkeypatch.setattr(PowerSeries, "sqrt", lambda self: calls.append(self) or original(self))
-    gf(i, 10)
-    assert len(calls) == 1
+def test_each_closed_form_takes_no_series_operation(monkeypatch, route, i):
+    gf, weights = CLOSED_FORMS[route]
+
+    def refuse(*args):
+        raise AssertionError("a row called a series operation")
+
+    for name in ("sqrt", "inverse", "__pow__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(PowerSeries, name, refuse)
+    assert gf(i, 10).coeffs == dp_row(weights, i, 10).coeffs
 
 
 @pytest.mark.parametrize("route", CLOSED_FORMS)
@@ -277,7 +287,22 @@ def test_size_guard_bounds_the_widest_int(monkeypatch, weights, order):
         bases.add(base)
         original(self, num, den, base, coeffs)
 
+    original_power, original_divmod = genfunc._catalan_power, divmod
+
+    def catalan_power(i, q, terms):
+        nonlocal widest
+        out = original_power(i, q, terms)
+        widest = max(widest, *(abs(x).bit_length() for x in out))
+        return out
+
+    def measured_divmod(numerator, divisor):
+        nonlocal widest
+        widest = max(widest, abs(numerator).bit_length())
+        return original_divmod(numerator, divisor)
+
     monkeypatch.setattr(PowerSeries, "_set", measured)
+    monkeypatch.setattr(genfunc, "_catalan_power", catalan_power)
+    monkeypatch.setattr(genfunc, "divmod", measured_divmod, raising=False)
     bound = genfunc._widest_int_bits(weights, order)
     scale = lcm(weights.c1.denominator, weights.c2.denominator, weights.c3.denominator)
     for i in sorted({0, 1, 3, order // 2, order}):
@@ -285,7 +310,7 @@ def test_size_guard_bounds_the_widest_int(monkeypatch, weights, order):
         poids_gf(weights, i, order)
         if weights.m is not None:
             tree_gf(weights.m, i, order)
-        assert 0 < widest <= bound, (i, widest, bound)
+        assert 0 < widest <= min(bound, (order + 1) * step_bits(weights)[0] + 2), (i, widest, bound)
     for gf in (dyck_gf, irreducible_gf):
         widest = 0
         gf(weights, order)
@@ -301,15 +326,13 @@ SIGNED_GRID = (0, 1, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), 3, Fra
 @pytest.mark.parametrize("c1", SIGNED_GRID)
 def test_dp_row_is_the_poids_series_on_a_signed_grid(c1):
     for c2, c3 in product(SIGNED_GRID, repeat=2):
-        if c2 == 0:
-            continue
         w = WeightConfig(c1, c2, c3)
         for i in (0, 1, 3, 11):
             row = dp_row(w, i, 10)
             assert row.order == 10 and row == poids_gf(w, i, 10), (w, i)
 
 
-@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("m", range(1, 9))
 def test_dp_row_is_the_tree_series(m):
     for i in (0, 1, 2, 5, 19, 20, 21, 40):
         row = dp_row(tree_weights(m), i, 20)
@@ -343,9 +366,35 @@ def test_dyck_and_irreducible_gf_are_refused_at_once(gf):
 def test_each_gf_is_guarded_once_at_the_order_asked(monkeypatch, i):
     checked = []
     original = genfunc._check_size
-    monkeypatch.setattr(genfunc, "_check_size", lambda w, order: checked.append(order) or original(w, order))
+    monkeypatch.setattr(genfunc, "_check_size", lambda w, order, series: checked.append(order) or original(w, order, series))
     routes = (partial(poids_gf, RATIONAL, i), partial(tree_gf, 3, i), partial(dyck_gf, RATIONAL), partial(irreducible_gf, RATIONAL))
     for gf in routes:
         checked.clear()
         gf(10)
         assert checked == [10], gf
+
+
+# --- the Catalan-power rows equal the radical/inverse route they replace -------------
+
+
+def test_catalan_power_is_the_lagrange_coefficient():
+    for i, q in product((0, 1, 2, 5), (0, 1, 2, -3, 10**20)):
+        assert genfunc._catalan_power(i, q, 9) == [
+            (1 if k == 0 else 0) if i == 0 else i * comb(2 * k + i, k) // (2 * k + i) * q**k for k in range(9)
+        ], (i, q)
+
+
+@pytest.mark.parametrize("c1", SIGNED_GRID)
+def test_poids_gf_equals_the_radical_route(c1):
+    for c2, c3 in product(SIGNED_GRID, repeat=2):
+        if c2 == 0:  # the radical route divides by c2
+            continue
+        w = WeightConfig(c1, c2, c3)
+        for i in (0, 1, 3, 11):
+            assert poids_gf(w, i, 30) == poids_reference(w, i, 30), (w, i)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_tree_gf_equals_the_radical_route(m):
+    for i in (0, 1, 5, 20):
+        assert tree_gf(m, i, 30) == tree_reference(m, i, 30), i
