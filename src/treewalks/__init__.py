@@ -13,13 +13,15 @@ coefficient by coefficient:
 
 All arithmetic is over arbitrary-precision integers and exact rationals;
 no floating point appears anywhere in the computation path.
+
+Every name of ``__all__`` is served from its layer module.  The layer modules
+are registered lazily: each is in ``sys.modules`` from ``import treewalks``
+on, and is compiled and executed on first use, so a ``treewalks walks``
+process never executes the generating functions, the oracles or ``verify``.
 """
 
-from .genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
-from .oracles import DEFAULT_MAX_STATES, enumerate_dyck, free_group_count, tree_walk_count
-from .rationals import format_number, parse_number
-from .recurrence import FeasibilityError, WalkTable, WeightConfig, build_table, dp_row, mass_check, tree_weights
-from .series import PowerSeries
+import importlib.util
+import sys
 
 __all__ = [
     "DEFAULT_MAX_STATES",
@@ -43,3 +45,41 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The layer module that defines each name of __all__.
+_HOMES = {
+    "rationals": ("format_number", "parse_number"),
+    "series": ("PowerSeries",),
+    "recurrence": (
+        "DEFAULT_MAX_STATES", "FeasibilityError", "WalkTable", "WeightConfig",
+        "build_table", "dp_row", "mass_check", "tree_weights",
+    ),
+    "genfunc": ("dyck_gf", "irreducible_gf", "poids_gf", "tree_gf"),
+    "oracles": ("enumerate_dyck", "free_group_count", "tree_walk_count"),
+}
+
+
+def _lazy(name: str):
+    """Register the submodule ``name`` in ``sys.modules``, to be executed on its first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+rationals, series, recurrence, genfunc, oracles, verify = map(
+    _lazy, ("rationals", "series", "recurrence", "genfunc", "oracles", "verify")
+)
+
+
+def __getattr__(name: str):
+    for home, names in _HOMES.items():
+        if name in names:
+            return getattr(globals()[home], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return list(__all__)

@@ -43,10 +43,9 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .recurrence import FeasibilityError, WeightConfig, check_cost
+from .recurrence import DEFAULT_MAX_STATES, FeasibilityError, WeightConfig, check_cost
 
 __all__ = [
-    "DEFAULT_MAX_STATES",
     "FeasibilityError",
     "dyck_guard",
     "enumerate_dyck",
@@ -55,8 +54,6 @@ __all__ = [
     "free_group_guard",
     "free_group_count",
 ]
-
-DEFAULT_MAX_STATES = 10_000_000
 
 
 def _step_paths(paths: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
@@ -99,7 +96,10 @@ def enumerate_dyck(
     lands on the axis when i = 0; only those two tallies are read.  It has
     (n + i)/2 up-steps and (n - i)/2 down-steps, so its poids is
     c1^((n+i)/2) * c2^((n-i)/2 - j) * c3^j, and the weights are applied
-    once per tally key instead of once per step.
+    once per tally key instead of once per step.  With ck = pk/qk, the sum
+    is taken on ints over the common denominator q1^ups (q2 q3)^downs,
+    where a tally key j weighs (p2 q3)^(downs-j) (p3 q2)^j, so one
+    ``Fraction`` is made per call.
     """
     if i < 0 or n < 0:
         raise ValueError("height and length must be non-negative")
@@ -112,12 +112,13 @@ def enumerate_dyck(
             tally[j] += count
         elif height == i + 1:
             tally[j + (i == 0)] += count
-    c1, c2, c3 = weights.c1, weights.c2, weights.c3
+    if not tally:  # n - i odd, or i > n
+        return Fraction(0)
+    (p1, q1), (p2, q2), (p3, q3) = (c.as_integer_ratio() for c in (weights.c1, weights.c2, weights.c3))
     ups, downs = (n + i) // 2, (n - i) // 2
-    total = Fraction(0)
-    for j, count in tally.items():
-        total += count * c1**ups * c2 ** (downs - j) * c3**j
-    return total
+    off, on = p2 * q3, p3 * q2
+    total = sum(count * off ** (downs - j) * on**j for j, count in tally.items())
+    return Fraction(p1**ups * total, q1**ups * (q2 * q3) ** downs)
 
 
 def _ball_size(m: int, depth: int) -> int:

@@ -26,6 +26,7 @@ from .rationals import Rational, format_number
 from .series import PowerSeries
 
 __all__ = [
+    "DEFAULT_MAX_STATES",
     "MAX_TABLE_BYTES",
     "FeasibilityError",
     "WeightConfig",
@@ -121,6 +122,8 @@ class FeasibilityError(RuntimeError):
 # Ceiling on the estimated memory of a dp table or a series computation.  An
 # estimate charges every int the widest width, so a dp table at it holds ~2/3.
 MAX_TABLE_BYTES = 1 << 30
+# Default ceiling on the states (paths, edge moves, words) a brute-force oracle enumerates.
+DEFAULT_MAX_STATES = 10_000_000
 
 
 def check_cost(what: Callable[[], str], estimate: int | tuple[int, int], ceiling: int, unit: str) -> None:

@@ -1,0 +1,155 @@
+"""Cross-method checks: each route to A(i, n) against dp, and each identity.
+
+Each check of ``treewalks verify`` is one row of ``CHECKS``, opened on the
+weight configurations of its scope (:data:`treewalks.routes.SCOPES`); the
+acceptance suite runs the same rows at larger sizes.  The checks call the
+library through its layer modules, looked up when they run, so a patch of a
+layer module's function (a corrupted route in a test, the benchmark's
+tracer) reaches every check.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import cache, partial
+from itertools import product
+from typing import Callable, Optional
+
+from . import genfunc, oracles, rationals, recurrence
+from .recurrence import WalkTable, WeightConfig
+from .routes import ROUTES, SCOPES
+from .series import PowerSeries
+
+__all__ = ["CHECKS", "open_check", "open_checks"]
+
+Check = tuple[str, Callable[[], Optional[str]]]
+
+
+def _mismatch(label: str, expected: Fraction, got: Fraction) -> str:
+    return f"{label}: expected {rationals.format_number(expected)}, got {rationals.format_number(got)}"
+
+
+def _check_mass(table: WalkTable, weights: WeightConfig, order: int) -> Optional[str]:
+    m = weights.m
+    for n in range(order + 1):
+        total = recurrence.mass_check(m, n, table)
+        if total != Fraction(m) ** n:
+            return _mismatch(f"m={m} n={n} vertex-weighted total vs m^n", Fraction(m) ** n, total)
+    return None
+
+
+def _check_parity(table: WalkTable, weights: WeightConfig, order: int) -> Optional[str]:
+    # The table stores only the reachable cells i = n, n-2, ...; every other entry is zero.
+    for n in range(order + 1):
+        if len(table.columns[n]) != n // 2 + 1:
+            return f"weights {weights.describe()} n={n}: {len(table.columns[n])} cells stored, {n // 2 + 1} reachable"
+    return None
+
+
+def _check_algebra(_table: WalkTable, weights: WeightConfig, order: int) -> Optional[str]:
+    q = weights.c1 * weights.c2
+    radicand = PowerSeries([1, 0, -4 * q] + [0] * max(0, order - 2))
+    s = radicand.sqrt()
+    if s * s != radicand:
+        return f"weights {weights.describe()}: sqrt squared differs from its radicand"
+    a = genfunc.dyck_gf(weights, order)
+    quad = (a * a * q).shift_mul(2).truncate(order) - a + PowerSeries.one(order)
+    if quad != PowerSeries.zero(order):
+        return f"weights {weights.describe()}: quadratic residual is nonzero"
+    if q != 0:
+        b, _ = genfunc.irreducible_gf(weights, order)
+        if a != (PowerSeries.one(order) - b).inverse():
+            return f"weights {weights.describe()}: a differs from 1/(1-b)"
+        if b != (a * q).shift_mul(2).truncate(order):
+            return f"weights {weights.describe()}: b differs from c1*c2*t^2*a"
+    if weights.c2 != 0:
+        d = genfunc.poids_gf(weights, 0, order)
+        lift = a * weights.c1
+        for i in range(1, min(6, order) + 1):
+            direct = genfunc.poids_gf(weights, i, order)
+            factored = (d * lift**i).shift_mul(i).truncate(order)
+            if direct != factored:
+                return f"weights {weights.describe()} i={i}: d_i differs from d*(c1*t*a)^i"
+    return None
+
+
+# The cells (label, i, n, key) of a comparison: the full square row by row
+# for gf (a reader keeps one row), the corner i <= n length by length for the
+# oracles (a memo holds one length), and target words length-major for the
+# free group (one word enumeration per length).
+def _square(where: str, weights: WeightConfig, order: int) -> list:
+    return [(f"{where} i={i} n={n}", i, n, i) for i, n in product(range(order + 1), repeat=2)]
+
+
+def _corner(where: str, weights: WeightConfig, order: int) -> list:
+    return [(f"{where} i={i} n={n}", i, n, i) for n in range(order + 1) for i in range(n + 1)]
+
+
+_FREE_GROUP_WORDS = {1: [(), (1,), (-1,), (1, 1), (-1, -1)], 2: [(), (1,), (-2,), (1, 2), (2, -1)]}
+
+
+def _words(where: str, weights: WeightConfig, order: int) -> list:
+    targets = [target for target in _FREE_GROUP_WORDS[weights.m // 2] if len(target) <= order]
+    return [(f"{where} target={target} n={n}", len(target), n, target) for n in range(order + 1) for target in targets]
+
+
+def _free_group_route(weights: WeightConfig, order: int, states: int) -> Callable[[tuple, int], int]:
+    """Opener, as in ROUTES, of the words reducing to a target on the 2g-regular tree; runs the guard."""
+    g = weights.m // 2
+    return oracles.free_group_guard(g, order, states) or partial(oracles.free_group_count, g, max_states=states)
+
+
+# Every check of verify, in output order: (scope, title template, oracle cap
+# or None, check).  The cap is the largest order an oracle sweeps in seconds;
+# the rest run to the full requested order.  A check is a function (table,
+# weights, order) -> failure or None, or a comparison with dp, (cells,
+# readers): readers are (FAIL-line label, opener), and an opener's reader
+# maps a cell's (key, n) to the value dp gives A(i, n).
+CHECKS: tuple[tuple[str, str, Optional[int], object], ...] = (
+    ("tree", "dp = gf = closed form, {where}, n<={order}", None,
+     (_square, (("closed form", ROUTES["walks", "gf"]), ("constructed gf", ROUTES["dyck", "gf"])))),
+    ("tree", "dp = tree oracle, {where}, n<={order}", 10, (_corner, (("tree oracle", ROUTES["walks", "tree"]),))),
+    ("tree", "mass conservation sum V_m(i)*A(i,n) = m^n, {where}", None, _check_mass),
+    ("tree", "parity vanishing, {where}", None, _check_parity),
+    ("dyck", "dp = gf, {where}, n<={order}", None, (_square, (("gf", ROUTES["dyck", "gf"]),))),
+    ("dyck", "dp = path enumeration, {where}, n<={order}", 14, (_corner, (("enumeration", ROUTES["dyck", "enum"]),))),
+    ("dyck", "series algebra (sqrt, quadratic, d_i factoring), {where}", None, _check_algebra),
+    ("dyck", "parity vanishing, {where}", None, _check_parity),
+    ("freegroup", "dp = free-group words, {where}, n<={order}", 8, (_words, (("free-group count", _free_group_route),))),
+)
+
+
+def open_check(row: tuple, where: str, weights: WeightConfig, n_max: int, max_states: int, table: Callable) -> Check:
+    """One CHECKS row on one weight configuration, as (title, run), reading ``table(weights)`` when
+    run.  Its oracle guards run now, at the row's cap: an oversized check is refused before any runs."""
+    _, template, cap, check = row
+    order = n_max if cap is None else min(n_max, cap)
+    title = template.format(where=where, order=order)
+    if callable(check):
+        return title, lambda: check(table(weights), weights, order)
+    cells, routes = check
+    readers = [(label, opener(weights, order, max_states)) for label, opener in routes]
+
+    def compare() -> Optional[str]:
+        dp_table = table(weights)
+        for label, i, n, key in cells(where, weights, order):
+            dp = dp_table.count(i, n)
+            for name, read in readers:
+                got = read(key, n)
+                if got != dp:
+                    return _mismatch(f"{label} {name} vs dp", dp, got)
+        return None
+
+    return title, compare
+
+
+def open_checks(scope: str, n_max: int, m_max: int, max_states: int) -> list[Check]:
+    """Every CHECKS row of ``scope`` (or of "all"), opened on each weight configuration of its
+    scope, in output order; the rows share one dp table per weight configuration."""
+    table = cache(lambda weights: recurrence.build_table(weights, n_max))
+    return [
+        open_check(row, where, weights, n_max, max_states, table)
+        for row in CHECKS
+        if scope in (row[0], "all")
+        for where, weights in SCOPES[row[0]](m_max)
+    ]

@@ -14,10 +14,10 @@ from math import comb
 
 import pytest
 
-from treewalks.cli import CHECKS, ROUTES, SCOPES, open_check
 from treewalks.genfunc import poids_gf, tree_gf
-from treewalks.oracles import DEFAULT_MAX_STATES
-from treewalks.recurrence import WeightConfig, WalkTable, build_table, tree_weights
+from treewalks.recurrence import DEFAULT_MAX_STATES, WeightConfig, WalkTable, build_table, tree_weights
+from treewalks.routes import ROUTES, SCOPES
+from treewalks.verify import CHECKS, open_check
 
 # Cross-checked sequence prefixes, vendored from the OEIS rather than fetched:
 # even-length return counts on the m-regular tree for m = 2, 3, 4.
@@ -35,7 +35,7 @@ GENERAL_TRIPLES = (
 TRIPLES = [(f"weights {w.describe()}", w) for w in GENERAL_TRIPLES]
 TREES = SCOPES["tree"]  # (where, weights) for the degrees m = 2..m_max
 
-# The size of each cli.CHECKS row here, keyed by (scope, title template):
+# The size of each verify.CHECKS row here, keyed by (scope, title template):
 # (weight configurations, order).  Each is at least verify's default size.
 SIZES = {
     ("tree", "dp = gf = closed form, {where}, n<={order}"): (TREES(8), 60),
@@ -77,7 +77,7 @@ def table(weights: WeightConfig, n_max: int) -> WalkTable:
 
 
 def run_rows(*keys: tuple[str, str]) -> None:
-    """Run each keyed row of cli.CHECKS on its SIZES, as verify runs it."""
+    """Run each keyed row of verify.CHECKS on its SIZES, as verify runs it."""
     for key in keys:
         row = next(row for row in CHECKS if row[:2] == key)
         configs, order = SIZES[key]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -19,10 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treewalks.cli as cli
+import treewalks.genfunc as genfunc
 import treewalks.oracles as oracles
+import treewalks.recurrence as recurrence
+import treewalks.routes as routes
+import treewalks.verify as verify
 from treewalks.rationals import parse_number
-from treewalks.oracles import DEFAULT_MAX_STATES
-from treewalks.recurrence import MAX_TABLE_BYTES, build_table, tree_weights
+from treewalks.recurrence import DEFAULT_MAX_STATES, MAX_TABLE_BYTES, build_table, tree_weights
 
 
 def run(capsys, *argv):
@@ -255,7 +259,7 @@ def test_verify_tree_scope_defaults_to_degree_four(capsys):
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "enumerate_dyck", lambda w, i, n, max_states=0: Fraction(999))
+    monkeypatch.setattr(oracles, "enumerate_dyck", lambda w, i, n, max_states=0: Fraction(999))
     code, out, _ = run(capsys, "verify", "--scope", "dyck", "-n", "4")
     assert code == 1
     assert "FAIL" in out
@@ -264,7 +268,7 @@ def test_verify_reports_failures(capsys, monkeypatch):
 
 def test_verify_builds_one_table_per_weight_config(capsys, monkeypatch):
     built = []
-    monkeypatch.setattr(cli, "build_table", lambda w, n_max: built.append(w) or build_table(w, n_max))
+    monkeypatch.setattr(recurrence, "build_table", lambda w, n_max: built.append(w) or build_table(w, n_max))
     code, _, _ = run(capsys, "verify", "--scope", "all", "-n", "5", "--m-max", "5")
     assert code == 0
     assert len(built) == len(set(built)) == 7  # degrees 2..5 plus three non-tree triples
@@ -276,7 +280,7 @@ def test_parity_check_fails_on_a_stored_unreachable_cell(capsys, monkeypatch):
         table.columns[3].append(0)  # a cell that no reachable (i, 3) reads
         return table
 
-    monkeypatch.setattr(cli, "build_table", build)
+    monkeypatch.setattr(recurrence, "build_table", build)
     code, out, _ = run(capsys, "verify", "--scope", "tree", "-n", "4", "--m-max", "2")
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
@@ -285,17 +289,17 @@ def test_parity_check_fails_on_a_stored_unreachable_cell(capsys, monkeypatch):
 
 
 def test_every_route_is_compared_with_dp_in_verify():
-    compared = {opener for *_, check in cli.CHECKS if not callable(check) for _, opener in check[1]}
-    keys = {route: key for key, route in cli.ROUTES.items()}
-    assert {keys[opener] for opener in compared if opener in keys} == {key for key in cli.ROUTES if key[1] != "dp"}
+    compared = {opener for *_, check in verify.CHECKS if not callable(check) for _, opener in check[1]}
+    keys = {route: key for key, route in routes.ROUTES.items()}
+    assert {keys[opener] for opener in compared if opener in keys} == {key for key in routes.ROUTES if key[1] != "dp"}
     assert len(compared - set(keys)) == 1  # the free-group words, which no subcommand reads
 
 
 def test_gf_reader_builds_each_row_when_read_and_keeps_only_the_last(monkeypatch):
     built = []
-    original = cli.tree_gf
-    monkeypatch.setattr(cli, "tree_gf", lambda m, i, order: built.append(i) or original(m, i, order))
-    read = cli.ROUTES["walks", "gf"](tree_weights(3), 4, 0)
+    original = genfunc.tree_gf
+    monkeypatch.setattr(genfunc, "tree_gf", lambda m, i, order: built.append(i) or original(m, i, order))
+    read = routes.ROUTES["walks", "gf"](tree_weights(3), 4, 0)
     assert built == []
     assert [read(1, n) for n in range(5)] == [0, 1, 0, 5, 0]
     read(0, 0)
@@ -422,13 +426,18 @@ sys.exit(code)
 """
 
 
-def _fresh_main(*argv):
+def _fresh(*args):
+    """Exit code, stdout and stderr of a fresh interpreter run with ``args``, this checkout's
+    sources first on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", STARTUP, *argv], capture_output=True, text=True, env=env, timeout=60
-    )
-    return done.returncode, done.stdout, set(done.stderr.split())
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _fresh_main(*argv, script=STARTUP):
+    code, out, err = _fresh("-c", script, *argv)
+    return code, out, set(err.split())
 
 
 def test_startup_loads_no_dataclasses_inspect_or_json():
@@ -436,6 +445,60 @@ def test_startup_loads_no_dataclasses_inspect_or_json():
     assert (code, out) == (0, "1\n")
     assert "treewalks.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "json"}
+
+
+# Runs main in a fresh interpreter and reports on stderr the treewalks modules
+# the run executed: a layer module registered lazily and never used is still
+# a subclass of ModuleType, not ModuleType itself.
+EXECUTED = """
+import sys, types
+from treewalks.cli import main
+code = main(sys.argv[1:])
+executed = [name for name, module in sys.modules.items() if name.startswith("treewalks.") and type(module) is types.ModuleType]
+print(" ".join(executed), file=sys.stderr)
+sys.exit(code)
+"""
+
+ALWAYS = {"treewalks.cli", "treewalks.rationals", "treewalks.recurrence", "treewalks.routes", "treewalks.series"}
+
+
+@pytest.mark.parametrize(
+    "argv,layers",
+    [
+        (("walks", "-m", "3", "-n", "6", "--method", "dp"), set()),
+        (("bfile", "-m", "3", "--count", "4"), set()),
+        (("dyck", "1/2", "-1", "2", "-n", "6"), set()),
+        (("walks", "-m", "3", "-n", "6", "--method", "gf"), {"treewalks.genfunc"}),
+        (("dyck", "1/2", "-1", "2", "-n", "6", "--method", "gf"), {"treewalks.genfunc"}),
+        (("walks", "-m", "3", "-n", "6", "--method", "tree"), {"treewalks.oracles"}),
+        (("dyck", "1/2", "-1", "2", "-n", "6", "--method", "enum"), {"treewalks.oracles"}),
+        (("verify", "--scope", "all", "-n", "2", "--m-max", "2"), {"treewalks.genfunc", "treewalks.oracles", "treewalks.verify"}),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,
+)
+def test_a_command_executes_only_the_layers_it_runs(argv, layers):
+    code, _, executed = _fresh_main(*argv, script=EXECUTED)
+    assert code == 0
+    assert executed == ALWAYS | layers
+
+
+def test_importing_the_cli_registers_every_traced_layer():
+    # the benchmark's tracer reads sys.modules["treewalks.<layer>"] right after `import treewalks.cli`
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    layers = ast.literal_eval(re.search(r"^LAYERS = (.*)$", path.read_text(), re.M)[1])
+    script = "import sys, treewalks.cli; print(' '.join(sys.modules), file=sys.stderr)"
+    code, _, registered = _fresh("-c", script)
+    assert code == 0
+    assert {f"treewalks.{layer}" for layer in layers} <= set(registered.split())
+
+
+def test_module_entry_point_never_imports_treewalks_cli():
+    # under -m the CLI runs as __main__; a second, imported copy would compile cli.py again
+    code, out, err = _fresh("-X", "importtime", "-m", "treewalks.cli", "verify", "--scope", "all", "-n", "2", "--m-max", "2")
+    assert (code, out.splitlines()[-1]) == (0, "30/30 checks passed")
+    imported = {line.rpartition("|")[2].strip() for line in err.splitlines() if line.startswith("import time:")}
+    assert "treewalks" in imported
+    assert "treewalks.cli" not in imported
 
 
 def test_json_format_still_prints_its_record_in_a_fresh_process():
@@ -525,8 +588,8 @@ def test_huge_oracle_request_is_refused_at_once(capsys, argv):
 )
 def test_oversized_oracle_request_is_refused_before_any_oracle_call(capsys, monkeypatch, argv, oracle):
     calls = []
-    original = getattr(cli, oracle)
-    monkeypatch.setattr(cli, oracle, lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    original = getattr(oracles, oracle)
+    monkeypatch.setattr(oracles, oracle, lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
     code, out, _ = run(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -598,7 +661,7 @@ def test_memory_error_exits_infeasible(capsys, monkeypatch, route, argv):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, route, exhausted)
+    monkeypatch.setattr(recurrence, route, exhausted)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""

@@ -10,6 +10,9 @@ from __future__ import annotations
 import pytest
 
 import treewalks.cli as cli
+import treewalks.genfunc as genfunc
+import treewalks.oracles as oracles
+import treewalks.recurrence as recurrence
 from treewalks.recurrence import WalkTable
 
 GOLDEN = [
@@ -606,7 +609,7 @@ def test_dp_routes_build_no_table(capsys, monkeypatch, argv, code, stdout):
     def whole_table(*args):
         raise AssertionError("a dp route built the whole table")
 
-    monkeypatch.setattr(cli, "build_table", whole_table)
+    monkeypatch.setattr(recurrence, "build_table", whole_table)
     assert cli.main(list(argv)) == code
     assert capsys.readouterr().out == stdout
 
@@ -662,8 +665,9 @@ def _doubled_origin(build_table):
     ],
 )
 def test_verify_catches_each_corrupted_route(capsys, monkeypatch, route, scope, fail_line):
-    original = getattr(cli, route)
-    monkeypatch.setattr(cli, route, _doubled_origin(original) if route == "build_table" else _doubled(original))
+    home = next(layer for layer in (recurrence, genfunc, oracles) if route in layer.__all__)
+    original = getattr(home, route)
+    monkeypatch.setattr(home, route, _doubled_origin(original) if route == "build_table" else _doubled(original))
     m_max = ["--m-max", "2"] if scope == "tree" else []  # only --scope tree and all read it
     assert cli.main(["verify", "--scope", scope, "-n", "4", *m_max]) == 1
     assert fail_line in capsys.readouterr().out.splitlines()

@@ -19,7 +19,9 @@ MODULES = (
     "treewalks.oracles",
     "treewalks.rationals",
     "treewalks.recurrence",
+    "treewalks.routes",
     "treewalks.series",
+    "treewalks.verify",
 )
 
 
@@ -70,3 +72,18 @@ def _unused_imports(path: Path) -> list[str]:
 def test_every_import_is_used_or_exported(path):
     unused = _unused_imports(path)
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def test_star_import_and_dir_give_exactly_all():
+    import treewalks
+
+    namespace: dict = {}
+    exec("from treewalks import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(treewalks.__all__) == dir(treewalks)
+    layers = [importlib.import_module(f"treewalks.{name}") for name in ("rationals", "series", "recurrence", "genfunc", "oracles")]
+    for name, value in namespace.items():
+        home = next(layer for layer in layers if name in layer.__all__)
+        assert value is getattr(home, name) is getattr(treewalks, name), name
+    with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
+        treewalks.cli_main

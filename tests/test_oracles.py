@@ -27,9 +27,9 @@ from treewalks.oracles import (
     tree_guard,
     tree_walk_count,
 )
-from treewalks.cli import _FREE_GROUP_WORDS
 from treewalks.oracles import _ball_size, _code, _paths_by_end, _reductions, _walk, _walks_from_root
 from treewalks.recurrence import WeightConfig, build_table, dp_row, tree_weights
+from treewalks.verify import _FREE_GROUP_WORDS
 
 small_weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
 
@@ -188,6 +188,23 @@ def test_tallied_enumeration_matches_per_step_poids(c1, c2):
     for n in range(13):
         for i in range(n + 1):
             assert enumerate_dyck(w, i, n) == sums[i, n]
+
+
+GRID_WEIGHTS = (Fraction(0), Fraction(1), Fraction(-3), Fraction(1, 2), Fraction(-5, 4))
+
+
+def test_common_denominator_weights_match_dp_rows():
+    # the full grid holds c1 = 0, c2 = 0, c3 = 0 and c2 = c3, signed and non-integral;
+    # i runs to n + 1, so odd n - i and i > n are asked too
+    order = 10
+    configs = [WeightConfig(*c) for c in itertools.product(GRID_WEIGHTS, repeat=3)]
+    rows = {(w, i): dp_row(w, i, order) for w in configs for i in range(order + 2)}
+    for n in range(order + 1):
+        for w in configs:
+            for i in range(n + 2):
+                got = enumerate_dyck(w, i, n)
+                assert type(got) is Fraction
+                assert got == rows[w, i][n], (w, i, n)
 
 
 def _poids_at_length(w: WeightConfig, i: int, n: int) -> Fraction:
