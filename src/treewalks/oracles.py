@@ -9,10 +9,11 @@ Each enumerates every sequence up to length n - 1 and takes the last step at
 its target only, summing the length-(n - 1) counts over the target's
 predecessors: the tree vertex's neighbours, the target word's 2g neighbours
 t x in the Cayley tree, the heights i - 1 and i + 1.  So every length-n walk,
-word and path is counted once, through its last step.  A tree step is a
-fixed number of C-level list passes over strided slices of the breadth-first
-numbering.  The words and paths stream through one generator per letter, so
-those that share a prefix share its work.  A reduced word is one int whose
+word and path is counted once, through its last step.  A tree step runs
+C-level list passes over strided slices of the breadth-first numbering, a
+fixed chunk of the old ball at a time, so it holds the old and new balls
+plus one chunk's temporaries.  The words and paths stream through one
+generator per letter, so those that share a prefix share its work.  A reduced word is one int whose
 base-(2g+1) digits are its letters, so a push or a pop is one multiplication
 or division, and :func:`_append_letters` is the one free reduction.
 
@@ -135,6 +136,13 @@ def _walks_from_root(m: int) -> list:
     return [0, [1]]
 
 
+# Slots of the old ball that a tree step reads per chunk, so each temporary
+# list holds at most this many pointers (64 KiB).  A chunk's own loop costs
+# 1-2 us (Python 3.11, 2-core x86-64 VM), under 1% of the slice work it
+# drives; at 4096 it is over 1% at m = 5.
+_CHUNK = 8192
+
+
 def _walk(m: int, n: int) -> list[int]:
     """Counts of length-n walks from the root to every vertex of the depth-n
     ball, numbered breadth first.  It runs no guard: its one caller,
@@ -146,11 +154,13 @@ def _walk(m: int, n: int) -> list[int]:
     of a vertex v >= 1 are m+1+(v-1)k .. m+vk, so the j-th children of the
     vertices 1, 2, ... sit at the stride-k slice from m+1+j.  A step to the
     depth-(d + 1) ball, the farthest a walk can then reach, moves every walk
-    along each edge in a fixed number of list passes: down by slice
-    assignment, from the root to 1..m and from 1, 2, ... to their j-th
-    children, and up by adding the k stride-k slices of children, read only
-    inside the depth-d ball, onto their parents in one streamed pass.  At
-    m = 1 (k = 0) the root's one child has no children.
+    along each edge by list passes: down by slice assignment, from the root
+    to 1..m and from each chunk of 1, 2, ... to the chunk's j-th children,
+    and up by adding the k stride-k slices of children, read only inside the
+    depth-d ball, onto each chunk of their parents in one streamed pass.  A
+    chunk reads at most :data:`_CHUNK` slots of the old ball, so a step holds
+    the new ball, the old one and a few chunk-sized temporaries, whatever
+    the ball's size.  At m = 1 (k = 0) the root's one child has no children.
     """
     memo = _walks_from_root(m)
     if n < memo[0]:
@@ -163,15 +173,22 @@ def _walk(m: int, n: int) -> list[int]:
         fresh[1 : m + 1] = [counts[0]] * m
         fresh[0] = sum(counts[1 : m + 1])
         if k:
-            below = counts[1:]
-            for j in range(k):
-                fresh[m + 1 + j :: k] = below
-            del below  # freed before the k child slices are held at once
+            for a in range(1, reached, _CHUNK):
+                above = counts[a : a + _CHUNK]
+                start = m + 1 + (a - 1) * k
+                stop = start + len(above) * k
+                for j in range(k):
+                    fresh[start + j : stop : k] = above
             parents = max(0, reached - m - 1) // k  # 1..parents have children in the ball
-            up = fresh[1 : parents + 1]
-            for j in range(k):
-                up = map(add, up, counts[m + 1 + j : reached : k])
-            fresh[1 : parents + 1] = up
+            chunk = max(1, _CHUNK // k)
+            for a in range(1, parents + 1, chunk):
+                b = min(a + chunk, parents + 1)
+                start = m + 1 + (a - 1) * k
+                stop = m + 1 + (b - 1) * k
+                up = fresh[a:b]
+                for j in range(k):
+                    up = map(add, up, counts[start + j : stop : k])
+                fresh[a:b] = up
         length += 1
         counts = fresh
         memo[:] = length, counts

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import struct
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -414,7 +417,7 @@ def test_tree_oracle_memo_matches_the_from_scratch_walk():
         assert tuple(counts) == expected
 
 
-def test_tree_walk_matches_the_from_scratch_walk_in_shuffled_order():
+def _check_walks_in_shuffled_order():
     # every length whose ball has at most 10^4 vertices, up to 200 at m <= 2,
     # asked in shuffled order so the memo both advances and restarts
     rng = random.Random(0)
@@ -423,6 +426,36 @@ def test_tree_walk_matches_the_from_scratch_walk_in_shuffled_order():
         rng.shuffle(lengths)
         for n in lengths:
             assert tuple(_walk(m, n)) == walk_from_scratch(m, n)[1]
+
+
+def test_tree_walk_matches_the_from_scratch_walk_in_shuffled_order():
+    _check_walks_in_shuffled_order()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_tree_walk_matches_the_from_scratch_walk_across_chunk_seams(monkeypatch, chunk):
+    # chunks of one vertex, a partial last chunk, and up-pass chunks whose
+    # parents span levels: no seam may drop or double a count
+    monkeypatch.setattr(oracles, "_CHUNK", chunk)
+    _walks_from_root.cache_clear()
+    _check_walks_in_shuffled_order()
+
+
+@pytest.mark.parametrize("m,n,chunk", [(2, 600, 64), (3, 15, None), (5, 9, None)])
+def test_a_tree_step_holds_its_two_balls_and_a_fixed_chunk(monkeypatch, m, n, chunk):
+    # a step keeps the new ball; over that it may hold the old ball and a few
+    # chunk-sized temporaries, never another copy of the old ball per pass
+    if chunk:
+        monkeypatch.setattr(oracles, "_CHUNK", chunk)
+    assert _ball_size(m, n - 1) >= 4 * oracles._CHUNK
+    old = _walk(m, n - 1)
+    tracemalloc.start()
+    try:
+        _walk(m, n)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= sys.getsizeof(old) + 4 * oracles._CHUNK * struct.calcsize("P")
 
 
 @pytest.mark.parametrize("m", range(1, 8))
