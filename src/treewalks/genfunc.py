@@ -9,12 +9,10 @@ algebraic solution of that counting system.  Everything is a rational
 function of a(t), the power-series root of (c1*c2*t^2) * a^2 - a + 1 = 0:
 
 * ``dyck_gf``            a(t) itself, the weight enumerator of paths ending
-                         on the axis, from its radical (one sqrt per call):
-                         a(t) = (1 - sqrt(1 - 4*c1*c2*t^2)) / (2*c1*c2*t^2).
+                         on the axis.
 * ``irreducible_gf``     the pair (b, c) enumerating irreducible paths
                          (on the axis only at their endpoints) by weight and
-                         by poids: b = c1*c2*t^2 * a, c = (c3/c2) * b, from
-                         the same radical.
+                         by poids: b = c1*c2*t^2 * a, c = c1*c3*t^2 * a.
 * ``poids_gf``           d_i(t), whose t^n coefficient is A(i, n).  A path
                          ending on the axis is a free sequence of irreducible
                          components, so d_0 = 1/(1 - c); a path ending at
@@ -29,28 +27,25 @@ function of a(t), the power-series root of (c1*c2*t^2) * a^2 - a + 1 = 0:
                          It shares no code with ``poids_gf`` but the
                          coefficients of a^i, so the two cross-check.
 
-The two rows need no series operation: by Lagrange inversion
+No function here takes a series operation: by Lagrange inversion
 [t^(2k)] a^i = i/(2k+i) * C(2k+i, k) * (c1*c2)^k, each coefficient follows
-from the one before by an exact integer ratio (:func:`_catalan_power`), and
-dividing by the binomial denominator in t^2 is one pass over the row.  A row
-is O(n) operations on ints of O(n) bits.
+from the one before by an exact integer ratio (:func:`_catalan_power`).
+a(t), b and c are one such list, scaled; a row divides by the binomial
+denominator in t^2 in one pass.  Each series is O(n) operations on ints of
+O(n) bits.
 
 Each public function estimates its memory before building anything, and
 :func:`~treewalks.recurrence.check_cost` refuses one over ``MAX_TABLE_BYTES``.
 
-The removable t^2 (or t) factors of the radical are handled by exact shift
-division with a hard zero check on the low coefficients, and the rows'
-divisions by a hard zero check on the remainder, never by symbolic
-limit-taking: a nonzero remainder means an algebra bug and raises
-immediately.  All arithmetic is exact, so agreement with the recurrence
-table is coefficient for coefficient.
+A row's division that leaves a remainder means an algebra bug and raises
+at once.  All arithmetic is exact, so agreement with the recurrence table
+is coefficient for coefficient.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .rationals import Rational
 from .recurrence import MAX_TABLE_BYTES, WeightConfig, check_cost, int_bytes, step_bits, tree_weights
 from .series import PowerSeries
 
@@ -65,10 +60,10 @@ def _check_order(order: int) -> None:
 # A Fraction object and its slot in the cached tuple.
 _FRACTION_BYTES = 56
 
-# Live int lists of order + 3 ints, at most, that each route holds at once:
-# a row holds two Catalan-power lists of order // 2 + 1 ints and the row;
-# the radical route about three series.
-_ROW_SERIES, _RADICAL_SERIES = 2, 3
+# The objects a call builds whatever its order: the weights, the series and
+# the headers of their lists and tuples.  tracemalloc reads at most 1.2 KiB
+# (CPython 3.11, order 0).
+_CALL_BYTES = 1536
 
 
 def _widest_int_bits(weights: WeightConfig, order: int) -> int:
@@ -78,50 +73,45 @@ def _widest_int_bits(weights: WeightConfig, order: int) -> int:
     return (order + 2) * (numerator + denominator)
 
 
-def _check_size(weights: WeightConfig, order: int, series: int) -> None:
-    """Refuse, before building anything, a computation that would hold more
-    than ``MAX_TABLE_BYTES`` in ``series`` live lists of order + 3 ints.
+def _check_size(weights: WeightConfig, order: int) -> None:
+    """Refuse, before building anything, a call that would hold more than
+    ``MAX_TABLE_BYTES``: two lists of order + 3 ints, one cached
+    ``Fraction`` tuple, and ``_CALL_BYTES``.
 
-    Let M and log2(D) be the bits of :func:`step_bits`, with D the lcm of
-    the weight denominators and u, v, x = D*c1, D*c2, D*c3.
+    With M and log2(D) the bits of :func:`step_bits` and u, v, x = D*c1,
+    D*c2, D*c3, every int built here is a coefficient [t^(2k)] a^j at D*t,
+    that times a weight or two, a row entry N_n = A(i, n) * D^n, or the
+    (v - x) * N_n that a row divides: at most a few terms
+    C(2k + j, k) * |u|^(k+j) * |v|^k times weights, each one term of
+    max(|u| + |v|, |x|)^n at t^n.  So none is wider than (order + 1) * M + 2
+    bits, and each is charged the wider ``_widest_int_bits``.
 
     * A row (``poids_gf``, ``tree_gf``) holds two Catalan-power lists of
-      order // 2 + 1 ints and the row of order + 1 ints: two such lists.
-      Its ints are the coefficients [t^(2k)] a^j at D*t (j = i, i + 1),
-      the row N_n = A(i, n) * D^n, and the numerators (v - x) * N_n that
-      the row divides.  Each is at most a few terms
-      C(2k + j, k) * |u|^(k+j) * |v|^k times a weight, and that product is
-      one term of (|u| + |v|)^(2k+j), so no int is wider than
-      (order + 1) * M + 2 bits.
-    * The radical route (``dyck_gf``, ``irreducible_gf``) holds about three
-      series of order + 3 coefficients (a few more are alive at once, but
-      most of their ints are narrower).  The series kernel stores c_k as
-      num_k / (den * base^k), and every base here divides D^2: the sqrt
-      grades by the denominator of 4*c1*c2 (times 4 when a halving is not
-      exact, which needs an even D).  A coefficient of t^k is at most
-      (M/D)^k, and den * base^k adds at most 2*log2(D) bits per power of t.
+      order // 2 + 1 ints and the row of order + 1 ints: the two lists.
+    * ``dyck_gf`` holds one Catalan-power list, which its row shares.
+    * ``irreducible_gf`` holds one Catalan-power list and two rows of
+      order // 2 ints each, and returns two series whose tuples may both
+      be cached.  b and c vanish at t^0 and every odd power, so the two
+      tuples hold no more nonzero coefficients than one dense tuple; their
+      zero Fractions and the rows' zero slots take the half list left
+      over, the ints narrower than charged, and below about order 30 part
+      of ``_CALL_BYTES``.
 
-    ``_widest_int_bits``, (order + 2) * (M + log2(D)) bits, bounds both; a
-    sweep in the tests checks it against the widest int each function
-    builds.  Every int is charged that width, plus the ``Fraction`` tuple
-    that reading the result caches, at the dp widths of A(i, n).
+    A cached coefficient is charged at the dp widths of A(i, n).  Tests
+    check the width against the widest int each function builds, and the
+    estimate against each function's ``tracemalloc`` peak.
     """
     numerator, denominator = step_bits(weights)
-    graded = series * (order + 3) * int_bytes(_widest_int_bits(weights, order))
+    graded = 2 * (order + 3) * int_bytes(_widest_int_bits(weights, order))
     cached = (order + 1) * (_FRACTION_BYTES + int_bytes(order * numerator) + int_bytes(order * denominator))
     what = lambda: f"series of order {order} for weights {weights.describe()}"
-    check_cost(what, graded + cached, MAX_TABLE_BYTES, "bytes")
+    check_cost(what, graded + cached + _CALL_BYTES, MAX_TABLE_BYTES, "bytes")
 
 
-def _sqrt_radical(product: Rational, order: int) -> PowerSeries:
-    """sqrt(1 - 4*product*t^2), truncated at ``order``."""
-    radicand = [product.denominator, 0, -4 * product.numerator] + [0] * (order - 2)
-    return PowerSeries._graded(radicand[: order + 1], product.denominator, 1).sqrt()
-
-
-def _irreducible(weights: WeightConfig, order: int) -> PowerSeries:
-    """b(t) = (1 - sqrt(1 - 4*c1*c2*t^2)) / 2, unguarded: each caller checks the order it was asked."""
-    return (PowerSeries.one(order) - _sqrt_radical(weights.c1 * weights.c2, order)) / 2
+def _integer_weights(weights: WeightConfig) -> tuple[int, int, int, int]:
+    """D, the lcm of the weight denominators, and the integers u, v, x = D*c1, D*c2, D*c3."""
+    scale = lcm(weights.c1.denominator, weights.c2.denominator, weights.c3.denominator)
+    return (scale, *(w.numerator * (scale // w.denominator) for w in (weights.c1, weights.c2, weights.c3)))
 
 
 def _catalan_power(i: int, q: int, terms: int) -> list[int]:
@@ -142,31 +132,37 @@ def _catalan_power(i: int, q: int, terms: int) -> list[int]:
 def dyck_gf(weights: WeightConfig, order: int) -> PowerSeries:
     """Weight enumerator a(t) of all paths ending on the axis.
 
-    Degenerate c1*c2 = 0 admits only the empty path (no up-step can ever be
-    matched), so the formula's 0/0 is resolved combinatorially to the
-    constant series 1.
+    With D the lcm of the weight denominators and u, v = D*c1, D*c2, the
+    t^(2k) coefficient is Cat_k * (c1*c2)^k = C_k / D^(2k), where C_k is
+    the Catalan-power coefficient at q = u*v.  At c1*c2 = 0 only the empty
+    path is left, and C_k is 1, 0, 0, ...
     """
     _check_order(order)
-    _check_size(weights, order, _RADICAL_SERIES)
-    q = weights.c1 * weights.c2
-    if q == 0:
-        return PowerSeries.one(order)
-    return _irreducible(weights, order + 2).shift_div(2) / q
+    _check_size(weights, order)
+    scale, u, v, _ = _integer_weights(weights)
+    row = [0] * (order + 1)
+    row[::2] = _catalan_power(1, u * v, order // 2 + 1)
+    return PowerSeries._graded(row, 1, scale)
 
 
 def irreducible_gf(weights: WeightConfig, order: int) -> tuple[PowerSeries, PowerSeries]:
     """Enumerators (b, c) of irreducible paths by weight and by poids.
 
-    An irreducible path's single axis-landing D contributes c3 instead of
-    c2, hence c = (c3/c2) * b; c2 = 0 makes that ratio meaningless and is
-    rejected.
+    An irreducible path is U, a path ending on the axis lifted by one, and
+    the D that lands on the axis, which weighs c3 instead of c2 for the
+    poids: b = c1*c2*t^2 * a and c = c1*c3*t^2 * a.  Their t^(2k+2)
+    numerators at base D are u*v*C_k and u*x*C_k, with C_k as in
+    :func:`dyck_gf`, so every weight has an answer.
     """
     _check_order(order)
-    if weights.c2 == 0:
-        raise ValueError("degenerate weights: c2 = 0 leaves the poids ratio c3/c2 undefined")
-    _check_size(weights, order, _RADICAL_SERIES)
-    b = _irreducible(weights, order)
-    return b, b * (weights.c3 / weights.c2)
+    _check_size(weights, order)
+    scale, u, v, x = _integer_weights(weights)
+    # the t^2 shift moves a's last term past the order
+    catalan = _catalan_power(1, u * v, order // 2 + 1)[:-1]
+    b, c = [0] * (order + 1), [0] * (order + 1)
+    b[2::2] = [u * v * n for n in catalan]
+    c[2::2] = [u * x * n for n in catalan]
+    return PowerSeries._graded(b, 1, scale), PowerSeries._graded(c, 1, scale)
 
 
 def poids_gf(weights: WeightConfig, i: int, order: int) -> PowerSeries:
@@ -189,11 +185,10 @@ def poids_gf(weights: WeightConfig, i: int, order: int) -> PowerSeries:
     _check_order(order)
     if i < 0:
         raise ValueError("end height must be >= 0")
-    _check_size(weights, order, _ROW_SERIES)
+    _check_size(weights, order)
     if i > order:
         return PowerSeries.zero(order)
-    scale = lcm(weights.c1.denominator, weights.c2.denominator, weights.c3.denominator)
-    u, v, x = (w.numerator * (scale // w.denominator) for w in (weights.c1, weights.c2, weights.c3))
+    scale, u, v, x = _integer_weights(weights)
     terms, lift = (order - i) // 2 + 1, u**i
     row = [0] * (order + 1)
     next_power = _catalan_power(i + 1, u * v, terms)
@@ -223,7 +218,7 @@ def tree_gf(m: int, i: int, order: int) -> PowerSeries:
     _check_order(order)
     if i < 0:
         raise ValueError("end distance must be >= 0")
-    _check_size(weights, order, _ROW_SERIES)
+    _check_size(weights, order)
     if i > order:
         return PowerSeries.zero(order)
     q, square = m - 1, m * m

@@ -28,18 +28,22 @@ def _rows(row: Callable[[int], PowerSeries]) -> Callable[[int, int], Rational]:
     return lambda i, n: row(i)[n]
 
 
+def _dp(w: WeightConfig, order: int, states: int) -> Callable[[int, int], Rational]:
+    return _rows(lambda i: recurrence.dp_row(w, i, order))
+
+
 # Every route to A(i, n), keyed by (command, method): route(weights, order,
 # max_states) opens a reader (i, n) -> A(i, n) for n <= order.  dp and gf
 # readers build the one row of height i they are asked for, and keep it.
 # Opening an oracle route runs its guard, so an oversized enumeration is
 # refused before any.
 ROUTES: dict[tuple[str, str], Callable[[WeightConfig, int, int], Callable[[int, int], Rational]]] = {
-    ("walks", "dp"): lambda w, order, states: _rows(lambda i: recurrence.dp_row(w, i, order)),
+    ("walks", "dp"): _dp,
     ("walks", "gf"): lambda w, order, states: _rows(lambda i: genfunc.tree_gf(w.m, i, order)),
     ("walks", "tree"): lambda w, order, states: (
         oracles.tree_guard(w.m, order, states) or partial(oracles.tree_walk_count, w.m, max_states=states)
     ),
-    ("dyck", "dp"): lambda w, order, states: _rows(lambda i: recurrence.dp_row(w, i, order)),
+    ("dyck", "dp"): _dp,
     ("dyck", "gf"): lambda w, order, states: _rows(lambda i: genfunc.poids_gf(w, i, order)),
     ("dyck", "enum"): lambda w, order, states: (
         oracles.dyck_guard(order, states) or partial(oracles.enumerate_dyck, w, max_states=states)

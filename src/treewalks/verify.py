@@ -56,20 +56,18 @@ def _check_algebra(_table: WalkTable, weights: WeightConfig, order: int) -> Opti
     quad = (a * a * q).shift_mul(2).truncate(order) - a + PowerSeries.one(order)
     if quad != PowerSeries.zero(order):
         return f"weights {weights.describe()}: quadratic residual is nonzero"
-    if q != 0:
-        b, _ = genfunc.irreducible_gf(weights, order)
-        if a != (PowerSeries.one(order) - b).inverse():
-            return f"weights {weights.describe()}: a differs from 1/(1-b)"
-        if b != (a * q).shift_mul(2).truncate(order):
-            return f"weights {weights.describe()}: b differs from c1*c2*t^2*a"
-    if weights.c2 != 0:
-        d = genfunc.poids_gf(weights, 0, order)
-        lift = a * weights.c1
-        for i in range(1, min(6, order) + 1):
-            direct = genfunc.poids_gf(weights, i, order)
-            factored = (d * lift**i).shift_mul(i).truncate(order)
-            if direct != factored:
-                return f"weights {weights.describe()} i={i}: d_i differs from d*(c1*t*a)^i"
+    b, _ = genfunc.irreducible_gf(weights, order)
+    if a != (PowerSeries.one(order) - b).inverse():
+        return f"weights {weights.describe()}: a differs from 1/(1-b)"
+    if b != (a * q).shift_mul(2).truncate(order):
+        return f"weights {weights.describe()}: b differs from c1*c2*t^2*a"
+    d = genfunc.poids_gf(weights, 0, order)
+    lift = a * weights.c1
+    for i in range(1, min(6, order) + 1):
+        direct = genfunc.poids_gf(weights, i, order)
+        factored = (d * lift**i).shift_mul(i).truncate(order)
+        if direct != factored:
+            return f"weights {weights.describe()} i={i}: d_i differs from d*(c1*t*a)^i"
     return None
 
 

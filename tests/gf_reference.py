@@ -1,24 +1,56 @@
-"""Reference rows: the radical/inverse construction that ``poids_gf`` and
-``tree_gf`` once ran, kept so tests can check the Catalan-power rows against
-an independent expansion of the same closed forms.
+"""Reference series: the radical/inverse construction that ``genfunc`` once
+ran, kept so tests can check the Catalan-power series against an independent
+expansion of the same closed forms.
 
-Each takes one power-series square root, one inverse and one power:
+Each takes one power-series square root, and the rows one inverse and one
+power:
 
-* poids: d_i(t) = d(t) * (c1*t*a(t))^i with d = 1/(1 - (c3/c2)*b) and
-  b = c1*c2*t^2*a = (1 - sqrt(1 - 4*c1*c2*t^2)) / 2, so c2 = 0 is refused;
+* a(t) = (1 - sqrt(1 - 4*c1*c2*t^2)) / (2*c1*c2*t^2), the constant 1 at
+  c1*c2 = 0;
+* b = c1*c2*t^2*a = (1 - sqrt(1 - 4*c1*c2*t^2)) / 2 and c = (c3/c2) * b, so
+  c2 = 0 is refused;
+* poids: d_i(t) = d(t) * (c1*t*a(t))^i with d = 1/(1 - c), so c2 = 0 is
+  refused;
 * tree: 2(m-1) / (m-2 + m*sqrt(1 - 4(m-1)t^2)) times
   ((1 - sqrt(1 - 4(m-1)t^2)) / (2(m-1)t))^i, so m = 1 is refused.
 
-Neither runs a size guard: the tests call them at small orders only.
+None runs a size guard: the tests call them at small orders only.
 """
 
 from __future__ import annotations
 
-from treewalks.genfunc import _irreducible, _sqrt_radical
+from treewalks.rationals import Rational
 from treewalks.recurrence import WeightConfig
 from treewalks.series import PowerSeries
 
-__all__ = ["poids_reference", "tree_reference"]
+__all__ = ["dyck_reference", "irreducible_reference", "poids_reference", "tree_reference"]
+
+
+def _sqrt_radical(product: Rational, order: int) -> PowerSeries:
+    """sqrt(1 - 4*product*t^2), truncated at ``order``."""
+    radicand = [product.denominator, 0, -4 * product.numerator] + [0] * (order - 2)
+    return PowerSeries._graded(radicand[: order + 1], product.denominator, 1).sqrt()
+
+
+def _irreducible(weights: WeightConfig, order: int) -> PowerSeries:
+    """b(t) = (1 - sqrt(1 - 4*c1*c2*t^2)) / 2."""
+    return (PowerSeries.one(order) - _sqrt_radical(weights.c1 * weights.c2, order)) / 2
+
+
+def dyck_reference(weights: WeightConfig, order: int) -> PowerSeries:
+    """a(t) from its radical, the removable t^2 taken off by exact shift division."""
+    q = weights.c1 * weights.c2
+    if q == 0:
+        return PowerSeries.one(order)
+    return _irreducible(weights, order + 2).shift_div(2) / q
+
+
+def irreducible_reference(weights: WeightConfig, order: int) -> tuple[PowerSeries, PowerSeries]:
+    """(b, c) with c = (c3/c2) * b."""
+    if weights.c2 == 0:
+        raise ValueError("degenerate weights: c2 = 0 leaves the poids ratio c3/c2 undefined")
+    b = _irreducible(weights, order)
+    return b, b * (weights.c3 / weights.c2)
 
 
 def poids_reference(weights: WeightConfig, i: int, order: int) -> PowerSeries:

@@ -266,6 +266,21 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert "expected" in out
 
 
+ZERO_WEIGHTS = [recurrence.WeightConfig(*w) for w in ((1, 0, 3), (0, 1, 1), (2, 3, 0), (0, 0, 0))]
+
+
+@pytest.mark.parametrize("weights", ZERO_WEIGHTS, ids=[w.describe() for w in ZERO_WEIGHTS])
+def test_algebra_check_runs_every_identity_on_zero_weights(weights):
+    assert verify._check_algebra(build_table(weights, 10), weights, 10) is None
+
+
+def test_algebra_check_catches_a_corrupted_catalan_power(monkeypatch):
+    original = genfunc._catalan_power
+    monkeypatch.setattr(genfunc, "_catalan_power", lambda i, q, terms: [c + k for k, c in enumerate(original(i, q, terms))])
+    weights = recurrence.WeightConfig(1, Fraction(1, 2), 2)
+    assert verify._check_algebra(build_table(weights, 10), weights, 10) == "weights (1, 1/2, 2): quadratic residual is nonzero"
+
+
 def test_verify_builds_one_table_per_weight_config(capsys, monkeypatch):
     built = []
     monkeypatch.setattr(recurrence, "build_table", lambda w, n_max: built.append(w) or build_table(w, n_max))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treewalks.genfunc as genfunc
-from gf_reference import poids_reference, tree_reference
+from gf_reference import dyck_reference, irreducible_reference, poids_reference, tree_reference
 from poids_reference import irreducible_components, valid_paths, weight_and_poids
 from treewalks.genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
 from treewalks.oracles import enumerate_dyck
@@ -98,14 +100,8 @@ def test_irreducible_gf_zero_axis_weight():
     assert c == PowerSeries.zero(4)
 
 
-def test_irreducible_gf_rejects_zero_c2():
-    with pytest.raises(ValueError):
-        irreducible_gf(WeightConfig(1, 0, 5), 4)
-
-
-def test_irreducible_gf_against_enumeration():
+def _check_irreducible_gf_against_enumeration(w):
     # oracle: filter single-component paths out of the full enumeration
-    w = WeightConfig(1, Fraction(1, 2), 2)
     b, c = irreducible_gf(w, 8)
     for n in range(9):
         weight_sum = Fraction(0)
@@ -115,12 +111,22 @@ def test_irreducible_gf_against_enumeration():
                 weight, poids = weight_and_poids(path, w)
                 weight_sum += weight
                 poids_sum += poids
-        assert b[n] == weight_sum
-        assert c[n] == poids_sum
+        assert b[n] == weight_sum, (w, n)
+        assert c[n] == poids_sum, (w, n)
+
+
+def test_irreducible_gf_against_enumeration():
+    _check_irreducible_gf_against_enumeration(WeightConfig(1, Fraction(1, 2), 2))
+
+
+def test_irreducible_gf_at_zero_c2():
+    # at c2 = 0 only the one-peak path UD is irreducible, and c is its poids c1*c3
+    for w in (WeightConfig(1, 0, 5), WeightConfig(2, 0, Fraction(3, 2))):
+        _check_irreducible_gf_against_enumeration(w)
 
 
 @settings(max_examples=30)
-@given(live_triples, st.integers(min_value=0, max_value=16))
+@given(weight_triples, st.integers(min_value=0, max_value=16))
 def test_system_consistency(w, order):
     q = w.c1 * w.c2
     a = dyck_gf(w, order)
@@ -227,7 +233,7 @@ def test_tree_gf_parity(m):
                 assert f[n] == 0
 
 
-# --- rows take no series operation and share no series with another route -------------
+# --- genfunc takes no series operation, and no row shares a series with another route --
 
 RATIONAL = WeightConfig(2, Fraction(1, 2), 3)
 CLOSED_FORMS = {
@@ -235,19 +241,33 @@ CLOSED_FORMS = {
     "poids_gf tree": (partial(poids_gf, tree_weights(3)), tree_weights(3)),
     "tree_gf": (partial(tree_gf, 3), tree_weights(3)),
 }
+# a(t) and (b, c) take no height: each is built at order 10 + i, against its radical reference
+SERIES_FORMS = {
+    "dyck_gf": (lambda order: (dyck_gf(RATIONAL, order),), lambda order: (dyck_reference(RATIONAL, order),)),
+    "irreducible_gf": (partial(irreducible_gf, RATIONAL), partial(irreducible_reference, RATIONAL)),
+}
+SERIES_OPERATIONS = (
+    "sqrt", "inverse", "__pow__", "__mul__", "__rmul__", "__truediv__",
+    "__add__", "__sub__", "__neg__", "shift_div", "shift_mul", "truncate",
+)
 
 
 @pytest.mark.parametrize("i", [0, 3])
-@pytest.mark.parametrize("route", CLOSED_FORMS)
+@pytest.mark.parametrize("route", [*CLOSED_FORMS, *SERIES_FORMS])
 def test_each_closed_form_takes_no_series_operation(monkeypatch, route, i):
-    gf, weights = CLOSED_FORMS[route]
+    if route in CLOSED_FORMS:
+        gf, weights = CLOSED_FORMS[route]
+        build, expected = lambda: (gf(i, 10),), (dp_row(weights, i, 10),)
+    else:
+        gf, reference = SERIES_FORMS[route]
+        build, expected = partial(gf, 10 + i), reference(10 + i)
 
     def refuse(*args):
-        raise AssertionError("a row called a series operation")
+        raise AssertionError(f"{route} called a series operation")
 
-    for name in ("sqrt", "inverse", "__pow__", "__mul__", "__rmul__"):
+    for name in SERIES_OPERATIONS:
         monkeypatch.setattr(PowerSeries, name, refuse)
-    assert gf(i, 10).coeffs == dp_row(weights, i, 10).coeffs
+    assert [series.coeffs for series in build()] == [series.coeffs for series in expected]
 
 
 @pytest.mark.parametrize("route", CLOSED_FORMS)
@@ -268,7 +288,7 @@ GUARD_WEIGHTS = [
     *(tree_weights(m) for m in (2, 3, 5, 8)),
     WeightConfig(Fraction(1, 3), Fraction(4, 5), Fraction(2, 7)),
     WeightConfig(Fraction(-5, 3), Fraction(-5, 6), Fraction(-2, 3)),
-    WeightConfig(Fraction(1, 2), 1, Fraction(1, 1000)),  # even D: the sqrt retries at base 4x
+    WeightConfig(Fraction(1, 2), 1, Fraction(1, 1000)),
     WeightConfig(Fraction(-131072, 27), Fraction(-1, 54), Fraction(8, 3)),
     WeightConfig(Fraction(1, 442368), Fraction(1, 24576), 0),
     WeightConfig(1000, 1, Fraction(1, 7)),
@@ -305,17 +325,51 @@ def test_size_guard_bounds_the_widest_int(monkeypatch, weights, order):
     monkeypatch.setattr(genfunc, "divmod", measured_divmod, raising=False)
     bound = genfunc._widest_int_bits(weights, order)
     scale = lcm(weights.c1.denominator, weights.c2.denominator, weights.c3.denominator)
+    calls = [partial(dyck_gf, weights, order), partial(irreducible_gf, weights, order)]
     for i in sorted({0, 1, 3, order // 2, order}):
-        widest = 0
-        poids_gf(weights, i, order)
+        calls.append(partial(poids_gf, weights, i, order))
         if weights.m is not None:
-            tree_gf(weights.m, i, order)
-        assert 0 < widest <= min(bound, (order + 1) * step_bits(weights)[0] + 2), (i, widest, bound)
-    for gf in (dyck_gf, irreducible_gf):
+            calls.append(partial(tree_gf, weights.m, i, order))
+    for gf in calls:
         widest = 0
-        gf(weights, order)
-        assert 0 < widest <= bound, (gf.__name__, widest, bound)
-    assert all(scale**2 % base == 0 for base in bases), bases
+        gf()
+        assert 0 < widest <= min(bound, (order + 1) * step_bits(weights)[0] + 2), (gf, widest, bound)
+    assert bases <= {1, scale}, bases
+
+
+def _estimate(weights: WeightConfig, order: int) -> int:
+    """The bytes ``_check_size`` charges a call at this order."""
+    estimates = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(genfunc, "check_cost", lambda what, estimate, ceiling, unit: estimates.append(estimate))
+        genfunc._check_size(weights, order)
+    return estimates[0]
+
+
+def _traced_peak(gf) -> int:
+    """Bytes ``gf()`` and reading every coefficient of every series it returns hold at their peak."""
+    gf()  # a first call may fill interpreter caches that no later call allocates again
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for series in gf():
+            series.coeffs
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 12, 30, 90, 300])
+@pytest.mark.parametrize("weights", GUARD_WEIGHTS, ids=[w.describe() for w in GUARD_WEIGHTS])
+def test_size_guard_bounds_the_traced_peak(weights, order):
+    calls = {"dyck_gf": lambda: (dyck_gf(weights, order),), "irreducible_gf": partial(irreducible_gf, weights, order)}
+    for i in sorted({0, 1, order}):
+        calls[f"poids_gf i={i}"] = lambda i=i: (poids_gf(weights, i, order),)
+        if weights.m is not None:
+            calls[f"tree_gf i={i}"] = lambda i=i: (tree_gf(weights.m, i, order),)
+    estimate = _estimate(weights, order)
+    for name, gf in calls.items():
+        assert _traced_peak(gf) <= estimate, name
 
 
 # --- dp and gf hand back the same series -----------------------------------------------
@@ -366,7 +420,7 @@ def test_dyck_and_irreducible_gf_are_refused_at_once(gf):
 def test_each_gf_is_guarded_once_at_the_order_asked(monkeypatch, i):
     checked = []
     original = genfunc._check_size
-    monkeypatch.setattr(genfunc, "_check_size", lambda w, order, series: checked.append(order) or original(w, order, series))
+    monkeypatch.setattr(genfunc, "_check_size", lambda w, order: checked.append(order) or original(w, order))
     routes = (partial(poids_gf, RATIONAL, i), partial(tree_gf, 3, i), partial(dyck_gf, RATIONAL), partial(irreducible_gf, RATIONAL))
     for gf in routes:
         checked.clear()
@@ -374,7 +428,7 @@ def test_each_gf_is_guarded_once_at_the_order_asked(monkeypatch, i):
         assert checked == [10], gf
 
 
-# --- the Catalan-power rows equal the radical/inverse route they replace -------------
+# --- the Catalan-power series equal the radical/inverse route they replace ----------
 
 
 def test_catalan_power_is_the_lagrange_coefficient():
@@ -392,6 +446,16 @@ def test_poids_gf_equals_the_radical_route(c1):
         w = WeightConfig(c1, c2, c3)
         for i in (0, 1, 3, 11):
             assert poids_gf(w, i, 30) == poids_reference(w, i, 30), (w, i)
+
+
+@pytest.mark.parametrize("c1", SIGNED_GRID)
+def test_dyck_and_irreducible_gf_equal_the_radical_route(c1):
+    for c2, c3 in product(SIGNED_GRID, repeat=2):
+        w = WeightConfig(c1, c2, c3)
+        for order in (0, 1, 2, 3, 10, 31):
+            assert dyck_gf(w, order) == dyck_reference(w, order), (w, order)
+            if c2 != 0:  # the radical route divides by c2
+                assert irreducible_gf(w, order) == irreducible_reference(w, order), (w, order)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
