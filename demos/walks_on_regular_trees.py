@@ -32,8 +32,11 @@ print("degree-3 tree, ending at distance 1:")
 print("  ", [int(series[2 * n + 1]) for n in range(5)])
 
 # Sanity: summing over all possible endpoints, weighted by how many
-# vertices sit at each distance, must give exactly m^n.
+# vertices sit at each distance, must give exactly m^n.  mass_check returns
+# the coefficients of sum_i A(i, n) w_i(x), which is x^n for any weights;
+# at tree weights w_i(m) is the number of vertices at distance i.
 table = build_table(tree_weights(4), 10)
 print("mass check on the degree-4 tree:")
 for n in (0, 5, 10):
-    print(f"   n={n}: sum = {mass_check(4, n, table)} = 4^{n}")
+    total = sum(c * 4**k for k, c in enumerate(mass_check(table, n)))
+    print(f"   n={n}: sum = {total} = 4^{n}")

@@ -1,5 +1,7 @@
 """Walk counts from the three-clause recurrence: the whole table
-(:func:`build_table`) or one row of it as the series d_i(t) (:func:`dp_row`).
+(:func:`build_table`) or one row of it as the series d_i(t) (:func:`dp_row`),
+and the identity that checks a table from the weights alone
+(:func:`mass_check`).
 
 The table A(i, n) solves
 
@@ -141,9 +143,10 @@ def int_bytes(bits: int) -> int:
     return 4 * (bits // 30 + 1) + 32
 
 
-def _scale(weights: WeightConfig) -> int:
-    """D, the lcm of the weight denominators: D * c is an integer for each weight."""
-    return lcm(weights.c1.denominator, weights.c2.denominator, weights.c3.denominator)
+def _integers(weights: WeightConfig) -> tuple[int, int, int, int]:
+    """D, the lcm of the weight denominators, and the integer weights a, b, c = D*c1, D*c2, D*c3."""
+    scale = lcm(weights.c1.denominator, weights.c2.denominator, weights.c3.denominator)
+    return (scale, *(w.numerator * (scale // w.denominator) for w in (weights.c1, weights.c2, weights.c3)))
 
 
 def step_bits(weights: WeightConfig) -> tuple[int, int]:
@@ -154,8 +157,8 @@ def step_bits(weights: WeightConfig) -> tuple[int, int]:
     is an integer with |N(i, n)| <= max(|a| + |b|, |c|)^n, and the
     denominator of A(i, n) divides D^n.
     """
-    scale = _scale(weights)
-    a, b, c = (abs(w.numerator) * (scale // w.denominator) for w in (weights.c1, weights.c2, weights.c3))
+    scale, *integers = _integers(weights)
+    a, b, c = map(abs, integers)
     return max(a + b, c).bit_length(), scale.bit_length()
 
 
@@ -171,7 +174,7 @@ class WalkTable:
         self.weights = weights
         self.n_max = n_max
         self.columns = columns
-        scale = _scale(weights)
+        scale = _integers(weights)[0]
         self._powers = [scale**n for n in range(n_max + 1)] if scale > 1 else None
 
     def count(self, i: int, n: int) -> Fraction:
@@ -221,8 +224,7 @@ def _columns(weights: WeightConfig, n_max: int, bottom: int, top: int) -> Iterat
     cells = n_max * n_max // 4 + n_max + 1
     what = lambda: f"a dp table of order {n_max} for weights {weights.describe()}"
     check_cost(what, cells * int_bytes(n_max * step_bits(weights)[0]), MAX_TABLE_BYTES, "bytes")
-    scale = _scale(weights)
-    a, b, c = (w.numerator * (scale // w.denominator) for w in (weights.c1, weights.c2, weights.c3))
+    scale, a, b, c = _integers(weights)
     power = 1
     skip, column = 0, [1]
     for n in range(n_max + 1):
@@ -262,30 +264,32 @@ def dp_row(weights: WeightConfig, i: int, n_max: int) -> PowerSeries:
         raise ValueError("indices must be non-negative")
     row = [column[i // 2 - skip] if n >= i and (n - i) % 2 == 0 else 0
            for n, (skip, column) in enumerate(_columns(weights, n_max, i, i))]
-    return PowerSeries._graded(row, 1, _scale(weights))
+    return PowerSeries._graded(row, 1, _integers(weights)[0])
 
 
-def mass_check(m: int, n: int, table: WalkTable) -> Fraction:
-    """Total walks of length n from the root: sum of V_m(i) * A_m(i, n).
-
-    V_m(i) is the number of vertices at distance i (1 for i = 0, then
-    m*(m-1)^(i-1)).  Every step of a walk has m choices, so the sum equals
-    m^n exactly; callers assert that identity.
+def mass_check(table: WalkTable, n: int) -> tuple[Fraction, ...]:
+    """The coefficients, lowest first, of sum_i A(i, n) * w_i(x); they are
+    those of x^n whenever c1 != 0, since w, with w_0 = 1, w_1 = x/c1,
+    w_2 = (x*w_1 - c3)/c1 and w_(k+1) = (x*w_k - c2*w_(k-1))/c1, is an
+    eigenvector of one step (Flajolet, Discrete Math. 32, 1980).  At tree
+    weights w_i(m) = V_m(i), so the value at x = m is m^n.  Summed on the
+    ints N(i, n) * a^(n-i) over the monic W_i(D*x) = a^i * w_i(x), a = D*c1.
     """
-    if not isinstance(m, int) or m < 2:
-        raise ValueError("mass check needs a tree degree m >= 2")
-    if table.weights.m != m:
-        raise ValueError(
-            f"table was built for weights {table.weights.describe()}, not tree degree {m}"
-        )
+    scale, a, b, c = _integers(table.weights)
+    if a == 0:
+        raise ValueError("the identity divides by c1, which is 0")
     if not 0 <= n <= table.n_max:
         raise IndexError(f"n={n} outside the table order n_max={table.n_max}")
-    total = Fraction(0)
-    vertices = 1
-    for i in range(n + 1):
-        if i == 1:
-            vertices = m
-        elif i > 1:
-            vertices *= m - 1
-        total += vertices * table.count(i, n)
-    return total
+    # W_(k+1) = z*W_k - beta_k*W_(k-1) at z = D*x, beta_1 = a*c, beta_k = a*b (k >= 2); Clenshaw's
+    # B_k = N(k, n)*a^(n-k) + z*B_(k+1) - beta_(k+1)*B_(k+2), held as [z^(n-k-2j)] B_k, j >= 0
+    after, last = [], []
+    for k in range(n, -1, -1):
+        beta = a * c if k == 0 else a * b
+        last, after = [x - beta * y for x, y in zip(last + [0], [0] + after)], last
+        if (n - k) % 2 == 0:
+            last[-1] += table.columns[n][k // 2] * a ** (n - k)
+    coeffs = [Fraction(0)] * (n + 1)
+    for j, value in enumerate(last):
+        if value:
+            coeffs[n - 2 * j] = Fraction(value, a**n * scale ** (2 * j))
+    return tuple(coeffs)

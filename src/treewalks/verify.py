@@ -2,10 +2,13 @@
 
 Each check of ``treewalks verify`` is one row of ``CHECKS``, opened on the
 weight configurations of its scope (:data:`treewalks.routes.SCOPES`); the
-acceptance suite runs the same rows at larger sizes.  The checks call the
-library through its layer modules, looked up when they run, so a patch of a
-layer module's function (a corrupted route in a test, the benchmark's
-tracer) reaches every check.
+acceptance suite runs the same rows at larger sizes.  Every row reads
+values: one route against dp cell by cell, each dp column through the
+identity of :func:`treewalks.recurrence.mass_check`, or products of the gf
+series against their defining equations.  The checks call the library
+through its layer modules, looked up when they run, so a patch of a layer
+module's function (a corrupted route in a test, the benchmark's tracer)
+reaches every check.
 """
 
 from __future__ import annotations
@@ -29,45 +32,33 @@ def _mismatch(label: str, expected: Fraction, got: Fraction) -> str:
     return f"{label}: expected {rationals.format_number(expected)}, got {rationals.format_number(got)}"
 
 
-def _check_mass(table: WalkTable, weights: WeightConfig, order: int) -> Optional[str]:
-    m = weights.m
+def _check_identity(table: WalkTable, weights: WeightConfig, order: int) -> Optional[str]:
     for n in range(order + 1):
-        total = recurrence.mass_check(m, n, table)
-        if total != Fraction(m) ** n:
-            return _mismatch(f"m={m} n={n} vertex-weighted total vs m^n", Fraction(m) ** n, total)
-    return None
-
-
-def _check_parity(table: WalkTable, weights: WeightConfig, order: int) -> Optional[str]:
-    # The table stores only the reachable cells i = n, n-2, ...; every other entry is zero.
-    for n in range(order + 1):
-        if len(table.columns[n]) != n // 2 + 1:
-            return f"weights {weights.describe()} n={n}: {len(table.columns[n])} cells stored, {n // 2 + 1} reachable"
+        for k, (got, expected) in enumerate(zip(recurrence.mass_check(table, n), (0,) * n + (1,))):
+            if got != expected:
+                return _mismatch(f"weights {weights.describe()} n={n} coefficient of x^{k}", expected, got)
     return None
 
 
 def _check_algebra(_table: WalkTable, weights: WeightConfig, order: int) -> Optional[str]:
-    q = weights.c1 * weights.c2
-    radicand = PowerSeries([1, 0, -4 * q] + [0] * max(0, order - 2))
-    s = radicand.sqrt()
-    if s * s != radicand:
-        return f"weights {weights.describe()}: sqrt squared differs from its radicand"
+    # Products only: each gf series against the equation that defines it.
+    one, q = PowerSeries.one(order), weights.c1 * weights.c2
     a = genfunc.dyck_gf(weights, order)
-    quad = (a * a * q).shift_mul(2).truncate(order) - a + PowerSeries.one(order)
-    if quad != PowerSeries.zero(order):
+    if (a * a * q).shift_mul(2).truncate(order) + one != a:
         return f"weights {weights.describe()}: quadratic residual is nonzero"
-    b, _ = genfunc.irreducible_gf(weights, order)
-    if a != (PowerSeries.one(order) - b).inverse():
-        return f"weights {weights.describe()}: a differs from 1/(1-b)"
+    b, c = genfunc.irreducible_gf(weights, order)
+    if a * (one - b) != one:
+        return f"weights {weights.describe()}: a*(1-b) differs from 1"
     if b != (a * q).shift_mul(2).truncate(order):
         return f"weights {weights.describe()}: b differs from c1*c2*t^2*a"
     d = genfunc.poids_gf(weights, 0, order)
-    lift = a * weights.c1
+    if d * (one - c) != one:
+        return f"weights {weights.describe()}: d_0*(1-c) differs from 1"
+    lift = (a * weights.c1).shift_mul(1).truncate(order)
     for i in range(1, min(6, order) + 1):
-        direct = genfunc.poids_gf(weights, i, order)
-        factored = (d * lift**i).shift_mul(i).truncate(order)
-        if direct != factored:
-            return f"weights {weights.describe()} i={i}: d_i differs from d*(c1*t*a)^i"
+        d, previous = genfunc.poids_gf(weights, i, order), d
+        if d != previous * lift:
+            return f"weights {weights.describe()} i={i}: d_i differs from d_(i-1)*c1*t*a"
     return None
 
 
@@ -100,42 +91,39 @@ def _free_group_route(weights: WeightConfig, order: int, states: int) -> Callabl
 # Every check of verify, in output order: (scope, title template, oracle cap
 # or None, check).  The cap is the largest order an oracle sweeps in seconds;
 # the rest run to the full requested order.  A check is a function (table,
-# weights, order) -> failure or None, or a comparison with dp, (cells,
-# readers): readers are (FAIL-line label, opener), and an opener's reader
-# maps a cell's (key, n) to the value dp gives A(i, n).
+# weights, order) -> failure or None, or a comparison of one route with dp,
+# (cells, label, opener): the label names the route in a FAIL line, and the
+# opener's reader maps a cell's (key, n) to the value dp gives A(i, n).
 CHECKS: tuple[tuple[str, str, Optional[int], object], ...] = (
-    ("tree", "dp = gf = closed form, {where}, n<={order}", None,
-     (_square, (("closed form", ROUTES["walks", "gf"]), ("constructed gf", ROUTES["dyck", "gf"])))),
-    ("tree", "dp = tree oracle, {where}, n<={order}", 10, (_corner, (("tree oracle", ROUTES["walks", "tree"]),))),
-    ("tree", "mass conservation sum V_m(i)*A(i,n) = m^n, {where}", None, _check_mass),
-    ("tree", "parity vanishing, {where}", None, _check_parity),
-    ("dyck", "dp = gf, {where}, n<={order}", None, (_square, (("gf", ROUTES["dyck", "gf"]),))),
-    ("dyck", "dp = path enumeration, {where}, n<={order}", 14, (_corner, (("enumeration", ROUTES["dyck", "enum"]),))),
-    ("dyck", "series algebra (sqrt, quadratic, d_i factoring), {where}", None, _check_algebra),
-    ("dyck", "parity vanishing, {where}", None, _check_parity),
-    ("freegroup", "dp = free-group words, {where}, n<={order}", 8, (_words, (("free-group count", _free_group_route),))),
+    ("tree", "dp = closed form, {where}, n<={order}", None, (_square, "closed form", ROUTES["walks", "gf"])),
+    ("tree", "dp = constructed gf, {where}, n<={order}", None, (_square, "constructed gf", ROUTES["dyck", "gf"])),
+    ("tree", "dp = tree oracle, {where}, n<={order}", 10, (_corner, "tree oracle", ROUTES["walks", "tree"])),
+    ("tree", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}", None, _check_identity),
+    ("dyck", "dp = gf, {where}, n<={order}", None, (_square, "gf", ROUTES["dyck", "gf"])),
+    ("dyck", "dp = path enumeration, {where}, n<={order}", 14, (_corner, "enumeration", ROUTES["dyck", "enum"])),
+    ("dyck", "series algebra by products (a, b, c, d_i), {where}", None, _check_algebra),
+    ("dyck", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}", None, _check_identity),
+    ("freegroup", "dp = free-group words, {where}, n<={order}", 8, (_words, "free-group count", _free_group_route)),
 )
 
 
 def open_check(row: tuple, where: str, weights: WeightConfig, n_max: int, max_states: int, table: Callable) -> Check:
     """One CHECKS row on one weight configuration, as (title, run), reading ``table(weights)`` when
-    run.  Its oracle guards run now, at the row's cap: an oversized check is refused before any runs."""
+    run.  Its oracle guard runs now, at the row's cap: an oversized check is refused before any runs."""
     _, template, cap, check = row
     order = n_max if cap is None else min(n_max, cap)
     title = template.format(where=where, order=order)
     if callable(check):
         return title, lambda: check(table(weights), weights, order)
-    cells, routes = check
-    readers = [(label, opener(weights, order, max_states)) for label, opener in routes]
+    cells, name, opener = check
+    read = opener(weights, order, max_states)
 
     def compare() -> Optional[str]:
         dp_table = table(weights)
         for label, i, n, key in cells(where, weights, order):
-            dp = dp_table.count(i, n)
-            for name, read in readers:
-                got = read(key, n)
-                if got != dp:
-                    return _mismatch(f"{label} {name} vs dp", dp, got)
+            dp, got = dp_table.count(i, n), read(key, n)
+            if got != dp:
+                return _mismatch(f"{label} {name} vs dp", dp, got)
         return None
 
     return title, compare

@@ -15,7 +15,7 @@ from math import comb
 import pytest
 
 from treewalks.genfunc import poids_gf, tree_gf
-from treewalks.recurrence import DEFAULT_MAX_STATES, WeightConfig, WalkTable, build_table, tree_weights
+from treewalks.recurrence import DEFAULT_MAX_STATES, WeightConfig, WalkTable, build_table, mass_check, tree_weights
 from treewalks.routes import ROUTES, SCOPES
 from treewalks.verify import CHECKS, open_check
 
@@ -38,17 +38,17 @@ TREES = SCOPES["tree"]  # (where, weights) for the degrees m = 2..m_max
 # The size of each verify.CHECKS row here, keyed by (scope, title template):
 # (weight configurations, order).  Each is at least verify's default size.
 SIZES = {
-    ("tree", "dp = gf = closed form, {where}, n<={order}"): (TREES(8), 60),
+    ("tree", "dp = closed form, {where}, n<={order}"): (TREES(8), 60),
+    ("tree", "dp = constructed gf, {where}, n<={order}"): (TREES(8), 60),
     ("tree", "dp = tree oracle, {where}, n<={order}"): (TREES(4), 10),
-    ("tree", "mass conservation sum V_m(i)*A(i,n) = m^n, {where}"): (TREES(5), 16),
-    ("tree", "parity vanishing, {where}"): (TREES(8), 60),
+    ("tree", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}"): (TREES(8), 60),
     ("dyck", "dp = gf, {where}, n<={order}"): (TRIPLES, 14),
     ("dyck", "dp = path enumeration, {where}, n<={order}"): (TRIPLES, 14),
-    ("dyck", "series algebra (sqrt, quadratic, d_i factoring), {where}"): (
+    ("dyck", "series algebra by products (a, b, c, d_i), {where}"): (
         TRIPLES + [(f"weights {w.describe()}", w) for _, w in TREES(4)],
         60,
     ),
-    ("dyck", "parity vanishing, {where}"): (TRIPLES, 14),
+    ("dyck", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}"): (TRIPLES, 60),
     ("freegroup", "dp = free-group words, {where}, n<={order}"): (SCOPES["freegroup"](0), 8),
 }
 
@@ -104,7 +104,7 @@ def test_central_binomial_identification():
 
 @criterion("criterion 2: closed form = constructed gf = recurrence, m in 2..8, i, n <= 60")
 def test_closed_form_matches_recurrence():
-    run_rows(("tree", "dp = gf = closed form, {where}, n<={order}"))
+    run_rows(("tree", "dp = closed form, {where}, n<={order}"), ("tree", "dp = constructed gf, {where}, n<={order}"))
 
 
 @criterion("criterion 3: exhaustive enumeration = dp = gf, five weight triples, n <= 14")
@@ -124,12 +124,16 @@ def test_free_group_agreement():
 
 @criterion("criterion 6: algebraic residuals vanish mod t^61")
 def test_algebraic_residuals():
-    run_rows(("dyck", "series algebra (sqrt, quadratic, d_i factoring), {where}"))
+    run_rows(("dyck", "series algebra by products (a, b, c, d_i), {where}"))
 
 
 @criterion("criterion 7: sum_i V_m(i) A_m(i,n) = m^n, m in 2..5, n <= 16")
 def test_mass_conservation():
-    run_rows(("tree", "mass conservation sum V_m(i)*A(i,n) = m^n, {where}"))
+    # The identity sum_i A(i,n)*w_i(x) = x^n for every weight; at tree weights w_i(m) = V_m(i).
+    run_rows(("tree", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}"), ("dyck", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}"))
+    for m in range(2, 6):
+        for n in range(17):
+            assert sum(c * m**k for k, c in enumerate(mass_check(table(tree_weights(m), 16), n))) == m**n
 
 
 @criterion("criterion 8: vendored OEIS prefixes reproduced by every route")
@@ -143,9 +147,16 @@ def test_sequence_prefixes():
 
 @criterion("criterion 9: A(i,n) = 0 whenever n < i or n and i differ in parity")
 def test_parity_vanishing():
-    # dp stores only the reachable cells; the gf's zeros are read by the
-    # full-square dp = gf rows of criteria 2 and 3.
-    run_rows(("tree", "parity vanishing, {where}"), ("dyck", "parity vanishing, {where}"))
+    # Every route's reader, at its verify size: dp and gf rows, the tree oracle, the path enumeration.
+    configs = {"walks": (TREES(4), {"tree": 10}), "dyck": (TRIPLES, {"enum": 14})}
+    for (command, method), route in ROUTES.items():
+        weight_configs, caps = configs[command]
+        order = caps.get(method, 24)
+        for _, weights in weight_configs:
+            read = route(weights, order, DEFAULT_MAX_STATES)
+            for n, i in product(range(order + 1), repeat=2):  # length-major: an oracle memo holds one length
+                if n < i or (n - i) % 2:
+                    assert read(i, n) == 0, (command, method, weights, i, n)
 
 
 # The benchmark's rational draws: numerators 1, 2, 4 over denominators 3, 5, 7.

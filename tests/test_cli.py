@@ -27,6 +27,7 @@ import treewalks.routes as routes
 import treewalks.verify as verify
 from treewalks.rationals import parse_number
 from treewalks.recurrence import DEFAULT_MAX_STATES, MAX_TABLE_BYTES, build_table, tree_weights
+from treewalks.series import PowerSeries
 
 
 def run(capsys, *argv):
@@ -255,7 +256,7 @@ def test_verify_scope_selects_checks(capsys):
 def test_verify_tree_scope_defaults_to_degree_four(capsys):
     code, out, _ = run(capsys, "verify", "--scope", "tree", "-n", "1")
     assert code == 0
-    assert [line.rsplit(", ", 1)[-1] for line in out.splitlines() if "mass conservation" in line] == ["m=2", "m=3", "m=4"]
+    assert [line.rsplit(", ", 2)[-2] for line in out.splitlines() if "identity" in line] == ["m=2", "m=3", "m=4"]
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
@@ -289,25 +290,46 @@ def test_verify_builds_one_table_per_weight_config(capsys, monkeypatch):
     assert len(built) == len(set(built)) == 7  # degrees 2..5 plus three non-tree triples
 
 
-def test_parity_check_fails_on_a_stored_unreachable_cell(capsys, monkeypatch):
+def test_identity_check_fails_on_a_raised_cell(capsys, monkeypatch):
     def build(weights, n_max):
         table = build_table(weights, n_max)
-        table.columns[3].append(0)  # a cell that no reachable (i, 3) reads
+        table.columns[3][1] += 1  # A(3, 3) = 1 becomes 2
         return table
 
     monkeypatch.setattr(recurrence, "build_table", build)
     code, out, _ = run(capsys, "verify", "--scope", "tree", "-n", "4", "--m-max", "2")
     assert code == 1
-    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        "FAIL  parity vanishing, m=2: weights (1, 1, 2) [m=2] n=3: 3 cells stored, 2 reachable"
-    ]
+    # w_3(x) = x^3 - 3x at weights (1, 1, 2), so the extra walk adds -3 at x^1
+    assert "FAIL  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, m=2, n<=4: "\
+        "weights (1, 1, 2) [m=2] n=3 coefficient of x^1: expected 0, got -3" in out.splitlines()
 
 
 def test_every_route_is_compared_with_dp_in_verify():
-    compared = {opener for *_, check in verify.CHECKS if not callable(check) for _, opener in check[1]}
+    comparisons = [check for *_, check in verify.CHECKS if not callable(check)]
+    assert all(len(check) == 3 for check in comparisons)  # (cells, label, opener): one route per row
+    compared = {opener for _, _, opener in comparisons}
     keys = {route: key for key, route in routes.ROUTES.items()}
     assert {keys[opener] for opener in compared if opener in keys} == {key for key in routes.ROUTES if key[1] != "dp"}
     assert len(compared - set(keys)) == 1  # the free-group words, which no subcommand reads
+
+
+def test_algebra_check_reads_the_poids_series_c(capsys, monkeypatch):
+    original = genfunc.irreducible_gf
+    monkeypatch.setattr(genfunc, "irreducible_gf", lambda weights, order: (original(weights, order)[0],) * 2)
+    code, out, _ = run(capsys, "verify", "--scope", "dyck", "-n", "10")
+    assert code == 1
+    # c = c1*c3*t^2*a equals b only where c2 = c3, at (1, 1, 1)
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL  series algebra by products (a, b, c, d_i), weights {w}: weights {w}: d_0*(1-c) differs from 1"
+        for w in ("(1, 1, 2) [m=2]", "(1, 2, 3) [m=3]", "(1, 3, 4) [m=4]", "(2, 1, 5)", "(1, 1/2, 2)")
+    ]
+
+
+def test_algebra_check_takes_series_products_only(monkeypatch):
+    for method in ("sqrt", "inverse", "__pow__"):
+        monkeypatch.setattr(PowerSeries, method, mock.Mock(side_effect=AssertionError(f"PowerSeries.{method} called")))
+    for weights in routes.VERIFY_TRIPLES:
+        assert verify._check_algebra(build_table(weights, 12), weights, 12) is None
 
 
 def test_gf_reader_builds_each_row_when_read_and_keeps_only_the_last(monkeypatch):

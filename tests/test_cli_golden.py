@@ -20,22 +20,22 @@ GOLDEN = [
         ['verify', '--scope', 'all', '-n', '11', '--m-max', '5'],
         0,
         """\
-PASS  dp = gf = closed form, m=2, n<=11
-PASS  dp = gf = closed form, m=3, n<=11
-PASS  dp = gf = closed form, m=4, n<=11
-PASS  dp = gf = closed form, m=5, n<=11
+PASS  dp = closed form, m=2, n<=11
+PASS  dp = closed form, m=3, n<=11
+PASS  dp = closed form, m=4, n<=11
+PASS  dp = closed form, m=5, n<=11
+PASS  dp = constructed gf, m=2, n<=11
+PASS  dp = constructed gf, m=3, n<=11
+PASS  dp = constructed gf, m=4, n<=11
+PASS  dp = constructed gf, m=5, n<=11
 PASS  dp = tree oracle, m=2, n<=10
 PASS  dp = tree oracle, m=3, n<=10
 PASS  dp = tree oracle, m=4, n<=10
 PASS  dp = tree oracle, m=5, n<=10
-PASS  mass conservation sum V_m(i)*A(i,n) = m^n, m=2
-PASS  mass conservation sum V_m(i)*A(i,n) = m^n, m=3
-PASS  mass conservation sum V_m(i)*A(i,n) = m^n, m=4
-PASS  mass conservation sum V_m(i)*A(i,n) = m^n, m=5
-PASS  parity vanishing, m=2
-PASS  parity vanishing, m=3
-PASS  parity vanishing, m=4
-PASS  parity vanishing, m=5
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, m=2, n<=11
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, m=3, n<=11
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, m=4, n<=11
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, m=5, n<=11
 PASS  dp = gf, weights (1, 1, 2) [m=2], n<=11
 PASS  dp = gf, weights (1, 2, 3) [m=3], n<=11
 PASS  dp = gf, weights (1, 3, 4) [m=4], n<=11
@@ -48,18 +48,18 @@ PASS  dp = path enumeration, weights (1, 3, 4) [m=4], n<=11
 PASS  dp = path enumeration, weights (1, 1, 1), n<=11
 PASS  dp = path enumeration, weights (2, 1, 5), n<=11
 PASS  dp = path enumeration, weights (1, 1/2, 2), n<=11
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 1, 2) [m=2]
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 2, 3) [m=3]
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 3, 4) [m=4]
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 1, 1)
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (2, 1, 5)
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 1/2, 2)
-PASS  parity vanishing, weights (1, 1, 2) [m=2]
-PASS  parity vanishing, weights (1, 2, 3) [m=3]
-PASS  parity vanishing, weights (1, 3, 4) [m=4]
-PASS  parity vanishing, weights (1, 1, 1)
-PASS  parity vanishing, weights (2, 1, 5)
-PASS  parity vanishing, weights (1, 1/2, 2)
+PASS  series algebra by products (a, b, c, d_i), weights (1, 1, 2) [m=2]
+PASS  series algebra by products (a, b, c, d_i), weights (1, 2, 3) [m=3]
+PASS  series algebra by products (a, b, c, d_i), weights (1, 3, 4) [m=4]
+PASS  series algebra by products (a, b, c, d_i), weights (1, 1, 1)
+PASS  series algebra by products (a, b, c, d_i), weights (2, 1, 5)
+PASS  series algebra by products (a, b, c, d_i), weights (1, 1/2, 2)
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 1, 2) [m=2], n<=11
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 2, 3) [m=3], n<=11
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 3, 4) [m=4], n<=11
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 1, 1), n<=11
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (2, 1, 5), n<=11
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 1/2, 2), n<=11
 PASS  dp = free-group words, g=1, n<=8
 PASS  dp = free-group words, g=2, n<=8
 42/42 checks passed
@@ -69,14 +69,14 @@ PASS  dp = free-group words, g=2, n<=8
         ['verify', '--scope', 'tree', '-n', '6', '--m-max', '3'],
         0,
         """\
-PASS  dp = gf = closed form, m=2, n<=6
-PASS  dp = gf = closed form, m=3, n<=6
+PASS  dp = closed form, m=2, n<=6
+PASS  dp = closed form, m=3, n<=6
+PASS  dp = constructed gf, m=2, n<=6
+PASS  dp = constructed gf, m=3, n<=6
 PASS  dp = tree oracle, m=2, n<=6
 PASS  dp = tree oracle, m=3, n<=6
-PASS  mass conservation sum V_m(i)*A(i,n) = m^n, m=2
-PASS  mass conservation sum V_m(i)*A(i,n) = m^n, m=3
-PASS  parity vanishing, m=2
-PASS  parity vanishing, m=3
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, m=2, n<=6
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, m=3, n<=6
 8/8 checks passed
 """,
     ),
@@ -96,18 +96,18 @@ PASS  dp = path enumeration, weights (1, 3, 4) [m=4], n<=6
 PASS  dp = path enumeration, weights (1, 1, 1), n<=6
 PASS  dp = path enumeration, weights (2, 1, 5), n<=6
 PASS  dp = path enumeration, weights (1, 1/2, 2), n<=6
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 1, 2) [m=2]
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 2, 3) [m=3]
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 3, 4) [m=4]
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 1, 1)
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (2, 1, 5)
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 1/2, 2)
-PASS  parity vanishing, weights (1, 1, 2) [m=2]
-PASS  parity vanishing, weights (1, 2, 3) [m=3]
-PASS  parity vanishing, weights (1, 3, 4) [m=4]
-PASS  parity vanishing, weights (1, 1, 1)
-PASS  parity vanishing, weights (2, 1, 5)
-PASS  parity vanishing, weights (1, 1/2, 2)
+PASS  series algebra by products (a, b, c, d_i), weights (1, 1, 2) [m=2]
+PASS  series algebra by products (a, b, c, d_i), weights (1, 2, 3) [m=3]
+PASS  series algebra by products (a, b, c, d_i), weights (1, 3, 4) [m=4]
+PASS  series algebra by products (a, b, c, d_i), weights (1, 1, 1)
+PASS  series algebra by products (a, b, c, d_i), weights (2, 1, 5)
+PASS  series algebra by products (a, b, c, d_i), weights (1, 1/2, 2)
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 1, 2) [m=2], n<=6
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 2, 3) [m=3], n<=6
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 3, 4) [m=4], n<=6
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 1, 1), n<=6
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (2, 1, 5), n<=6
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 1/2, 2), n<=6
 24/24 checks passed
 """,
     ),
@@ -124,10 +124,10 @@ PASS  dp = free-group words, g=2, n<=4
         ['verify', '-n', '0', '--m-max', '2'],
         0,
         """\
-PASS  dp = gf = closed form, m=2, n<=0
+PASS  dp = closed form, m=2, n<=0
+PASS  dp = constructed gf, m=2, n<=0
 PASS  dp = tree oracle, m=2, n<=0
-PASS  mass conservation sum V_m(i)*A(i,n) = m^n, m=2
-PASS  parity vanishing, m=2
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, m=2, n<=0
 PASS  dp = gf, weights (1, 1, 2) [m=2], n<=0
 PASS  dp = gf, weights (1, 2, 3) [m=3], n<=0
 PASS  dp = gf, weights (1, 3, 4) [m=4], n<=0
@@ -140,18 +140,18 @@ PASS  dp = path enumeration, weights (1, 3, 4) [m=4], n<=0
 PASS  dp = path enumeration, weights (1, 1, 1), n<=0
 PASS  dp = path enumeration, weights (2, 1, 5), n<=0
 PASS  dp = path enumeration, weights (1, 1/2, 2), n<=0
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 1, 2) [m=2]
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 2, 3) [m=3]
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 3, 4) [m=4]
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 1, 1)
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (2, 1, 5)
-PASS  series algebra (sqrt, quadratic, d_i factoring), weights (1, 1/2, 2)
-PASS  parity vanishing, weights (1, 1, 2) [m=2]
-PASS  parity vanishing, weights (1, 2, 3) [m=3]
-PASS  parity vanishing, weights (1, 3, 4) [m=4]
-PASS  parity vanishing, weights (1, 1, 1)
-PASS  parity vanishing, weights (2, 1, 5)
-PASS  parity vanishing, weights (1, 1/2, 2)
+PASS  series algebra by products (a, b, c, d_i), weights (1, 1, 2) [m=2]
+PASS  series algebra by products (a, b, c, d_i), weights (1, 2, 3) [m=3]
+PASS  series algebra by products (a, b, c, d_i), weights (1, 3, 4) [m=4]
+PASS  series algebra by products (a, b, c, d_i), weights (1, 1, 1)
+PASS  series algebra by products (a, b, c, d_i), weights (2, 1, 5)
+PASS  series algebra by products (a, b, c, d_i), weights (1, 1/2, 2)
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 1, 2) [m=2], n<=0
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 2, 3) [m=3], n<=0
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 3, 4) [m=4], n<=0
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 1, 1), n<=0
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (2, 1, 5), n<=0
+PASS  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, weights (1, 1/2, 2), n<=0
 PASS  dp = free-group words, g=1, n<=0
 PASS  dp = free-group words, g=2, n<=0
 30/30 checks passed
@@ -634,17 +634,17 @@ def _doubled_origin(build_table):
         (
             "build_table",
             "tree",
-            "FAIL  dp = gf = closed form, m=2, n<=4: m=2 i=0 n=0 closed form vs dp: expected 2, got 1",
+            "FAIL  dp = closed form, m=2, n<=4: m=2 i=0 n=0 closed form vs dp: expected 2, got 1",
         ),
         (
             "tree_gf",
             "tree",
-            "FAIL  dp = gf = closed form, m=2, n<=4: m=2 i=0 n=0 closed form vs dp: expected 1, got 2",
+            "FAIL  dp = closed form, m=2, n<=4: m=2 i=0 n=0 closed form vs dp: expected 1, got 2",
         ),
         (
             "poids_gf",
             "tree",
-            "FAIL  dp = gf = closed form, m=2, n<=4: m=2 i=0 n=0 constructed gf vs dp: expected 1, got 2",
+            "FAIL  dp = constructed gf, m=2, n<=4: m=2 i=0 n=0 constructed gf vs dp: expected 1, got 2",
         ),
         (
             "tree_walk_count",

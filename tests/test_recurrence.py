@@ -8,6 +8,7 @@ import pickle
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -392,29 +393,59 @@ def test_guard_admits_benchmark_sizes(weights):
     assert build_table(weights, 506).n_max == 506
 
 
-# --- mass conservation --------------------------------------------------------------
+# --- the eigenvector identity sum_i A(i, n) * w_i(x) = x^n (mass conservation at x = m) ----
+
+IDENTITY_GRID = (1, -1, 0, Fraction(1, 2), Fraction(-2, 3), 3)
+IDENTITY_TRIPLES = [WeightConfig(*w) for w in product(IDENTITY_GRID, repeat=3) if w[0] != 0]
+
+
+def x_power(n: int) -> tuple:
+    return (0,) * n + (1,)
+
+
+def value_at(coeffs: tuple, x: int) -> Fraction:
+    return sum(c * x**k for k, c in enumerate(coeffs))
 
 
 @pytest.mark.parametrize("m,n,expected", [(3, 2, 9), (2, 4, 16), (4, 0, 1)])
 def test_mass_check_examples(m, n, expected):
     table = build_table(tree_weights(m), max(n, 1))
-    assert mass_check(m, n, table) == expected
+    assert value_at(mass_check(table, n), m) == expected
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_mass_conservation(m):
     table = build_table(tree_weights(m), 12)
     for n in range(13):
-        assert mass_check(m, n, table) == Fraction(m) ** n
+        assert mass_check(table, n) == x_power(n)
+        assert value_at(mass_check(table, n), m) == Fraction(m) ** n
+
+
+def test_mass_check_holds_for_every_weight_with_c1_nonzero():
+    for weights in IDENTITY_TRIPLES:
+        table = build_table(weights, 30)
+        for n in range(31):
+            assert mass_check(table, n) == x_power(n), (weights, n)
+
+
+@pytest.mark.parametrize("weights", [tree_weights(3), WeightConfig(Fraction(1, 3), Fraction(4, 5), Fraction(2, 7)),
+                                     WeightConfig(-3, Fraction(2, 7), Fraction(-5, 4)), WeightConfig(1, 0, 3),
+                                     WeightConfig(2, 3, 0)])
+def test_mass_check_catches_every_single_cell_corruption(weights):
+    table = build_table(weights, 12)
+    for n in range(13):
+        for k in range(len(table.columns[n])):
+            table.columns[n][k] += 1
+            assert mass_check(table, n) != x_power(n), (n, k)
+            table.columns[n][k] -= 1
+        assert mass_check(table, n) == x_power(n)
 
 
 def test_mass_check_usage_errors():
     table = build_table(tree_weights(3), 4)
-    with pytest.raises(ValueError):
-        mass_check(4, 2, table)
-    with pytest.raises(ValueError):
-        mass_check(1, 0, build_table(tree_weights(1), 2))
-    with pytest.raises(ValueError):
-        mass_check(2, 1, build_table(WeightConfig(1, 1, 2), 4))
+    with pytest.raises(ValueError, match="c1"):
+        mass_check(build_table(WeightConfig(0, 1, 1), 4), 2)
     with pytest.raises(IndexError):
-        mass_check(3, 9, table)
+        mass_check(table, 9)
+    with pytest.raises(IndexError):
+        mass_check(table, -1)
