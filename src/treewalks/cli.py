@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from . import verify
 from .rationals import format_number, parse_number
 from .recurrence import DEFAULT_MAX_STATES, FeasibilityError, WeightConfig, build_table, tree_weights
-from .routes import ROUTES, SCOPES
+from .routes import ROUTES, SCOPES, open_route
 
 # build_table is only re-exported: perfbench/test_perfbench.py reads cli.build_table to check
 # that the benchmark's tracer puts back every name it patched.
@@ -136,7 +136,7 @@ def _count(args: argparse.Namespace, command: str, weights: WeightConfig, meta: 
     """Print A(i, n) for the selected lengths n by the route --method picks."""
     i = args.i
     ns = range(i, args.n_max + 1, 2) if args.parity_filter else range(args.n_max + 1)
-    read = ROUTES[command, args.method](weights, ns[-1] if ns else 0, args.max_states)
+    read = open_route(command, args.method, weights, ns[-1] if ns else 0, args.max_states)
     if not ns:  # still read height i, so a height the route rejects exits 2
         read(i, 0)
     values = [read(i, n) for n in ns]

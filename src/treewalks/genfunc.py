@@ -44,9 +44,7 @@ is coefficient for coefficient.
 
 from __future__ import annotations
 
-from math import lcm
-
-from .recurrence import MAX_TABLE_BYTES, WeightConfig, check_cost, int_bytes, step_bits, tree_weights
+from .recurrence import MAX_TABLE_BYTES, WeightConfig, _integers, check_cost, int_bytes, step_bits, tree_weights
 from .series import PowerSeries
 
 __all__ = ["dyck_gf", "irreducible_gf", "poids_gf", "tree_gf"]
@@ -108,12 +106,6 @@ def _check_size(weights: WeightConfig, order: int) -> None:
     check_cost(what, graded + cached + _CALL_BYTES, MAX_TABLE_BYTES, "bytes")
 
 
-def _integer_weights(weights: WeightConfig) -> tuple[int, int, int, int]:
-    """D, the lcm of the weight denominators, and the integers u, v, x = D*c1, D*c2, D*c3."""
-    scale = lcm(weights.c1.denominator, weights.c2.denominator, weights.c3.denominator)
-    return (scale, *(w.numerator * (scale // w.denominator) for w in (weights.c1, weights.c2, weights.c3)))
-
-
 def _catalan_power(i: int, q: int, terms: int) -> list[int]:
     """[t^(2k)] a^i for k < terms, where a = sum_k Cat_k * q^k * t^(2k) is the
     root of a = 1 + q*t^2*a^2.
@@ -139,7 +131,7 @@ def dyck_gf(weights: WeightConfig, order: int) -> PowerSeries:
     """
     _check_order(order)
     _check_size(weights, order)
-    scale, u, v, _ = _integer_weights(weights)
+    scale, u, v, _ = _integers(weights)
     row = [0] * (order + 1)
     row[::2] = _catalan_power(1, u * v, order // 2 + 1)
     return PowerSeries._graded(row, 1, scale)
@@ -156,7 +148,7 @@ def irreducible_gf(weights: WeightConfig, order: int) -> tuple[PowerSeries, Powe
     """
     _check_order(order)
     _check_size(weights, order)
-    scale, u, v, x = _integer_weights(weights)
+    scale, u, v, x = _integers(weights)
     # the t^2 shift moves a's last term past the order
     catalan = _catalan_power(1, u * v, order // 2 + 1)[:-1]
     b, c = [0] * (order + 1), [0] * (order + 1)
@@ -188,7 +180,7 @@ def poids_gf(weights: WeightConfig, i: int, order: int) -> PowerSeries:
     _check_size(weights, order)
     if i > order:
         return PowerSeries.zero(order)
-    scale, u, v, x = _integer_weights(weights)
+    scale, u, v, x = _integers(weights)
     terms, lift = (order - i) // 2 + 1, u**i
     row = [0] * (order + 1)
     next_power = _catalan_power(i + 1, u * v, terms)

@@ -174,7 +174,7 @@ class WalkTable:
         self.weights = weights
         self.n_max = n_max
         self.columns = columns
-        scale = _integers(weights)[0]
+        self._scale = scale = _integers(weights)[0]
         self._powers = [scale**n for n in range(n_max + 1)] if scale > 1 else None
 
     def count(self, i: int, n: int) -> Fraction:
@@ -187,6 +187,14 @@ class WalkTable:
             return Fraction(0)
         value = self.columns[n][i // 2]
         return Fraction(value) if self._powers is None else Fraction(value, self._powers[n])
+
+    def row(self, i: int) -> PowerSeries:
+        """d_i(t) to order n_max, the series :func:`dp_row` returns: the ints N(i, n), den 1, base D."""
+        if i < 0:
+            raise ValueError("indices must be non-negative")
+        row = [0] * (self.n_max + 1)
+        row[i::2] = [column[i // 2] for column in self.columns[i::2]]
+        return PowerSeries._graded(row, 1, self._scale)
 
     def __repr__(self) -> str:
         return f"WalkTable(weights={self.weights.describe()}, n_max={self.n_max})"
@@ -214,18 +222,13 @@ def _columns(weights: WeightConfig, n_max: int, bottom: int, top: int) -> Iterat
     wider than n_max * bit_length(max(|a| + |b|, |c|)) bits (:func:`step_bits`),
     and each is charged the :func:`int_bytes` of that width.  A cut table holds
     fewer cells but is charged the same, so the estimate also bounds the work.
-
-    For tree weights every yielded column is checked to hold non-negative
-    integer counts, else ``ArithmeticError``.  Validated tree weights have
-    D = 1, so divisibility by D^n is tested only where D > 1.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     cells = n_max * n_max // 4 + n_max + 1
     what = lambda: f"a dp table of order {n_max} for weights {weights.describe()}"
     check_cost(what, cells * int_bytes(n_max * step_bits(weights)[0]), MAX_TABLE_BYTES, "bytes")
-    scale, a, b, c = _integers(weights)
-    power = 1
+    _, a, b, c = _integers(weights)
     skip, column = 0, [1]
     for n in range(n_max + 1):
         parity = n % 2
@@ -240,10 +243,6 @@ def _columns(weights: WeightConfig, n_max: int, bottom: int, top: int) -> Iterat
         del column[:low]
         skip += low
         del column[max(0, (top + (n_max - n) - parity) // 2 + 1 - skip) :]
-        if weights.m is not None:
-            if min(column, default=0) < 0 or power > 1 and any(v % power for v in column):
-                raise ArithmeticError("tree walk counts must be non-negative integers")
-            power *= scale
         yield skip, column
 
 

@@ -16,39 +16,36 @@ from typing import Callable
 from . import genfunc, oracles, recurrence
 from .rationals import Rational
 from .recurrence import WeightConfig, tree_weights
-from .series import PowerSeries
 
-__all__ = ["ROUTES", "SCOPES"]
-
-
-def _rows(row: Callable[[int], PowerSeries]) -> Callable[[int, int], Rational]:
-    """Reader of A(i, n) = row(i)[n], the t^n coefficient of the dp or gf series d_i(t); builds
-    each row when first read and keeps only the last."""
-    row = lru_cache(maxsize=1)(row)
-    return lambda i, n: row(i)[n]
+__all__ = ["ROUTES", "SCOPES", "open_route"]
 
 
-def _dp(w: WeightConfig, order: int, states: int) -> Callable[[int, int], Rational]:
-    return _rows(lambda i: recurrence.dp_row(w, i, order))
-
-
-# Every route to A(i, n), keyed by (command, method): route(weights, order,
-# max_states) opens a reader (i, n) -> A(i, n) for n <= order.  dp and gf
-# readers build the one row of height i they are asked for, and keep it.
-# Opening an oracle route runs its guard, so an oversized enumeration is
-# refused before any.
-ROUTES: dict[tuple[str, str], Callable[[WeightConfig, int, int], Callable[[int, int], Rational]]] = {
-    ("walks", "dp"): _dp,
-    ("walks", "gf"): lambda w, order, states: _rows(lambda i: genfunc.tree_gf(w.m, i, order)),
+# Every route to A(i, n), keyed by (command, method).  dp and gf are rows:
+# row(weights, i, order) is the graded series d_i(t), A(i, n) at t^n, to t^order.
+# An oracle is an opener: opener(weights, order, max_states) runs its guard, so
+# an oversized enumeration is refused before any, and returns a reader (i, n) -> A(i, n).
+ROUTES: dict[tuple[str, str], Callable] = {
+    ("walks", "dp"): lambda w, i, order: recurrence.dp_row(w, i, order),
+    ("walks", "gf"): lambda w, i, order: genfunc.tree_gf(w.m, i, order),
     ("walks", "tree"): lambda w, order, states: (
         oracles.tree_guard(w.m, order, states) or partial(oracles.tree_walk_count, w.m, max_states=states)
     ),
-    ("dyck", "dp"): _dp,
-    ("dyck", "gf"): lambda w, order, states: _rows(lambda i: genfunc.poids_gf(w, i, order)),
+    ("dyck", "dp"): lambda w, i, order: recurrence.dp_row(w, i, order),
+    ("dyck", "gf"): lambda w, i, order: genfunc.poids_gf(w, i, order),
     ("dyck", "enum"): lambda w, order, states: (
         oracles.dyck_guard(order, states) or partial(oracles.enumerate_dyck, w, max_states=states)
     ),
 }
+
+
+def open_route(command: str, method: str, w: WeightConfig, order: int, states: int) -> Callable[[int, int], Rational]:
+    """A route's reader (i, n) -> A(i, n), n <= order; a row's is built when first read, only the last kept."""
+    route = ROUTES[command, method]
+    if method not in ("dp", "gf"):
+        return route(w, order, states)
+    row = lru_cache(maxsize=1)(lambda i: route(w, i, order))
+    return lambda i, n: row(i)[n]
+
 
 VERIFY_TRIPLES: tuple[WeightConfig, ...] = (
     tree_weights(2), tree_weights(3), tree_weights(4),

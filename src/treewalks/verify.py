@@ -3,9 +3,10 @@
 Each check of ``treewalks verify`` is one row of ``CHECKS``, opened on the
 weight configurations of its scope (:data:`treewalks.routes.SCOPES`); the
 acceptance suite runs the same rows at larger sizes.  Every row reads
-values: one route against dp cell by cell, each dp column through the
-identity of :func:`treewalks.recurrence.mass_check`, or products of the gf
-series against their defining equations.  The checks call the library
+values: a gf route against dp row by row, as graded-int series; an oracle
+against dp cell by cell; each dp column through the identity of
+:func:`treewalks.recurrence.mass_check`; or products of the gf series
+against their defining equations.  The checks call the library
 through its layer modules, looked up when they run, so a patch of a layer
 module's function (a corrupted route in a test, the benchmark's tracer)
 reaches every check.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
 from typing import Callable, Optional
 
 from . import genfunc, oracles, rationals, recurrence
@@ -62,14 +62,21 @@ def _check_algebra(_table: WalkTable, weights: WeightConfig, order: int) -> Opti
     return None
 
 
-# The cells (label, i, n, key) of a comparison: the full square row by row
-# for gf (a reader keeps one row), the corner i <= n length by length for the
-# oracles (a memo holds one length), and target words length-major for the
-# free group (one word enumeration per length).
-def _square(where: str, weights: WeightConfig, order: int) -> list:
-    return [(f"{where} i={i} n={n}", i, n, i) for i, n in product(range(order + 1), repeat=2)]
+def _compare_rows(dp_table: WalkTable, row: Callable, order: int, where: str, name: str) -> Optional[str]:
+    """Each dp row d_i, i <= order, against ``row(i)`` by one ``==`` of graded ints; only a
+    mismatch reads cells, to name the first n that differs.  Rows of different orders differ,
+    and reading the shorter one's missing coefficient raises ``IndexError``."""
+    for i in range(order + 1):
+        dp, got = dp_table.row(i), row(i)
+        if dp.order != got.order or dp != got:
+            n = next(n for n in range(max(dp.order, got.order) + 1) if dp[n] != got[n])
+            return _mismatch(f"{where} i={i} n={n} {name} vs dp", dp[n], got[n])
+    return None
 
 
+# The cells (label, i, n, key) of an oracle comparison: the corner i <= n
+# length by length (a memo holds one length), and target words length-major
+# for the free group (one word enumeration per length).
 def _corner(where: str, weights: WeightConfig, order: int) -> list:
     return [(f"{where} i={i} n={n}", i, n, i) for n in range(order + 1) for i in range(n + 1)]
 
@@ -88,21 +95,22 @@ def _free_group_route(weights: WeightConfig, order: int, states: int) -> Callabl
     return oracles.free_group_guard(g, order, states) or partial(oracles.free_group_count, g, max_states=states)
 
 
-# Every check of verify, in output order: (scope, title template, oracle cap
-# or None, check).  The cap is the largest order an oracle sweeps in seconds;
-# the rest run to the full requested order.  A check is a function (table,
-# weights, order) -> failure or None, or a comparison of one route with dp,
-# (cells, label, opener): the label names the route in a FAIL line, and the
-# opener's reader maps a cell's (key, n) to the value dp gives A(i, n).
+# Every check of verify, in output order: (scope, title template, cap or
+# None, check).  The cap is the largest order an oracle or the identity sweeps
+# in seconds; the rest run to the full requested order.  A check is a function
+# (table, weights, order) -> failure or None, or a comparison of one route with
+# dp, (cells, label, route): the label names the route in a FAIL line.  With
+# cells None the route is a row, compared whole with dp's rows; else it is an
+# opener whose reader maps a cell's (key, n) to the value dp gives A(i, n).
 CHECKS: tuple[tuple[str, str, Optional[int], object], ...] = (
-    ("tree", "dp = closed form, {where}, n<={order}", None, (_square, "closed form", ROUTES["walks", "gf"])),
-    ("tree", "dp = constructed gf, {where}, n<={order}", None, (_square, "constructed gf", ROUTES["dyck", "gf"])),
+    ("tree", "dp = closed form, {where}, n<={order}", None, (None, "closed form", ROUTES["walks", "gf"])),
+    ("tree", "dp = constructed gf, {where}, n<={order}", None, (None, "constructed gf", ROUTES["dyck", "gf"])),
     ("tree", "dp = tree oracle, {where}, n<={order}", 10, (_corner, "tree oracle", ROUTES["walks", "tree"])),
-    ("tree", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}", None, _check_identity),
-    ("dyck", "dp = gf, {where}, n<={order}", None, (_square, "gf", ROUTES["dyck", "gf"])),
+    ("tree", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}", 200, _check_identity),
+    ("dyck", "dp = gf, {where}, n<={order}", None, (None, "gf", ROUTES["dyck", "gf"])),
     ("dyck", "dp = path enumeration, {where}, n<={order}", 14, (_corner, "enumeration", ROUTES["dyck", "enum"])),
     ("dyck", "series algebra by products (a, b, c, d_i), {where}", None, _check_algebra),
-    ("dyck", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}", None, _check_identity),
+    ("dyck", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}", 200, _check_identity),
     ("freegroup", "dp = free-group words, {where}, n<={order}", 8, (_words, "free-group count", _free_group_route)),
 )
 
@@ -115,8 +123,10 @@ def open_check(row: tuple, where: str, weights: WeightConfig, n_max: int, max_st
     title = template.format(where=where, order=order)
     if callable(check):
         return title, lambda: check(table(weights), weights, order)
-    cells, name, opener = check
-    read = opener(weights, order, max_states)
+    cells, name, route = check
+    if cells is None:
+        return title, lambda: _compare_rows(table(weights), lambda i: route(weights, i, order), order, where, name)
+    read = route(weights, order, max_states)
 
     def compare() -> Optional[str]:
         dp_table = table(weights)

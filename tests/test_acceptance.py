@@ -16,7 +16,7 @@ import pytest
 
 from treewalks.genfunc import poids_gf, tree_gf
 from treewalks.recurrence import DEFAULT_MAX_STATES, WeightConfig, WalkTable, build_table, mass_check, tree_weights
-from treewalks.routes import ROUTES, SCOPES
+from treewalks.routes import ROUTES, SCOPES, open_route
 from treewalks.verify import CHECKS, open_check
 
 # Cross-checked sequence prefixes, vendored from the OEIS rather than fetched:
@@ -140,8 +140,8 @@ def test_mass_conservation():
 def test_sequence_prefixes():
     for m, prefix in ((3, OEIS_A089022[:5]), (4, OEIS_A035610[:4])):
         order = 2 * (len(prefix) - 1)
-        for key, route in ROUTES.items():
-            read = route(tree_weights(m), order, DEFAULT_MAX_STATES)
+        for key in ROUTES:
+            read = open_route(*key, tree_weights(m), order, DEFAULT_MAX_STATES)
             assert tuple(read(0, 2 * k) for k in range(len(prefix))) == prefix, key
 
 
@@ -149,11 +149,11 @@ def test_sequence_prefixes():
 def test_parity_vanishing():
     # Every route's reader, at its verify size: dp and gf rows, the tree oracle, the path enumeration.
     configs = {"walks": (TREES(4), {"tree": 10}), "dyck": (TRIPLES, {"enum": 14})}
-    for (command, method), route in ROUTES.items():
+    for command, method in ROUTES:
         weight_configs, caps = configs[command]
         order = caps.get(method, 24)
         for _, weights in weight_configs:
-            read = route(weights, order, DEFAULT_MAX_STATES)
+            read = open_route(command, method, weights, order, DEFAULT_MAX_STATES)
             for n, i in product(range(order + 1), repeat=2):  # length-major: an oracle memo holds one length
                 if n < i or (n - i) % 2:
                     assert read(i, n) == 0, (command, method, weights, i, n)

@@ -306,11 +306,47 @@ def test_identity_check_fails_on_a_raised_cell(capsys, monkeypatch):
 
 def test_every_route_is_compared_with_dp_in_verify():
     comparisons = [check for *_, check in verify.CHECKS if not callable(check)]
-    assert all(len(check) == 3 for check in comparisons)  # (cells, label, opener): one route per row
-    compared = {opener for _, _, opener in comparisons}
+    assert all(len(check) == 3 for check in comparisons)  # (cells, label, route): one route per row
+    compared = {route: cells for cells, _, route in comparisons}
     keys = {route: key for key, route in routes.ROUTES.items()}
-    assert {keys[opener] for opener in compared if opener in keys} == {key for key in routes.ROUTES if key[1] != "dp"}
-    assert len(compared - set(keys)) == 1  # the free-group words, which no subcommand reads
+    assert {keys[route] for route in compared if route in keys} == {key for key in routes.ROUTES if key[1] != "dp"}
+    assert len(compared.keys() - keys.keys()) == 1  # the free-group words, which no subcommand reads
+    # a row route (dp, gf) is compared whole with dp's rows, cells None; an oracle opener by its cells
+    for route, cells in compared.items():
+        assert (cells is None) == (route in keys and keys[route][1] in ("dp", "gf")), keys.get(route)
+
+
+def test_a_passing_row_comparison_reads_no_cell(monkeypatch):
+    # dp and gf rows compare as graded ints: no count, coeffs or label is built unless a cell differs
+    for owner, name in ((recurrence.WalkTable, "count"), (PowerSeries, "coeffs"), (verify, "_mismatch")):
+        fail = mock.Mock(side_effect=AssertionError(f"{name} called"))
+        monkeypatch.setattr(owner, name, property(fail) if name == "coeffs" else fail)
+    rows = [row for row in verify.CHECKS if not callable(row[3]) and row[3][0] is None]
+    assert [row[1].split(",")[0] for row in rows] == ["dp = closed form", "dp = constructed gf", "dp = gf"]
+    for row in rows:
+        for where, weights in routes.SCOPES[row[0]](5):
+            title, run = verify.open_check(row, where, weights, 30, DEFAULT_MAX_STATES, lambda w: build_table(w, 30))
+            assert run() is None, title
+
+
+@pytest.mark.parametrize(
+    "scope,route,title,shift",
+    [
+        ("tree", "tree_gf", "dp = closed form", -1),
+        ("tree", "poids_gf", "dp = constructed gf", -1),
+        ("dyck", "poids_gf", "dp = gf", 1),
+    ],
+)
+def test_a_gf_row_of_another_order_never_passes(capsys, monkeypatch, scope, route, title, shift):
+    # == compares two series to their common order; a row one order short or long must still differ
+    original = getattr(genfunc, route)
+    monkeypatch.setattr(genfunc, route, lambda first, i, order: original(first, i, order + shift))
+    m_max = ["--m-max", "2"] if scope == "tree" else []
+    code, out, err = run(capsys, "verify", "--scope", scope, "-n", "4", *m_max)
+    assert code == 2
+    assert not any(line.startswith(f"PASS  {title},") for line in out.splitlines())
+    expected = (4, 3) if shift < 0 else (5, 4)  # the shorter row is read past its order
+    assert err == "error: coefficient index {} outside truncation order {}\n".format(*expected)
 
 
 def test_algebra_check_reads_the_poids_series_c(capsys, monkeypatch):
@@ -336,7 +372,7 @@ def test_gf_reader_builds_each_row_when_read_and_keeps_only_the_last(monkeypatch
     built = []
     original = genfunc.tree_gf
     monkeypatch.setattr(genfunc, "tree_gf", lambda m, i, order: built.append(i) or original(m, i, order))
-    read = routes.ROUTES["walks", "gf"](tree_weights(3), 4, 0)
+    read = routes.open_route("walks", "gf", tree_weights(3), 4, 0)
     assert built == []
     assert [read(1, n) for n in range(5)] == [0, 1, 0, 5, 0]
     read(0, 0)

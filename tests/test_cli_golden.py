@@ -1,5 +1,5 @@
 """Pinned CLI behaviour: exact stdout and exit code of a fixed argv list, and
-one corrupted route per dp comparison in ``verify``.
+one corrupted route per dp comparison in ``verify``, also deep in the square.
 
 Stdout and exit codes are the CLI's published contract, so any change to a
 printed byte or an exit code of these commands fails here.
@@ -14,6 +14,7 @@ import treewalks.genfunc as genfunc
 import treewalks.oracles as oracles
 import treewalks.recurrence as recurrence
 from treewalks.recurrence import WalkTable
+from treewalks.series import PowerSeries
 
 GOLDEN = [
     (
@@ -671,3 +672,78 @@ def test_verify_catches_each_corrupted_route(capsys, monkeypatch, route, scope, 
     m_max = ["--m-max", "2"] if scope == "tree" else []  # only --scope tree and all read it
     assert cli.main(["verify", "--scope", scope, "-n", "4", *m_max]) == 1
     assert fail_line in capsys.readouterr().out.splitlines()
+
+
+def _raised_cells(*cells):
+    def corrupt(build_table):
+        def build(weights, n_max):
+            table = build_table(weights, n_max)
+            columns = [list(column) for column in table.columns]
+            for i, n in cells:
+                columns[n][i // 2] += 1  # N(i, n) = A(i, n) * D^n
+            return WalkTable(weights, n_max, columns)
+
+        return build
+
+    return corrupt
+
+
+def _raised_last_coefficient(last_row_only):
+    def corrupt(row):
+        def corrupted(first, i, order):
+            series = row(first, i, order)
+            if last_row_only and i < order:
+                return series
+            return series + PowerSeries([0] * order + [1])
+
+        return corrupted
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "route,corrupt,argv,fail_lines",
+    [
+        (  # the square's last cell, N(order, order)
+            "build_table",
+            _raised_cells((4, 4)),
+            ["--scope", "tree", "-n", "4", "--m-max", "2"],
+            [
+                "FAIL  dp = closed form, m=2, n<=4: m=2 i=4 n=4 closed form vs dp: expected 2, got 1",
+                "FAIL  dp = constructed gf, m=2, n<=4: m=2 i=4 n=4 constructed gf vs dp: expected 2, got 1",
+                "FAIL  dp = tree oracle, m=2, n<=4: m=2 i=4 n=4 tree oracle vs dp: expected 2, got 1",
+            ],
+        ),
+        (  # a row comparison names (1, 5) before (3, 3), i-major; the oracle's corner is length-major
+            "build_table",
+            _raised_cells((3, 3), (1, 5)),
+            ["--scope", "tree", "-n", "5", "--m-max", "2"],
+            [
+                "FAIL  dp = closed form, m=2, n<=5: m=2 i=1 n=5 closed form vs dp: expected 11, got 10",
+                "FAIL  dp = constructed gf, m=2, n<=5: m=2 i=1 n=5 constructed gf vs dp: expected 11, got 10",
+                "FAIL  dp = tree oracle, m=2, n<=5: m=2 i=3 n=3 tree oracle vs dp: expected 2, got 1",
+            ],
+        ),
+        (  # each gf row's last coefficient: the first row names it
+            "tree_gf",
+            _raised_last_coefficient(False),
+            ["--scope", "tree", "-n", "4", "--m-max", "2"],
+            ["FAIL  dp = closed form, m=2, n<=4: m=2 i=0 n=4 closed form vs dp: expected 6, got 7"],
+        ),
+        (  # the last gf row's last coefficient, on a weight with D = 2
+            "poids_gf",
+            _raised_last_coefficient(True),
+            ["--scope", "dyck", "-n", "4"],
+            [
+                f"FAIL  dp = gf, weights {w}, n<=4: weights {w} i=4 n=4 gf vs dp: expected {a}, got {a + 1}"
+                for w, a in (("(1, 1, 2) [m=2]", 1), ("(1, 2, 3) [m=3]", 1), ("(1, 3, 4) [m=4]", 1),
+                             ("(1, 1, 1)", 1), ("(2, 1, 5)", 16), ("(1, 1/2, 2)", 1))
+            ],
+        ),
+    ],
+)
+def test_verify_names_the_first_differing_cell_deep_in_the_square(capsys, monkeypatch, route, corrupt, argv, fail_lines):
+    home = next(layer for layer in (recurrence, genfunc) if route in layer.__all__)
+    monkeypatch.setattr(home, route, corrupt(getattr(home, route)))
+    assert cli.main(["verify", *argv]) == 1
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL  dp = ")] == fail_lines

@@ -162,13 +162,6 @@ def test_negative_order_rejected():
         build_table(tree_weights(2), -1)
 
 
-def test_tree_tag_demands_integer_counts():
-    w = tree_weights(3)
-    object.__setattr__(w, "c2", Fraction(1, 2))  # bypass the tag validation
-    with pytest.raises(ArithmeticError):
-        build_table(w, 4)
-
-
 @given(weight_triples, st.integers(min_value=0, max_value=12))
 def test_base_column(w, n_max):
     table = build_table(w, n_max)
@@ -222,34 +215,6 @@ def test_integer_weights_give_integer_entries(c1, c2, c3, n_max):
             v = table.count(i, n)
             assert v.denominator == 1
             assert v >= 0
-
-
-def test_tree_tag_demands_non_negative_counts():
-    w = tree_weights(3)
-    object.__setattr__(w, "c2", Fraction(-5))  # N(1, 3) = 1*3 - 5*1 < 0
-    with pytest.raises(ArithmeticError):
-        build_table(w, 3)
-
-
-@pytest.mark.parametrize(
-    "signed,n_max",
-    [
-        ({"c1": Fraction(-1)}, 1),  # N(1, 1) = -1
-        ({"c3": Fraction(-3)}, 2),  # N(0, 2) = -3
-        ({"c1": Fraction(-1), "c2": Fraction(1, 2)}, 1),  # D = 2: N(1, 1) = -2, a multiple of D^1
-    ],
-    ids=["c1", "c3", "c1 with D=2"],
-)
-def test_tree_tag_demands_non_negative_counts_of_each_weight(signed, n_max):
-    # a negative weight set around the tag check is refused at the first
-    # length where a count turns negative, also where that count is divisible
-    # by D^n, so that only the sign test can see it
-    w = tree_weights(3)
-    for name, value in signed.items():
-        object.__setattr__(w, name, value)
-    build_table(w, n_max - 1)
-    with pytest.raises(ArithmeticError):
-        build_table(w, n_max)
 
 
 # --- integer kernel against the square Fraction loop -------------------------------
@@ -328,6 +293,20 @@ def test_dp_row_matches_the_table_row(w, n_max):
         assert row.coeffs == tuple(table.count(i, n) for n in range(n_max + 1)), i  # count gives 0 for n < i
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.builds(WeightConfig, signed_weights, signed_weights, signed_weights), st.integers(0, 40))
+@example(WeightConfig(0, 0, 0), 40)
+@example(WeightConfig(Fraction(1, 3), Fraction(4, 5), Fraction(2, 7)), 40)
+def test_table_row_is_the_dp_row_as_it_stands(w, n_max):
+    # the same graded ints, den 1 and base D, so == between the two is a compare of int lists
+    table = build_table(w, n_max)
+    for i in range(n_max + 3):
+        row, expected = table.row(i), dp_row(w, i, n_max)
+        assert (row._num, row._den, row._base) == (expected._num, expected._den, expected._base), i
+    with pytest.raises(ValueError):
+        table.row(-1)
+
+
 def test_dp_row_above_the_order_is_zero():
     assert dp_row(tree_weights(3), 9, 5).coeffs == (0,) * 6
     assert dp_row(WeightConfig(Fraction(1, 3), 2, 5), 1, 0).coeffs == (0,)
@@ -351,10 +330,6 @@ def test_dp_row_shares_the_table_guard_and_checks():
     with pytest.raises(FeasibilityError) as table_refused:
         build_table(tree_weights(3), 50_000)
     assert str(row_refused.value) == str(table_refused.value)
-    w = tree_weights(3)
-    object.__setattr__(w, "c2", Fraction(-5))  # bypass the tag validation
-    with pytest.raises(ArithmeticError):
-        dp_row(w, 1, 3)
     with pytest.raises(ValueError):
         dp_row(tree_weights(2), 0, -1)
 
