@@ -9,12 +9,13 @@ modules lazily, and this module reaches ``verify``, and through the routes
 ``genfunc`` and ``oracles``, only when a handler calls them.
 
 Exit codes are stable: 0 success, 1 verification failure, 2 usage or
-validation error, 3 enumeration refused by the feasibility guard.
+validation error, 3 refused by a feasibility guard, 141 stdout closed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -205,7 +206,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe must raise here, not in the flush at exit
+    except BrokenPipeError:  # the reader has gone: stdout goes to devnull, so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

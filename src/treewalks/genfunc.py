@@ -55,7 +55,7 @@ def _check_order(order: int) -> None:
         raise ValueError("truncation order must be >= 0")
 
 
-# A Fraction object and its slot in the cached tuple.
+# A Fraction object and its slot in the coefficient tuple.
 _FRACTION_BYTES = 56
 
 # The objects a call builds whatever its order: the weights, the series and
@@ -73,8 +73,8 @@ def _widest_int_bits(weights: WeightConfig, order: int) -> int:
 
 def _check_size(weights: WeightConfig, order: int) -> None:
     """Refuse, before building anything, a call that would hold more than
-    ``MAX_TABLE_BYTES``: two lists of order + 3 ints, one cached
-    ``Fraction`` tuple, and ``_CALL_BYTES``.
+    ``MAX_TABLE_BYTES``: two lists of order + 3 ints, the ``Fraction``
+    tuple that a reader of ``coeffs`` holds, and ``_CALL_BYTES``.
 
     With M and log2(D) the bits of :func:`step_bits` and u, v, x = D*c1,
     D*c2, D*c3, every int built here is a coefficient [t^(2k)] a^j at D*t,
@@ -89,21 +89,21 @@ def _check_size(weights: WeightConfig, order: int) -> None:
     * ``dyck_gf`` holds one Catalan-power list, which its row shares.
     * ``irreducible_gf`` holds one Catalan-power list and two rows of
       order // 2 ints each, and returns two series whose tuples may both
-      be cached.  b and c vanish at t^0 and every odd power, so the two
+      be held.  b and c vanish at t^0 and every odd power, so the two
       tuples hold no more nonzero coefficients than one dense tuple; their
       zero Fractions and the rows' zero slots take the half list left
       over, the ints narrower than charged, and below about order 30 part
       of ``_CALL_BYTES``.
 
-    A cached coefficient is charged at the dp widths of A(i, n).  Tests
+    A coefficient in the tuple is charged at the dp widths of A(i, n).  Tests
     check the width against the widest int each function builds, and the
     estimate against each function's ``tracemalloc`` peak.
     """
     numerator, denominator = step_bits(weights)
     graded = 2 * (order + 3) * int_bytes(_widest_int_bits(weights, order))
-    cached = (order + 1) * (_FRACTION_BYTES + int_bytes(order * numerator) + int_bytes(order * denominator))
+    rational = (order + 1) * (_FRACTION_BYTES + int_bytes(order * numerator) + int_bytes(order * denominator))
     what = lambda: f"series of order {order} for weights {weights.describe()}"
-    check_cost(what, graded + cached + _CALL_BYTES, MAX_TABLE_BYTES, "bytes")
+    check_cost(what, graded + rational + _CALL_BYTES, MAX_TABLE_BYTES, "bytes")
 
 
 def _catalan_power(i: int, q: int, terms: int) -> list[int]:

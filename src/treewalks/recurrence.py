@@ -46,35 +46,30 @@ __all__ = [
 class WeightConfig:
     """Step weights: c1 per U, c2 per D off the axis, c3 per D landing on it.
 
-    ``m`` tags the m-regular-tree specialization and is validated against
-    the weights, not trusted.  Immutable, compared and hashed by
-    (c1, c2, c3, m).  Written out by hand with ``__slots__``: a generated
-    class would load ``inspect`` and ``ast`` into every CLI process, which
-    costs more start-up than a small query's whole computation.
+    Immutable, compared and hashed by (c1, c2, c3).  Whether the weights are
+    a tree's is read off them (:attr:`m`), not stored.  Written out by hand
+    with ``__slots__``: a generated class would load ``inspect`` and ``ast``
+    into every CLI process, which costs more start-up than a small query's
+    whole computation.
     """
 
-    __slots__ = ("c1", "c2", "c3", "m")
+    __slots__ = ("c1", "c2", "c3")
 
     c1: Fraction
     c2: Fraction
     c3: Fraction
-    m: int | None
 
-    def __init__(self, c1: Rational, c2: Rational, c3: Rational, m: int | None = None) -> None:
+    def __init__(self, c1: Rational, c2: Rational, c3: Rational) -> None:
         for name, value in (("c1", c1), ("c2", c2), ("c3", c3)):
             if isinstance(value, float):
                 raise TypeError(f"weight {name}={value!r} is a float; weights must be exact")
             object.__setattr__(self, name, Fraction(value))
-        object.__setattr__(self, "m", m)
-        if m is not None:
-            if not isinstance(m, int) or m < 1:
-                raise ValueError(f"tree degree must be an integer >= 1, got {m!r}")
-            expected = (Fraction(1), Fraction(m - 1), Fraction(m))
-            if (self.c1, self.c2, self.c3) != expected:
-                raise ValueError(
-                    f"weights ({self.c1}, {self.c2}, {self.c3}) are not the "
-                    f"degree-{m} tree specialization (1, m-1, m)"
-                )
+
+    @property
+    def m(self) -> int | None:
+        """The tree degree m if the weights are (1, m-1, m) for an integer m >= 1, else None."""
+        c3 = self.c3
+        return c3.numerator if self.c1 == 1 and c3 == self.c2 + 1 and c3.denominator == 1 and c3 >= 1 else None
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -87,7 +82,7 @@ class WeightConfig:
         return WeightConfig, self._key()
 
     def _key(self) -> tuple:
-        return self.c1, self.c2, self.c3, self.m
+        return self.c1, self.c2, self.c3
 
     def __eq__(self, other: object) -> bool:
         return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
@@ -96,7 +91,7 @@ class WeightConfig:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"WeightConfig(c1={self.c1!r}, c2={self.c2!r}, c3={self.c3!r}, m={self.m!r})"
+        return f"WeightConfig(c1={self.c1!r}, c2={self.c2!r}, c3={self.c3!r})"
 
     def describe(self) -> str:
         parts = ", ".join(format_number(c) for c in (self.c1, self.c2, self.c3))
@@ -114,7 +109,7 @@ def tree_weights(m: int) -> WeightConfig:
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"tree degree must be an integer >= 1, got {m!r}")
-    return WeightConfig(Fraction(1), Fraction(m - 1), Fraction(m), m=m)
+    return WeightConfig(Fraction(1), Fraction(m - 1), Fraction(m))
 
 
 class FeasibilityError(RuntimeError):
@@ -170,12 +165,13 @@ class WalkTable:
     stored, every other entry is exactly zero.  Built by :func:`build_table`.
     """
 
-    def __init__(self, weights: WeightConfig, n_max: int, columns: list[list[int]]):
+    def __init__(self, weights: WeightConfig, columns: list[list[int]]):
         self.weights = weights
-        self.n_max = n_max
         self.columns = columns
-        self._scale = scale = _integers(weights)[0]
-        self._powers = [scale**n for n in range(n_max + 1)] if scale > 1 else None
+
+    @property
+    def n_max(self) -> int:
+        return len(self.columns) - 1
 
     def count(self, i: int, n: int) -> Fraction:
         """A(i, n).  Unreachable i > n gives 0; n outside the table raises."""
@@ -185,8 +181,7 @@ class WalkTable:
             raise IndexError(f"n={n} exceeds the table order n_max={self.n_max}")
         if i > n or (n - i) % 2:
             return Fraction(0)
-        value = self.columns[n][i // 2]
-        return Fraction(value) if self._powers is None else Fraction(value, self._powers[n])
+        return Fraction(self.columns[n][i // 2], _integers(self.weights)[0] ** n)
 
     def row(self, i: int) -> PowerSeries:
         """d_i(t) to order n_max, the series :func:`dp_row` returns: the ints N(i, n), den 1, base D."""
@@ -194,7 +189,7 @@ class WalkTable:
             raise ValueError("indices must be non-negative")
         row = [0] * (self.n_max + 1)
         row[i::2] = [column[i // 2] for column in self.columns[i::2]]
-        return PowerSeries._graded(row, 1, self._scale)
+        return PowerSeries._graded(row, 1, _integers(self.weights)[0])
 
     def __repr__(self) -> str:
         return f"WalkTable(weights={self.weights.describe()}, n_max={self.n_max})"
@@ -248,7 +243,7 @@ def _columns(weights: WeightConfig, n_max: int, bottom: int, top: int) -> Iterat
 
 def build_table(weights: WeightConfig, n_max: int) -> WalkTable:
     """Fill the whole table column by column in n, on integers (see :func:`_columns`)."""
-    return WalkTable(weights, n_max, [column for _, column in _columns(weights, n_max, 0, n_max)])
+    return WalkTable(weights, [column for _, column in _columns(weights, n_max, 0, n_max)])
 
 
 def dp_row(weights: WeightConfig, i: int, n_max: int) -> PowerSeries:

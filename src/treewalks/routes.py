@@ -39,11 +39,11 @@ ROUTES: dict[tuple[str, str], Callable] = {
 
 
 def open_route(command: str, method: str, w: WeightConfig, order: int, states: int) -> Callable[[int, int], Rational]:
-    """A route's reader (i, n) -> A(i, n), n <= order; a row's is built when first read, only the last kept."""
+    """A route's reader (i, n) -> A(i, n), n <= order; a row's ``coeffs`` are read once, only the last row's kept."""
     route = ROUTES[command, method]
     if method not in ("dp", "gf"):
         return route(w, order, states)
-    row = lru_cache(maxsize=1)(lambda i: route(w, i, order))
+    row = lru_cache(maxsize=1)(lambda i: route(w, i, order).coeffs)
     return lambda i, n: row(i)[n]
 
 

@@ -18,7 +18,8 @@ normalised.  The only gcds are one linear scan per series built, which
 keeps ``den`` coprime to the numerators, and one in ``inverse``, which
 keeps its base as narrow as the constant term allows.  A dp row is the
 same type (den 1, base D).  ``Fraction`` is only the API edge: the list
-constructor reads rationals, ``coeffs`` builds them once, on first read.
+constructor reads rationals, and ``coeffs`` and indexing build them when
+read; a series keeps no rational copy of its integers.
 """
 
 from __future__ import annotations
@@ -73,22 +74,21 @@ class PowerSeries:
     order of the two operands; accordingly instances are unhashable.
     """
 
-    __slots__ = ("_num", "_den", "_base", "_coeffs")
+    __slots__ = ("_num", "_den", "_base")
 
     _num: tuple[int, ...]
     _den: int
     _base: int
-    _coeffs: Optional[tuple[Fraction, ...]]
 
     def __init__(self, coeffs: Iterable[Rational]):
         values = tuple(Fraction(c) for c in coeffs)
         if not values:
             raise ValueError("a series needs at least its constant coefficient")
         den = lcm(*(v.denominator for v in values))
-        self._set([v.numerator * (den // v.denominator) for v in values], den, 1, values)
+        self._set([v.numerator * (den // v.denominator) for v in values], den, 1)
 
-    def _set(self, num: Iterable[int], den: int, base: int, coeffs: Optional[tuple[Fraction, ...]]) -> None:
-        for name, value in (("_num", tuple(num)), ("_den", den), ("_base", base), ("_coeffs", coeffs)):
+    def _set(self, num: Iterable[int], den: int, base: int) -> None:
+        for name, value in (("_num", tuple(num)), ("_den", den), ("_base", base)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -104,7 +104,7 @@ class PowerSeries:
                 break
             g = gcd(g, x)
         series = object.__new__(cls)
-        series._set([x // g for x in num] if g > 1 else num, den // g, base, None)
+        series._set([x // g for x in num] if g > 1 else num, den // g, base)
         return series
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -130,15 +130,13 @@ class PowerSeries:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as exact rationals, built on first read and kept."""
-        if self._coeffs is None:
-            scale, values = self._den, []
-            for x in self._num:
-                # Fraction(x) keeps x itself: no gcd, and no copy of a long int
-                values.append(Fraction(x, scale) if scale > 1 else Fraction(x))
-                scale *= self._base
-            object.__setattr__(self, "_coeffs", tuple(values))
-        return self._coeffs
+        """The coefficients as exact rationals, built in one pass on each read."""
+        scale, values = self._den, []
+        for x in self._num:
+            # Fraction(x) keeps x itself: no gcd, and no copy of a long int
+            values.append(Fraction(x, scale) if scale > 1 else Fraction(x))
+            scale *= self._base
+        return tuple(values)
 
     @property
     def order(self) -> int:
@@ -148,7 +146,7 @@ class PowerSeries:
     def __getitem__(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient index {k} outside truncation order {self.order}")
-        return self.coeffs[k]
+        return Fraction(self._num[k], self._den * self._base**k)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coeffs)
@@ -292,7 +290,7 @@ class PowerSeries:
             if self._num[j] != 0:
                 raise ValueError(
                     f"series is not divisible by t^{k}: coefficient of t^{j} is "
-                    f"{format_number(self.coeffs[j])}"
+                    f"{format_number(self[j])}"
                 )
         return PowerSeries._graded(self._num[k:], self._den * self._base**k, self._base)
 

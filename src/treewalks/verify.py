@@ -74,19 +74,18 @@ def _compare_rows(dp_table: WalkTable, row: Callable, order: int, where: str, na
     return None
 
 
-# The cells (label, i, n, key) of an oracle comparison: the corner i <= n
-# length by length (a memo holds one length), and target words length-major
-# for the free group (one word enumeration per length).
-def _corner(where: str, weights: WeightConfig, order: int) -> list:
-    return [(f"{where} i={i} n={n}", i, n, i) for n in range(order + 1) for i in range(n + 1)]
+# The cells (shown, i, n, key) of an oracle comparison, "{shown}={key} n={n}" in a FAIL line: the corner
+# i <= n length by length (a memo holds one length), free-group target words length-major (one enumeration each).
+def _corner(weights: WeightConfig, order: int) -> list:
+    return [("i", i, n, i) for n in range(order + 1) for i in range(n + 1)]
 
 
 _FREE_GROUP_WORDS = {1: [(), (1,), (-1,), (1, 1), (-1, -1)], 2: [(), (1,), (-2,), (1, 2), (2, -1)]}
 
 
-def _words(where: str, weights: WeightConfig, order: int) -> list:
+def _words(weights: WeightConfig, order: int) -> list:
     targets = [target for target in _FREE_GROUP_WORDS[weights.m // 2] if len(target) <= order]
-    return [(f"{where} target={target} n={n}", len(target), n, target) for n in range(order + 1) for target in targets]
+    return [("target", len(target), n, target) for n in range(order + 1) for target in targets]
 
 
 def _free_group_route(weights: WeightConfig, order: int, states: int) -> Callable[[tuple, int], int]:
@@ -115,11 +114,15 @@ CHECKS: tuple[tuple[str, str, Optional[int], object], ...] = (
 )
 
 
+def _order(row: tuple, n_max: int) -> int:
+    return n_max if row[2] is None else min(n_max, row[2])  # the row's cap, where it is below n_max
+
+
 def open_check(row: tuple, where: str, weights: WeightConfig, n_max: int, max_states: int, table: Callable) -> Check:
     """One CHECKS row on one weight configuration, as (title, run), reading ``table(weights)`` when
     run.  Its oracle guard runs now, at the row's cap: an oversized check is refused before any runs."""
-    _, template, cap, check = row
-    order = n_max if cap is None else min(n_max, cap)
+    order = _order(row, n_max)
+    _, template, _, check = row
     title = template.format(where=where, order=order)
     if callable(check):
         return title, lambda: check(table(weights), weights, order)
@@ -130,22 +133,18 @@ def open_check(row: tuple, where: str, weights: WeightConfig, n_max: int, max_st
 
     def compare() -> Optional[str]:
         dp_table = table(weights)
-        for label, i, n, key in cells(where, weights, order):
+        for shown, i, n, key in cells(weights, order):
             dp, got = dp_table.count(i, n), read(key, n)
             if got != dp:
-                return _mismatch(f"{label} {name} vs dp", dp, got)
+                return _mismatch(f"{where} {shown}={key} n={n} {name} vs dp", dp, got)
         return None
 
     return title, compare
 
 
 def open_checks(scope: str, n_max: int, m_max: int, max_states: int) -> list[Check]:
-    """Every CHECKS row of ``scope`` (or of "all"), opened on each weight configuration of its
-    scope, in output order; the rows share one dp table per weight configuration."""
-    table = cache(lambda weights: recurrence.build_table(weights, n_max))
-    return [
-        open_check(row, where, weights, n_max, max_states, table)
-        for row in CHECKS
-        if scope in (row[0], "all")
-        for where, weights in SCOPES[row[0]](m_max)
-    ]
+    """Every CHECKS row of ``scope`` (or of "all") on each weight configuration of its scope, in output
+    order; the rows on one configuration share one dp table, built to the largest order they read."""
+    opened = [(row, *config) for row in CHECKS if scope in (row[0], "all") for config in SCOPES[row[0]](m_max)]
+    table = cache(lambda w: recurrence.build_table(w, max(_order(row, n_max) for row, _, v in opened if v == w)))
+    return [open_check(row, where, weights, n_max, max_states, table) for row, where, weights in opened]

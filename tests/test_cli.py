@@ -290,6 +290,16 @@ def test_verify_builds_one_table_per_weight_config(capsys, monkeypatch):
     assert len(built) == len(set(built)) == 7  # degrees 2..5 plus three non-tree triples
 
 
+@pytest.mark.parametrize("n_max", [500, 5000])
+def test_verify_builds_each_table_to_the_order_its_rows_read(capsys, monkeypatch, n_max):
+    # the free-group rows stop at n <= 8, so their tables do too, even past dp's ceiling at -n 5000
+    built = []
+    monkeypatch.setattr(recurrence, "build_table", lambda w, n: built.append((w, n)) or build_table(w, n))
+    code, out, _ = run(capsys, "verify", "--scope", "freegroup", "-n", str(n_max))
+    assert (code, out.splitlines()[-1]) == (0, "2/2 checks passed")
+    assert built == [(tree_weights(2), 8), (tree_weights(4), 8)]
+
+
 def test_identity_check_fails_on_a_raised_cell(capsys, monkeypatch):
     def build(weights, n_max):
         table = build_table(weights, n_max)
@@ -380,6 +390,27 @@ def test_gf_reader_builds_each_row_when_read_and_keeps_only_the_last(monkeypatch
     assert built == [1, 0, 1]
 
 
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (("walks", "-m", "3", "-i", "1", "-n", "7"), "0 1 0 5 0 29 0 181\n"),
+        (("dyck", "1/2", "1", "3", "-i", "1", "-n", "7"), "0 1/2 0 1 0 17/8 0 37/8\n"),
+    ],
+)
+@pytest.mark.parametrize("method", ["dp", "gf"])
+def test_row_reader_reads_coeffs_once_per_row(capsys, monkeypatch, argv, out, method):
+    # one Fraction per printed value: the reader keeps the row's coeffs, never indexes the series
+    reads = []
+    coeffs = PowerSeries.coeffs
+    monkeypatch.setattr(PowerSeries, "coeffs", property(lambda series: reads.append(series.order) or coeffs.fget(series)))
+    monkeypatch.setattr(PowerSeries, "__getitem__", mock.Mock(side_effect=AssertionError("a cell read")))
+    assert run(capsys, *argv, "--method", method) == (0, out, "")
+    assert reads == [7]
+    read = routes.open_route(argv[0], method, tree_weights(3), 4, 0)
+    assert [read(i, n) for i in (0, 2) for n in range(5)] == [1, 0, 3, 0, 15, 0, 0, 1, 0, 7]
+    assert reads == [7, 4, 4]
+
+
 def test_verify_rejects_bad_bounds(capsys):
     code, _, _ = run(capsys, "verify", "-n", "-1")
     assert code == 2
@@ -427,6 +458,31 @@ def test_module_entry_point_exits_with_main_code(argv, code, out):
         [sys.executable, "-m", "treewalks.cli", *argv], capture_output=True, text=True, env=env, timeout=60
     )
     assert (done.returncode, done.stdout) == (code, out)
+
+
+def test_a_closed_stdout_exits_141_with_an_empty_stderr():
+    # `treewalks walks -m 3 -n 2000 --format csv | head -n 2`: a closed pipe is no verification
+    # failure (exit 1) and no traceback, but the 128 + SIGPIPE a shell reports for such a filter
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "treewalks.cli", "walks", "-m", "3", "-n", "2000", "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as process:
+        assert [process.stdout.readline() for _ in range(2)] == [b"n,value\n", b"0,1\n"]
+        process.stdout.close()  # about 1 MB of rows remain, far more than a pipe holds
+        err = process.stderr.read()
+        code = process.wait(timeout=60)
+    assert (code, err) == (141, b"")
+
+
+def test_main_lets_a_closed_stdout_raise(monkeypatch):
+    # only the console entry point turns a closed pipe into exit 141; in-process callers see it
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(BrokenPipeError):
+        cli.main(["walks", "-m", "3", "-n", "4"])
 
 
 # --- values of any size ---------------------------------------------------------

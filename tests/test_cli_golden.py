@@ -624,7 +624,7 @@ def _doubled_origin(build_table):
         table = build_table(weights, n_max)
         columns = [list(column) for column in table.columns]
         columns[0][0] *= 2  # N(0, 0) = A(0, 0) * D^0
-        return WalkTable(weights, n_max, columns)
+        return WalkTable(weights, columns)
 
     return build
 
@@ -681,7 +681,7 @@ def _raised_cells(*cells):
             columns = [list(column) for column in table.columns]
             for i, n in cells:
                 columns[n][i // 2] += 1  # N(i, n) = A(i, n) * D^n
-            return WalkTable(weights, n_max, columns)
+            return WalkTable(weights, columns)
 
         return build
 

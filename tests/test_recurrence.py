@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import functools
 import pickle
-import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -58,13 +57,25 @@ def test_weight_config_coerces_to_fractions():
     assert w.c2 == Fraction(2)
 
 
-def test_weight_config_validates_tree_tag():
-    with pytest.raises(ValueError, match=re.escape("weights (1, 2, 4) are not the degree-3 tree specialization (1, m-1, m)")):
-        WeightConfig(1, 2, 4, m=3)
-    with pytest.raises(ValueError, match="^tree degree must be an integer >= 1, got 0$"):
-        WeightConfig(1, -1, 0, m=0)
-    with pytest.raises(ValueError, match="^tree degree must be an integer >= 1, got 1.0$"):
-        WeightConfig(1, 0, 1, m=1.0)
+@pytest.mark.parametrize(
+    "weights,m",
+    [
+        ((1, 2, 3), 3),
+        ((1, 0, 1), 1),
+        ((Fraction(2, 2), Fraction(6, 3), 3), 3),
+        ((1, Fraction(1, 2), Fraction(3, 2)), None),
+        ((2, 2, 4), None),
+        ((1, -1, 0), None),
+        ((1, 2, 4), None),
+        ((1, -2, -1), None),
+    ],
+)
+def test_weight_config_reads_the_tree_degree_off_the_weights(weights, m):
+    w = WeightConfig(*weights)
+    assert w.m == m and (m is None or type(w.m) is int)
+    assert m is None or w == tree_weights(m)
+    assert w.describe().endswith(f" [m={m}]") == (m is not None)
+    assert eval(repr(w)) == w and hash(eval(repr(w))) == hash(w)
 
 
 def test_weight_config_rejects_floats():
@@ -75,16 +86,16 @@ def test_weight_config_rejects_floats():
 
 
 def test_weight_config_equality_and_hash_over_its_fields():
-    w = WeightConfig(1, 2, 3, m=3)
-    assert w == tree_weights(3) == WeightConfig(c1=Fraction(1), c2=Fraction(2), c3=Fraction(3), m=3)
+    w = WeightConfig(1, 2, 3)
+    assert w == tree_weights(3) == WeightConfig(c1=Fraction(1), c2=Fraction(2), c3=Fraction(3))
     assert hash(w) == hash(tree_weights(3))
-    assert WeightConfig(1, 2, 3) != w  # m is part of the key
+    assert WeightConfig(1, 2, 4) != w and WeightConfig(1, 1, 2) != w
     assert WeightConfig(1, Fraction(1, 2), 2) == WeightConfig(Fraction(2, 2), Fraction(2, 4), 2)
-    assert WeightConfig(1, 2, 3) != (Fraction(1), Fraction(2), Fraction(3), None)
-    assert {w: "tree", WeightConfig(1, 2, 3): "dyck"}[tree_weights(3)] == "tree"
+    assert WeightConfig(1, 2, 3) != (Fraction(1), Fraction(2), Fraction(3))
+    assert {w: "dyck", WeightConfig(1, 2, 4): "other"}[tree_weights(3)] == "dyck"  # the degree is no part of the key
     built = []
     keyed = functools.cache(lambda weights: built.append(weights) or len(built))
-    assert keyed(w) == keyed(tree_weights(3)) == 1 and keyed(WeightConfig(1, 2, 3)) == 2
+    assert keyed(w) == keyed(tree_weights(3)) == 1 and keyed(WeightConfig(1, 2, 4)) == 2
 
 
 def test_weight_config_is_immutable():
@@ -101,11 +112,12 @@ def test_weight_config_is_immutable():
 
 
 def test_weight_config_repr_and_describe():
-    w = WeightConfig(c1=1, c2=2, c3=3, m=3)
-    assert repr(w) == "WeightConfig(c1=Fraction(1, 1), c2=Fraction(2, 1), c3=Fraction(3, 1), m=3)"
+    w = WeightConfig(c1=1, c2=2, c3=3)
+    assert repr(w) == "WeightConfig(c1=Fraction(1, 1), c2=Fraction(2, 1), c3=Fraction(3, 1))"
     assert repr(WeightConfig(1, Fraction(-1, 2), 0)) == (
-        "WeightConfig(c1=Fraction(1, 1), c2=Fraction(-1, 2), c3=Fraction(0, 1), m=None)"
+        "WeightConfig(c1=Fraction(1, 1), c2=Fraction(-1, 2), c3=Fraction(0, 1))"
     )
+    assert eval(repr(w)) == w == tree_weights(3)
     assert w.describe() == "(1, 2, 3) [m=3]"
     assert WeightConfig(1, Fraction(-1, 2), 0).describe() == "(1, -1/2, 0)"
 
