@@ -138,8 +138,6 @@ def _count(args: argparse.Namespace, command: str, weights: WeightConfig, meta: 
     i = args.i
     ns = range(i, args.n_max + 1, 2) if args.parity_filter else range(args.n_max + 1)
     read = open_route(command, args.method, weights, ns[-1] if ns else 0, args.max_states)
-    if not ns:  # still read height i, so a height the route rejects exits 2
-        read(i, 0)
     values = [read(i, n) for n in ns]
     _emit(ns, values, {**meta, "i": i, "method": args.method}, args.format, args.start)
     return EXIT_OK
@@ -197,7 +195,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FeasibilityError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, ZeroDivisionError, IndexError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -40,6 +40,7 @@ __all__ = [
     "int_bytes",
     "mass_check",
     "step_bits",
+    "table_guard",
 ]
 
 
@@ -157,6 +158,20 @@ def step_bits(weights: WeightConfig) -> tuple[int, int]:
     return max(a + b, c).bit_length(), scale.bit_length()
 
 
+def table_guard(weights: WeightConfig, n_max: int) -> None:
+    """Refuse, by :func:`check_cost`, a dp table of order n_max whose memory, estimated in closed
+    form, is over ``MAX_TABLE_BYTES``.  There are sum(n // 2 + 1) = n_max^2 // 4 + n_max + 1
+    reachable cells, and |N(i, n)| <= max(|a| + |b|, |c|)^n, so no entry is wider than
+    n_max * bit_length(max(|a| + |b|, |c|)) bits (:func:`step_bits`), and each is charged the
+    :func:`int_bytes` of that width.  A cut table holds fewer cells but is charged the same, so
+    the estimate also bounds the work."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    cells = n_max * n_max // 4 + n_max + 1
+    what = lambda: f"a dp table of order {n_max} for weights {weights.describe()}"
+    check_cost(what, cells * int_bytes(n_max * step_bits(weights)[0]), MAX_TABLE_BYTES, "bytes")
+
+
 class WalkTable:
     """A(i, n) for 0 <= n <= n_max, stored as integers N(i, n) = A(i, n) * D^n.
 
@@ -210,19 +225,9 @@ def _columns(weights: WeightConfig, n_max: int, bottom: int, top: int) -> Iterat
     A(n+1, n-1) is unreachable.  Where column n-1 was cut, the cells past
     either cut of column n are not computed or are dropped.
 
-    Before anything is computed, the whole table's memory is estimated in
-    closed form and a table over ``MAX_TABLE_BYTES`` is refused by
-    :func:`check_cost`.  There are sum(n // 2 + 1) = n_max^2 // 4 + n_max + 1
-    reachable cells, and |N(i, n)| <= max(|a| + |b|, |c|)^n, so no entry is
-    wider than n_max * bit_length(max(|a| + |b|, |c|)) bits (:func:`step_bits`),
-    and each is charged the :func:`int_bytes` of that width.  A cut table holds
-    fewer cells but is charged the same, so the estimate also bounds the work.
+    Before anything is computed, :func:`table_guard` runs.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    cells = n_max * n_max // 4 + n_max + 1
-    what = lambda: f"a dp table of order {n_max} for weights {weights.describe()}"
-    check_cost(what, cells * int_bytes(n_max * step_bits(weights)[0]), MAX_TABLE_BYTES, "bytes")
+    table_guard(weights, n_max)
     _, a, b, c = _integers(weights)
     skip, column = 0, [1]
     for n in range(n_max + 1):

@@ -10,24 +10,22 @@ The coefficients are stored graded on integers, as
 :func:`treewalks.recurrence.build_table` stores ``A(i, n) * D^n``: a series
 holds integers ``num[k]``, a denominator ``den > 0`` and a base
 ``base > 0`` with ``c_k = num[k] / (den * base**k)``.  Every operation runs
-on those integers.  Once both operands share a base, a product is a plain
-integer convolution; inverse and sqrt solve their triangles on ints and
-return a series on a wider base: at most ``|c0|`` times wider for an
-inverse, ``4 * den`` times for a sqrt.  No coefficient is ever
-normalised.  The only gcds are one linear scan per series built, which
-keeps ``den`` coprime to the numerators, and one in ``inverse``, which
-keeps its base as narrow as the constant term allows.  A dp row is the
-same type (den 1, base D).  ``Fraction`` is only the API edge: the list
-constructor reads rationals, and ``coeffs`` and indexing build them when
-read; a series keeps no rational copy of its integers.
+on those integers, one way each, and takes no gcd.  Once both operands
+share a base, a product is a plain integer convolution; inverse and sqrt
+solve their triangles on ints and return a series on a wider base:
+``|c0|`` times wider for an inverse, ``4 * den`` times for a sqrt.  No
+coefficient is ever normalised.  A dp row is the same type (den 1, base
+D).  ``Fraction`` is only the API edge: the list constructor reads
+rationals, and ``coeffs`` and indexing build them, and normalise them,
+when read; a series keeps no rational copy of its integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .rationals import Rational, format_number
 
@@ -45,24 +43,17 @@ def _rescale(num: Sequence[int], factor: int, step: int) -> list[int]:
     return out
 
 
-def _halving_root(p: Sequence[int], exact: bool) -> Optional[list[int]]:
+def _halving_root(p: Sequence[int]) -> list[int]:
     """Integer s with s*s = p term by term, s0 = 1, for p0 = 1.
 
-    From 2*s_k = p_k - sum_{j=1..k-1} s_j s_{k-j}; the sum is symmetric, so
-    each product off the middle is taken once and doubled.  A halving with
-    a remainder returns None, or raises when the caller chose a base at
-    which every halving is exact.
+    From 2*s_k = p_k - sum_{j=1..k-1} s_j s_{k-j}.  A halving with a
+    remainder raises: the caller picks a base at which every halving is exact.
     """
     s = [1] * len(p)
     for k in range(1, len(p)):
-        acc = p[k] - 2 * sum(map(mul, s[1 : (k + 1) // 2], s[k - 1 : k // 2 : -1]))
-        if k % 2 == 0:
-            acc -= s[k // 2] ** 2
-        half, odd = divmod(acc, 2)
+        half, odd = divmod(p[k] - sum(map(mul, s[1:k], s[k - 1 : 0 : -1])), 2)
         if odd:
-            if exact:
-                raise ArithmeticError(f"square root: halving coefficient {k} leaves a remainder")
-            return None
+            raise ArithmeticError(f"square root: halving coefficient {k} leaves a remainder")
         s[k] = half
     return s
 
@@ -93,18 +84,9 @@ class PowerSeries:
 
     @classmethod
     def _graded(cls, num: Sequence[int], den: int, base: int) -> PowerSeries:
-        """The series c_k = num[k] / (den * base**k), for den, base > 0.
-
-        den is divided by its gcd with every num[k], so no series carries a
-        factor in den that all its numerators cancel.
-        """
-        g = den
-        for x in num:
-            if g == 1:
-                break
-            g = gcd(g, x)
+        """The series c_k = num[k] / (den * base**k), for den, base > 0, as given."""
         series = object.__new__(cls)
-        series._set([x // g for x in num] if g > 1 else num, den // g, base)
+        series._set(num, den, base)
         return series
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -225,55 +207,40 @@ class PowerSeries:
     def inverse(self) -> PowerSeries:
         """Multiplicative inverse g with self * g = 1 mod t^(order+1).
 
-        With f_k = num_k / (den * base^k) and c0 = num_0, let q be the gcd
-        of c0 and every num_j and e = |c0| / q.  Over u = t / (e * base),
-        self is (c0 / den) * (1 + sum_j h_j u^j) with the integers
-        h_j = sign(c0) * (num_j / q) * e^(j-1), so its inverse is
+        With f_k = num_k / (den * base^k), c0 = num_0 and e = |c0|: over
+        u = t / (e * base), self is (c0 / den) * (1 + sum_j h_j u^j) with the
+        integers h_j = sign(c0) * num_j * e^(j-1), so its inverse is
         (den / c0) * sum_k U_k u^k with U_0 = 1 and
         U_k = -sum_{j=1..k} h_j U_{k-j}: the triangle
         g_k = -(1/f0) * sum_{j=1..k} f_j g_{k-j}, cleared of every division.
-        The base grows by e: by |c0| at worst, not at all when c0 divides
-        every coefficient.
+        The base grows by |c0|.
         """
         num, den = self._num, self._den
         c0 = num[0]
         if c0 == 0:
             raise ValueError("series is not invertible: constant term is zero")
-        q = abs(c0)
-        for x in num[1:]:
-            if q == 1:
-                break
-            q = gcd(q, x)
-        e, sign = abs(c0) // q, -1 if c0 < 0 else 1
-        h = _rescale([x // q for x in num[1:]], sign, e)
+        e, sign = abs(c0), -1 if c0 < 0 else 1
+        h = _rescale(num[1:], sign, e)
         u = [1]
         for _ in range(1, len(num)):
             u.append(-sum(map(mul, h, reversed(u))))
-        return PowerSeries._graded(_rescale(u, sign * den, 1), abs(c0), e * self._base)
+        return PowerSeries._graded(_rescale(u, sign * den, 1), e, e * self._base)
 
     def sqrt(self) -> PowerSeries:
         """Square root s with s * s = self mod t^(order+1) and s0 = 1.
 
         Restricted to radicands with constant term exactly 1 so that every
-        coefficient stays rational.  At the base B = den * base the radicand
-        is sum_k P_k (t/B)^k with integers P_0 = 1 and
-        P_k = num_k * den^(k-1), and the root's coefficients come term by
-        term from the squaring identity 2*s_k = P_k - sum_{j=1..k-1} s_j s_{k-j}.
-        When a halving leaves a remainder the root is taken again at base
-        4B, where the radicand is 1 + 4*(an integer series) and its root has
-        integer coefficients (binomial(1/2, j) * 4^j is an integer), so
-        every halving is exact.
+        coefficient stays rational.  At the base B = 4 * den * base the
+        radicand is sum_k P_k (t/B)^k with the integers P_0 = 1 and
+        P_k = num_k * den^(k-1) * 4^k, that is 1 + 4*(an integer series), so
+        its root has integer coefficients (binomial(1/2, j) * 4^j is an
+        integer) and every halving of the squaring identity
+        2*s_k = P_k - sum_{j=1..k-1} s_j s_{k-j} is exact.
         """
         num, den = self._num, self._den
         if num[0] != den:
             raise ValueError("square root requires constant term exactly 1")
-        base = den * self._base
-        p = [1, *_rescale(num[1:], 1, den)]
-        s = _halving_root(p, exact=False)
-        if s is None:
-            base *= 4
-            s = _halving_root(_rescale(p, 1, 4), exact=True)
-        return PowerSeries._graded(s, 1, base)
+        return PowerSeries._graded(_halving_root([1, *_rescale(num[1:], 4, 4 * den)]), 1, 4 * den * self._base)
 
     def shift_div(self, k: int) -> PowerSeries:
         """Exact division by t^k; the truncation order drops by k.

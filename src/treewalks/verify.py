@@ -63,13 +63,14 @@ def _check_algebra(_table: WalkTable, weights: WeightConfig, order: int) -> Opti
 
 
 def _compare_rows(dp_table: WalkTable, row: Callable, order: int, where: str, name: str) -> Optional[str]:
-    """Each dp row d_i, i <= order, against ``row(i)`` by one ``==`` of graded ints; only a
-    mismatch reads cells, to name the first n that differs.  Rows of different orders differ,
-    and reading the shorter one's missing coefficient raises ``IndexError``."""
+    """Each dp row d_i, i <= order, against ``row(i)``: first their orders, then one ``==`` of
+    graded ints; only a mismatch reads cells, to name the first n that differs."""
     for i in range(order + 1):
         dp, got = dp_table.row(i), row(i)
-        if dp.order != got.order or dp != got:
-            n = next(n for n in range(max(dp.order, got.order) + 1) if dp[n] != got[n])
+        if dp.order != got.order:
+            return f"{where} i={i} {name} vs dp: expected a row of order {dp.order}, got order {got.order}"
+        if dp != got:
+            n = next(n for n in range(dp.order + 1) if dp[n] != got[n])
             return _mismatch(f"{where} i={i} n={n} {name} vs dp", dp[n], got[n])
     return None
 
@@ -144,7 +145,14 @@ def open_check(row: tuple, where: str, weights: WeightConfig, n_max: int, max_st
 
 def open_checks(scope: str, n_max: int, m_max: int, max_states: int) -> list[Check]:
     """Every CHECKS row of ``scope`` (or of "all") on each weight configuration of its scope, in output
-    order; the rows on one configuration share one dp table, built to the largest order they read."""
+    order; the rows on one configuration share one dp table, built to the largest order they read.
+    Every guard runs now, the oracles' first and then each table's, so nothing runs before a refusal."""
     opened = [(row, *config) for row in CHECKS if scope in (row[0], "all") for config in SCOPES[row[0]](m_max)]
-    table = cache(lambda w: recurrence.build_table(w, max(_order(row, n_max) for row, _, v in opened if v == w)))
-    return [open_check(row, where, weights, n_max, max_states, table) for row, where, weights in opened]
+    orders: dict[WeightConfig, int] = {}
+    for row, _, weights in opened:
+        orders[weights] = max(orders.get(weights, 0), _order(row, n_max))
+    table = cache(lambda w: recurrence.build_table(w, orders[w]))
+    checks = [open_check(row, where, weights, n_max, max_states, table) for row, where, weights in opened]
+    for weights, order in orders.items():
+        recurrence.table_guard(weights, order)
+    return checks

@@ -353,10 +353,14 @@ def test_a_gf_row_of_another_order_never_passes(capsys, monkeypatch, scope, rout
     monkeypatch.setattr(genfunc, route, lambda first, i, order: original(first, i, order + shift))
     m_max = ["--m-max", "2"] if scope == "tree" else []
     code, out, err = run(capsys, "verify", "--scope", scope, "-n", "4", *m_max)
-    assert code == 2
+    assert (code, err) == (1, "")
     assert not any(line.startswith(f"PASS  {title},") for line in out.splitlines())
-    expected = (4, 3) if shift < 0 else (5, 4)  # the shorter row is read past its order
-    assert err == "error: coefficient index {} outside truncation order {}\n".format(*expected)
+    # one FAIL line per configuration, naming i and both orders; no row is read past its order
+    name = title.removeprefix("dp = ")
+    assert [line for line in out.splitlines() if line.startswith(f"FAIL  {title},")] == [
+        f"FAIL  {title}, {where}, n<=4: {where} i=0 {name} vs dp: expected a row of order 4, got order {4 + shift}"
+        for where, _ in routes.SCOPES[scope](2)
+    ]
 
 
 def test_algebra_check_reads_the_poids_series_c(capsys, monkeypatch):
@@ -732,6 +736,28 @@ def test_oversized_verify_oracle_check_is_refused_before_any_check(capsys):
     assert code == 3
     assert out == ""
     assert "6-regular" in err
+
+
+def test_oversized_verify_table_is_refused_before_any_check(capsys, monkeypatch):
+    # the tables of m = 2 and 3 at order 2200 are under the ceiling, that of m = 4 over it: none is built
+    built = []
+    original = recurrence.build_table
+    monkeypatch.setattr(recurrence, "build_table", lambda w, n_max: built.append(w) or original(w, n_max))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--scope", "tree", "-n", "2200", "--m-max", "4")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out, built) == (3, "", [])
+    assert err.startswith("error: a dp table of order 2200 for weights (1, 3, 4) [m=4] needs an estimated ")
+
+
+def test_verify_names_the_oracle_when_an_oracle_and_a_table_would_both_refuse(capsys):
+    # every table at order 3000 is over the ceiling too, but the oracle guards run first
+    code, out, err = run(capsys, "verify", "--scope", "tree", "-n", "3000", "--m-max", "7")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: walking to length 10 on the 6-regular tree needs an estimated 18310530 edge moves,"
+        " exceeding the ceiling of 10000000 edge moves\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from treewalks.recurrence import (
     build_table,
     dp_row,
     mass_check,
+    table_guard,
     tree_weights,
 )
 from treewalks.recurrence import _columns
@@ -341,7 +342,9 @@ def test_dp_row_shares_the_table_guard_and_checks():
         dp_row(tree_weights(3), 0, 50_000)
     with pytest.raises(FeasibilityError) as table_refused:
         build_table(tree_weights(3), 50_000)
-    assert str(row_refused.value) == str(table_refused.value)
+    with pytest.raises(FeasibilityError) as guard_refused:
+        table_guard(tree_weights(3), 50_000)
+    assert str(row_refused.value) == str(table_refused.value) == str(guard_refused.value)
     with pytest.raises(ValueError):
         dp_row(tree_weights(2), 0, -1)
 
