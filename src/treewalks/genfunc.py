@@ -44,15 +44,11 @@ is coefficient for coefficient.
 
 from __future__ import annotations
 
+from .rationals import natural
 from .recurrence import MAX_TABLE_BYTES, WeightConfig, _integers, check_cost, int_bytes, step_bits, tree_weights
 from .series import PowerSeries
 
 __all__ = ["dyck_gf", "irreducible_gf", "poids_gf", "tree_gf"]
-
-
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
 
 
 # A Fraction object and its slot in the coefficient tuple.
@@ -72,9 +68,9 @@ def _widest_int_bits(weights: WeightConfig, order: int) -> int:
 
 
 def _check_size(weights: WeightConfig, order: int) -> None:
-    """Refuse, before building anything, a call that would hold more than
-    ``MAX_TABLE_BYTES``: two lists of order + 3 ints, the ``Fraction``
-    tuple that a reader of ``coeffs`` holds, and ``_CALL_BYTES``.
+    """Refuse, before building anything, an order that is not natural or a call
+    that would hold more than ``MAX_TABLE_BYTES``: two lists of order + 3 ints,
+    the ``Fraction`` tuple that a reader of ``coeffs`` holds, and ``_CALL_BYTES``.
 
     With M and log2(D) the bits of :func:`step_bits` and u, v, x = D*c1,
     D*c2, D*c3, every int built here is a coefficient [t^(2k)] a^j at D*t,
@@ -99,6 +95,7 @@ def _check_size(weights: WeightConfig, order: int) -> None:
     check the width against the widest int each function builds, and the
     estimate against each function's ``tracemalloc`` peak.
     """
+    natural("order", order)
     numerator, denominator = step_bits(weights)
     graded = 2 * (order + 3) * int_bytes(_widest_int_bits(weights, order))
     rational = (order + 1) * (_FRACTION_BYTES + int_bytes(order * numerator) + int_bytes(order * denominator))
@@ -129,7 +126,6 @@ def dyck_gf(weights: WeightConfig, order: int) -> PowerSeries:
     the Catalan-power coefficient at q = u*v.  At c1*c2 = 0 only the empty
     path is left, and C_k is 1, 0, 0, ...
     """
-    _check_order(order)
     _check_size(weights, order)
     scale, u, v, _ = _integers(weights)
     row = [0] * (order + 1)
@@ -146,7 +142,6 @@ def irreducible_gf(weights: WeightConfig, order: int) -> tuple[PowerSeries, Powe
     numerators at base D are u*v*C_k and u*x*C_k, with C_k as in
     :func:`dyck_gf`, so every weight has an answer.
     """
-    _check_order(order)
     _check_size(weights, order)
     scale, u, v, x = _integers(weights)
     # the t^2 shift moves a's last term past the order
@@ -174,9 +169,7 @@ def poids_gf(weights: WeightConfig, i: int, order: int) -> PowerSeries:
     only) and c2 = c3 = 0 (d_i = (c1*t)^i).  Nothing divides by c1 or c2,
     so no weight is refused.
     """
-    _check_order(order)
-    if i < 0:
-        raise ValueError("end height must be >= 0")
+    natural("i", i)
     _check_size(weights, order)
     if i > order:
         return PowerSeries.zero(order)
@@ -207,9 +200,7 @@ def tree_gf(m: int, i: int, order: int) -> PowerSeries:
     table gives too.
     """
     weights = tree_weights(m)
-    _check_order(order)
-    if i < 0:
-        raise ValueError("end distance must be >= 0")
+    natural("i", i)
     _check_size(weights, order)
     if i > order:
         return PowerSeries.zero(order)

@@ -44,6 +44,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
+from .rationals import natural
 from .recurrence import DEFAULT_MAX_STATES, FeasibilityError, WeightConfig, check_cost
 
 __all__ = [
@@ -102,8 +103,8 @@ def enumerate_dyck(
     where a tally key j weighs (p2 q3)^(downs-j) (p3 q2)^j, so one
     ``Fraction`` is made per call.
     """
-    if i < 0 or n < 0:
-        raise ValueError("height and length must be non-negative")
+    natural("i", i)
+    natural("n", n)
     dyck_guard(n, max_states)
     if n == 0:
         return Fraction(int(i == 0))
@@ -229,10 +230,9 @@ def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
     increasing order walks each step once.  :func:`tree_guard` charges the
     walk to length n, an upper bound kept so that no refusal moves.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"tree degree must be an integer >= 1, got {m!r}")
-    if i < 0 or n < 0:
-        raise ValueError("distance and length must be non-negative")
+    natural("tree degree", m, 1)
+    natural("i", i)
+    natural("n", n)
     if i > n:
         return 0
     tree_guard(m, n, max_states)
@@ -309,10 +309,8 @@ def free_group_count(
     reducing to each, spelled by :func:`_append_letters` from t's code.
     :func:`free_group_guard` charges the (2g)^n words of length n.
     """
-    if not isinstance(g, int) or g < 1:
-        raise ValueError(f"need at least one generator, got g={g!r}")
-    if n < 0:
-        raise ValueError("length must be non-negative")
+    natural("g", g, 1)
+    natural("n", n)
     target = tuple(target)
     for x in target:
         if not isinstance(x, int) or x == 0 or abs(x) > g:

@@ -1,24 +1,24 @@
-"""Exact rational scalars: decimal-string parse/format.
+"""Exact rational scalars: decimal-string parse/format, and the one rule for
+each promise of the package's values: an index, order, length or degree is a
+natural number (:func:`natural`), a scalar is an int or a ``Fraction``, never
+a float or a string (:func:`exact`), and a value is immutable (:class:`Frozen`).
 
-Every quantity in this package is an arbitrary-precision integer or an exact
-rational (``fractions.Fraction``).  Nothing here ever rounds: walk counts are
-exact integers and series coefficients are exact fractions.  The serialized
-form is a decimal string, ``"7"`` or ``"-2/3"``, never a fixed-width machine
-word, so exported values survive arbitrary magnitudes.  CPython refuses
-``str()`` and ``int()`` of an int over 4300 digits by default; the CLI lifts
-that limit while it runs, and a library caller printing larger values lifts it
-with ``sys.set_int_max_str_digits(0)``.
+Nothing here ever rounds: walk counts are exact integers and series
+coefficients are exact fractions.  The serialized form is a decimal string,
+``"7"`` or ``"-2/3"``, so exported values survive arbitrary magnitudes.
+CPython refuses ``str()`` and ``int()`` of an int over 4300 digits by
+default; the CLI lifts that limit while it runs, and a library caller
+printing larger values lifts it with ``sys.set_int_max_str_digits(0)``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
 
-__all__ = ["Rational", "format_number", "parse_number"]
+__all__ = ["Frozen", "Rational", "exact", "format_number", "natural", "parse_number"]
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 _NUMBER_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
 
@@ -41,3 +41,33 @@ def parse_number(text: str) -> Fraction:
     if den == 0:
         raise ZeroDivisionError(f"zero denominator in {text!r}")
     return Fraction(num, den)
+
+
+def natural(name: str, value: int, low: int = 0) -> None:
+    """Refuse ``value`` unless it is an int of at least ``low``."""
+    if not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def exact(name: str, value: Rational) -> Fraction:
+    """``value`` as a Fraction if it is an int or a Fraction; refuse anything else, named by ``name``."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{name}={value!r} is a {type(value).__name__}; {name.split()[0]}s must be exact")
+    return Fraction(value)
+
+
+class Frozen:
+    """A slotted value whose fields are set once, by ``_freeze``, and never assigned or deleted;
+    by hand, as a frozen dataclass would load ``inspect`` and ``ast`` into every CLI process."""
+
+    __slots__ = ()
+
+    def _freeze(self, **fields: object) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

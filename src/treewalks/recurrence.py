@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator
 
-from .rationals import Rational, format_number
+from .rationals import Frozen, Rational, exact, format_number, natural
 from .series import PowerSeries
 
 __all__ = [
@@ -44,14 +44,12 @@ __all__ = [
 ]
 
 
-class WeightConfig:
+class WeightConfig(Frozen):
     """Step weights: c1 per U, c2 per D off the axis, c3 per D landing on it.
 
-    Immutable, compared and hashed by (c1, c2, c3).  Whether the weights are
-    a tree's is read off them (:attr:`m`), not stored.  Written out by hand
-    with ``__slots__``: a generated class would load ``inspect`` and ``ast``
-    into every CLI process, which costs more start-up than a small query's
-    whole computation.
+    Exact (a float or a string is refused), immutable, compared and hashed
+    by (c1, c2, c3).  Whether the weights are a tree's is read off them
+    (:attr:`m`), not stored.
     """
 
     __slots__ = ("c1", "c2", "c3")
@@ -61,10 +59,7 @@ class WeightConfig:
     c3: Fraction
 
     def __init__(self, c1: Rational, c2: Rational, c3: Rational) -> None:
-        for name, value in (("c1", c1), ("c2", c2), ("c3", c3)):
-            if isinstance(value, float):
-                raise TypeError(f"weight {name}={value!r} is a float; weights must be exact")
-            object.__setattr__(self, name, Fraction(value))
+        self._freeze(c1=exact("weight c1", c1), c2=exact("weight c2", c2), c3=exact("weight c3", c3))
 
     @property
     def m(self) -> int | None:
@@ -72,14 +67,8 @@ class WeightConfig:
         c3 = self.c3
         return c3.numerator if self.c1 == 1 and c3 == self.c2 + 1 and c3.denominator == 1 and c3 >= 1 else None
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__; by default they set each slot, which __setattr__ refuses
+        # copy and pickle rebuild through __init__; by default they set each slot, which Frozen refuses
         return WeightConfig, self._key()
 
     def _key(self) -> tuple:
@@ -108,9 +97,8 @@ def tree_weights(m: int) -> WeightConfig:
     paths that have no tree vertex behind them (the tree has none there),
     so the CLI refuses m = 1 above distance 1.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"tree degree must be an integer >= 1, got {m!r}")
-    return WeightConfig(Fraction(1), Fraction(m - 1), Fraction(m))
+    natural("tree degree", m, 1)
+    return WeightConfig(1, m - 1, m)
 
 
 class FeasibilityError(RuntimeError):
@@ -165,8 +153,7 @@ def table_guard(weights: WeightConfig, n_max: int) -> None:
     n_max * bit_length(max(|a| + |b|, |c|)) bits (:func:`step_bits`), and each is charged the
     :func:`int_bytes` of that width.  A cut table holds fewer cells but is charged the same, so
     the estimate also bounds the work."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    natural("n_max", n_max)
     cells = n_max * n_max // 4 + n_max + 1
     what = lambda: f"a dp table of order {n_max} for weights {weights.describe()}"
     check_cost(what, cells * int_bytes(n_max * step_bits(weights)[0]), MAX_TABLE_BYTES, "bytes")
@@ -190,8 +177,8 @@ class WalkTable:
 
     def count(self, i: int, n: int) -> Fraction:
         """A(i, n).  Unreachable i > n gives 0; n outside the table raises."""
-        if i < 0 or n < 0:
-            raise ValueError("indices must be non-negative")
+        natural("i", i)
+        natural("n", n)
         if n > self.n_max:
             raise IndexError(f"n={n} exceeds the table order n_max={self.n_max}")
         if i > n or (n - i) % 2:
@@ -200,8 +187,7 @@ class WalkTable:
 
     def row(self, i: int) -> PowerSeries:
         """d_i(t) to order n_max, the series :func:`dp_row` returns: the ints N(i, n), den 1, base D."""
-        if i < 0:
-            raise ValueError("indices must be non-negative")
+        natural("i", i)
         row = [0] * (self.n_max + 1)
         row[i::2] = [column[i // 2] for column in self.columns[i::2]]
         return PowerSeries._graded(row, 1, _integers(self.weights)[0])
@@ -259,8 +245,7 @@ def dp_row(weights: WeightConfig, i: int, n_max: int) -> PowerSeries:
     from above and from below.  The row N(i, n) = A(i, n) * D^n (0 off
     parity) is the series' graded ints as it stands: den 1, base D.
     """
-    if i < 0:
-        raise ValueError("indices must be non-negative")
+    natural("i", i)
     row = [column[i // 2 - skip] if n >= i and (n - i) % 2 == 0 else 0
            for n, (skip, column) in enumerate(_columns(weights, n_max, i, i))]
     return PowerSeries._graded(row, 1, _integers(weights)[0])

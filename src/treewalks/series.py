@@ -27,7 +27,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .rationals import Rational, format_number
+from .rationals import Frozen, Rational, exact, format_number
 
 __all__ = ["PowerSeries"]
 
@@ -58,11 +58,12 @@ def _halving_root(p: Sequence[int]) -> list[int]:
     return s
 
 
-class PowerSeries:
+class PowerSeries(Frozen):
     """Immutable truncated power series over exact rationals.
 
-    Equality compares coefficients up to the common (minimum) truncation
-    order of the two operands; accordingly instances are unhashable.
+    A float or a string coefficient is refused, and copy and pickle rebuild
+    a series from its graded ints.  Equality compares coefficients up to the
+    common (minimum) truncation order; accordingly instances are unhashable.
     """
 
     __slots__ = ("_num", "_den", "_base")
@@ -72,25 +73,21 @@ class PowerSeries:
     _base: int
 
     def __init__(self, coeffs: Iterable[Rational]):
-        values = tuple(Fraction(c) for c in coeffs)
+        values = tuple(exact("coefficient", c) for c in coeffs)
         if not values:
             raise ValueError("a series needs at least its constant coefficient")
         den = lcm(*(v.denominator for v in values))
-        self._set([v.numerator * (den // v.denominator) for v in values], den, 1)
-
-    def _set(self, num: Iterable[int], den: int, base: int) -> None:
-        for name, value in (("_num", tuple(num)), ("_den", den), ("_base", base)):
-            object.__setattr__(self, name, value)
+        self._freeze(_num=tuple(v.numerator * (den // v.denominator) for v in values), _den=den, _base=1)
 
     @classmethod
     def _graded(cls, num: Sequence[int], den: int, base: int) -> PowerSeries:
         """The series c_k = num[k] / (den * base**k), for den, base > 0, as given."""
         series = object.__new__(cls)
-        series._set(num, den, base)
+        series._freeze(_num=tuple(num), _den=den, _base=base)
         return series
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PowerSeries is immutable")
+    def __reduce__(self) -> tuple:
+        return PowerSeries._graded, (self._num, self._den, self._base)
 
     # -- construction ------------------------------------------------------
 
@@ -106,6 +103,7 @@ class PowerSeries:
     def constant(cls, value: Rational, order: int) -> PowerSeries:
         if order < 0:
             raise ValueError("truncation order must be >= 0")
+        value = exact("coefficient", value)
         return cls._graded([value.numerator] + [0] * order, value.denominator, 1)
 
     # -- inspection --------------------------------------------------------
@@ -176,18 +174,15 @@ class PowerSeries:
             b = _rescale(other._num[:n], 1, base // other._base)
             out = [sum(map(mul, a, b[k::-1])) for k in range(n)]
             return PowerSeries._graded(out, self._den * other._den, base)
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
-        return NotImplemented
+        return self._scaled(exact("scalar", other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Rational) -> PowerSeries:
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
+        scalar = exact("scalar", scalar)
         if scalar == 0:
             raise ZeroDivisionError("division of a series by the scalar zero")
-        return self._scaled(1 / Fraction(scalar))
+        return self._scaled(1 / scalar)
 
     def __pow__(self, exponent: int) -> PowerSeries:
         if not isinstance(exponent, int) or exponent < 0:

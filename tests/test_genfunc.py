@@ -299,13 +299,13 @@ GUARD_WEIGHTS = [
 @pytest.mark.parametrize("weights", GUARD_WEIGHTS, ids=[w.describe() for w in GUARD_WEIGHTS])
 def test_size_guard_bounds_the_widest_int(monkeypatch, weights, order):
     widest, bases = 0, set()
-    original = PowerSeries._set
+    original = PowerSeries._freeze
 
-    def measured(self, num, den, base):
+    def measured(self, _num, _den, _base):
         nonlocal widest
-        widest = max(widest, den.bit_length(), *(abs(x).bit_length() for x in num))
-        bases.add(base)
-        original(self, num, den, base)
+        widest = max(widest, _den.bit_length(), *(abs(x).bit_length() for x in _num))
+        bases.add(_base)
+        original(self, _num=_num, _den=_den, _base=_base)
 
     original_power, original_divmod = genfunc._catalan_power, divmod
 
@@ -320,7 +320,7 @@ def test_size_guard_bounds_the_widest_int(monkeypatch, weights, order):
         widest = max(widest, abs(numerator).bit_length())
         return original_divmod(numerator, divisor)
 
-    monkeypatch.setattr(PowerSeries, "_set", measured)
+    monkeypatch.setattr(PowerSeries, "_freeze", measured)
     monkeypatch.setattr(genfunc, "_catalan_power", catalan_power)
     monkeypatch.setattr(genfunc, "divmod", measured_divmod, raising=False)
     bound = genfunc._widest_int_bits(weights, order)

@@ -84,6 +84,8 @@ def test_weight_config_rejects_floats():
         WeightConfig(1, 0.1, 2)
     with pytest.raises(TypeError, match="^weight c3=2.0 is a float"):
         WeightConfig(c1=1, c2=1, c3=2.0)
+    with pytest.raises(TypeError, match="^weight c1='1/2' is a str; weights must be exact$"):
+        WeightConfig("1/2", 1, 1)
 
 
 def test_weight_config_equality_and_hash_over_its_fields():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_series import PowerSeries as Reference
+from treewalks.genfunc import poids_gf
+from treewalks.recurrence import WeightConfig, dp_row
 from treewalks.series import PowerSeries, _halving_root
 
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -55,6 +59,25 @@ def test_immutable():
     f = PowerSeries([1])
     with pytest.raises(AttributeError):
         f.coeffs = (Fraction(2),)
+    with pytest.raises(AttributeError, match="^cannot delete field '_num'$"):
+        del f._num
+    assert f == PowerSeries([1])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: dp_row(WeightConfig(1, Fraction(1, 2), 2), 1, 9),
+        lambda: poids_gf(WeightConfig(Fraction(1, 3), Fraction(4, 5), Fraction(2, 7)), 2, 9),
+        lambda: PowerSeries([1, Fraction(-2, 3), 0, 5]),
+    ],
+    ids=["dp row", "gf row", "list-built"],
+)
+def test_a_series_survives_copy_and_pickle(build):
+    f = build()
+    for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert type(twin) is PowerSeries
+        assert twin == f and twin.coeffs == f.coeffs and twin.order == f.order
 
 
 def test_str_rendering():
