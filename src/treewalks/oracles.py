@@ -80,6 +80,7 @@ def _paths_by_end(n: int) -> Counter[tuple[int, int]]:
 
 def dyck_guard(n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
     """Refuse length-n path enumeration over ``max_states`` step sequences (2^n)."""
+    natural("n", n)
     check_cost(lambda: f"the length-{n} path enumeration", (2, n), max_states, "step sequences")
 
 
@@ -104,7 +105,6 @@ def enumerate_dyck(
     ``Fraction`` is made per call.
     """
     natural("i", i)
-    natural("n", n)
     dyck_guard(n, max_states)
     if n == 0:
         return Fraction(int(i == 0))
@@ -203,6 +203,8 @@ def tree_guard(m: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
     m((m-1)((m-1)^n - 1)/(m-2) - n)/(m-2) at m >= 3, within a factor (m-1)/(m-2) of the
     depth-n ball.  At m >= 3 and n >= 1 the run is refused on the lower bound (m-1)^n of its
     last step's moves, uncounted, when that is over."""
+    natural("tree degree", m, 1)
+    natural("n", n)
     what = lambda: f"walking to length {n} on the {m}-regular tree"
     if m >= 3:
         if n:
@@ -289,6 +291,8 @@ def _reductions(g: int, n: int) -> Counter[int]:
 
 def free_group_guard(g: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
     """Refuse enumerating the (2g)^n words of length n over ``max_states``."""
+    natural("g", g, 1)
+    natural("n", n)
     check_cost(lambda: f"the length-{n} word enumeration over {g} generators", (2 * g, n), max_states, "words")
 
 
@@ -310,7 +314,6 @@ def free_group_count(
     :func:`free_group_guard` charges the (2g)^n words of length n.
     """
     natural("g", g, 1)
-    natural("n", n)
     target = tuple(target)
     for x in target:
         if not isinstance(x, int) or x == 0 or abs(x) > g:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 
 __all__ = ["Frozen", "Rational", "exact", "format_number", "natural", "parse_number"]
 
@@ -57,14 +58,20 @@ def exact(name: str, value: Rational) -> Fraction:
 
 
 class Frozen:
-    """A slotted value whose fields are set once, by ``_freeze``, and never assigned or deleted;
-    by hand, as a frozen dataclass would load ``inspect`` and ``ast`` into every CLI process."""
+    """A slotted value built once, by ``_new``, and rebuilt by copy and pickle through ``_new`` from its
+    slots; no field is assigned, deleted or set again, and no frozen dataclass loads ``inspect``."""
 
     __slots__ = ()
 
-    def _freeze(self, **fields: object) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+    @classmethod
+    def _new(cls, **fields: object) -> Frozen:
+        value = object.__new__(cls)
+        for name, field in fields.items():
+            object.__setattr__(value, name, field)
+        return value
+
+    def __reduce__(self) -> tuple:
+        return partial(self._new, **{name: getattr(self, name) for name in self.__slots__}), ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

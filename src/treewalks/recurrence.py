@@ -47,9 +47,9 @@ __all__ = [
 class WeightConfig(Frozen):
     """Step weights: c1 per U, c2 per D off the axis, c3 per D landing on it.
 
-    Exact (a float or a string is refused), immutable, compared and hashed
-    by (c1, c2, c3).  Whether the weights are a tree's is read off them
-    (:attr:`m`), not stored.
+    Exact (a float or a string is refused), built once and never changed,
+    compared and hashed by (c1, c2, c3).  Whether the weights are a tree's is
+    read off them (:attr:`m`), not stored.
     """
 
     __slots__ = ("c1", "c2", "c3")
@@ -58,18 +58,14 @@ class WeightConfig(Frozen):
     c2: Fraction
     c3: Fraction
 
-    def __init__(self, c1: Rational, c2: Rational, c3: Rational) -> None:
-        self._freeze(c1=exact("weight c1", c1), c2=exact("weight c2", c2), c3=exact("weight c3", c3))
+    def __new__(cls, c1: Rational, c2: Rational, c3: Rational) -> WeightConfig:
+        return cls._new(c1=exact("weight c1", c1), c2=exact("weight c2", c2), c3=exact("weight c3", c3))
 
     @property
     def m(self) -> int | None:
         """The tree degree m if the weights are (1, m-1, m) for an integer m >= 1, else None."""
         c3 = self.c3
         return c3.numerator if self.c1 == 1 and c3 == self.c2 + 1 and c3.denominator == 1 and c3 >= 1 else None
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__; by default they set each slot, which Frozen refuses
-        return WeightConfig, self._key()
 
     def _key(self) -> tuple:
         return self.c1, self.c2, self.c3
@@ -262,7 +258,8 @@ def mass_check(table: WalkTable, n: int) -> tuple[Fraction, ...]:
     scale, a, b, c = _integers(table.weights)
     if a == 0:
         raise ValueError("the identity divides by c1, which is 0")
-    if not 0 <= n <= table.n_max:
+    natural("n", n)
+    if n > table.n_max:
         raise IndexError(f"n={n} outside the table order n_max={table.n_max}")
     # W_(k+1) = z*W_k - beta_k*W_(k-1) at z = D*x, beta_1 = a*c, beta_k = a*b (k >= 2); Clenshaw's
     # B_k = N(k, n)*a^(n-k) + z*B_(k+1) - beta_(k+1)*B_(k+2), held as [z^(n-k-2j)] B_k, j >= 0

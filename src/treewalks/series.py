@@ -61,9 +61,9 @@ def _halving_root(p: Sequence[int]) -> list[int]:
 class PowerSeries(Frozen):
     """Immutable truncated power series over exact rationals.
 
-    A float or a string coefficient is refused, and copy and pickle rebuild
-    a series from its graded ints.  Equality compares coefficients up to the
-    common (minimum) truncation order; accordingly instances are unhashable.
+    A float or a string coefficient is refused.  Built once, by the list constructor or
+    ``_graded``, and rebuilt by copy and pickle from its graded ints.  Equality compares
+    coefficients up to the common (minimum) truncation order; accordingly instances are unhashable.
     """
 
     __slots__ = ("_num", "_den", "_base")
@@ -72,22 +72,17 @@ class PowerSeries(Frozen):
     _den: int
     _base: int
 
-    def __init__(self, coeffs: Iterable[Rational]):
+    def __new__(cls, coeffs: Iterable[Rational]) -> PowerSeries:
         values = tuple(exact("coefficient", c) for c in coeffs)
         if not values:
             raise ValueError("a series needs at least its constant coefficient")
         den = lcm(*(v.denominator for v in values))
-        self._freeze(_num=tuple(v.numerator * (den // v.denominator) for v in values), _den=den, _base=1)
+        return cls._new(_num=tuple(v.numerator * (den // v.denominator) for v in values), _den=den, _base=1)
 
     @classmethod
     def _graded(cls, num: Sequence[int], den: int, base: int) -> PowerSeries:
         """The series c_k = num[k] / (den * base**k), for den, base > 0, as given."""
-        series = object.__new__(cls)
-        series._freeze(_num=tuple(num), _den=den, _base=base)
-        return series
-
-    def __reduce__(self) -> tuple:
-        return PowerSeries._graded, (self._num, self._den, self._base)
+        return cls._new(_num=tuple(num), _den=den, _base=base)
 
     # -- construction ------------------------------------------------------
 
@@ -158,10 +153,7 @@ class PowerSeries(Frozen):
         return PowerSeries._graded([x + y for x, y in zip(a, b)], den, base)
 
     def __sub__(self, other: PowerSeries) -> PowerSeries:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        a, b, den, base = self._aligned(other)
-        return PowerSeries._graded([x - y for x, y in zip(a, b)], den, base)
+        return self + -other if isinstance(other, PowerSeries) else NotImplemented
 
     def __neg__(self) -> PowerSeries:
         return PowerSeries._graded([-x for x in self._num], self._den, self._base)

@@ -299,13 +299,13 @@ GUARD_WEIGHTS = [
 @pytest.mark.parametrize("weights", GUARD_WEIGHTS, ids=[w.describe() for w in GUARD_WEIGHTS])
 def test_size_guard_bounds_the_widest_int(monkeypatch, weights, order):
     widest, bases = 0, set()
-    original = PowerSeries._freeze
+    original = PowerSeries._new
 
-    def measured(self, _num, _den, _base):
+    def measured(cls, _num, _den, _base):
         nonlocal widest
         widest = max(widest, _den.bit_length(), *(abs(x).bit_length() for x in _num))
         bases.add(_base)
-        original(self, _num=_num, _den=_den, _base=_base)
+        return original(_num=_num, _den=_den, _base=_base)
 
     original_power, original_divmod = genfunc._catalan_power, divmod
 
@@ -320,7 +320,7 @@ def test_size_guard_bounds_the_widest_int(monkeypatch, weights, order):
         widest = max(widest, abs(numerator).bit_length())
         return original_divmod(numerator, divisor)
 
-    monkeypatch.setattr(PowerSeries, "_freeze", measured)
+    monkeypatch.setattr(PowerSeries, "_new", classmethod(measured))
     monkeypatch.setattr(genfunc, "_catalan_power", catalan_power)
     monkeypatch.setattr(genfunc, "divmod", measured_divmod, raising=False)
     bound = genfunc._widest_int_bits(weights, order)
@@ -394,10 +394,10 @@ def test_dp_row_is_the_tree_series(m):
 
 
 def test_rows_build_no_series_through_the_rational_constructor(monkeypatch):
-    def refuse(self, coeffs):
+    def refuse(cls, coeffs):
         raise RuntimeError("PowerSeries built from a list of rationals")
 
-    monkeypatch.setattr(PowerSeries, "__init__", refuse)
+    monkeypatch.setattr(PowerSeries, "__new__", refuse)
     w = WeightConfig(Fraction(1, 3), Fraction(-4, 5), Fraction(2, 7))
     for i in (0, 3, 9):  # 9 is above the order: the zero series
         for row in (dp_row(w, i, 8), dp_row(tree_weights(3), i, 8), poids_gf(w, i, 8), tree_gf(3, i, 8)):

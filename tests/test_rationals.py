@@ -10,9 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treewalks.genfunc import dyck_gf, irreducible_gf, poids_gf, tree_gf
-from treewalks.oracles import enumerate_dyck, free_group_count, tree_walk_count
+from treewalks.oracles import (
+    dyck_guard,
+    enumerate_dyck,
+    free_group_count,
+    free_group_guard,
+    tree_guard,
+    tree_walk_count,
+)
 from treewalks.rationals import format_number, parse_number
-from treewalks.recurrence import WeightConfig, build_table, dp_row, tree_weights
+from treewalks.recurrence import WeightConfig, build_table, dp_row, mass_check, tree_weights
 from treewalks.series import PowerSeries
 
 rationals = st.fractions(max_denominator=100)
@@ -73,6 +80,12 @@ NATURAL_ARGUMENTS = {
     "tree_walk_count n": ("n", 0, lambda v: tree_walk_count(3, 0, v)),
     "free_group_count g": ("g", 1, lambda v: free_group_count(v, (), 4)),
     "free_group_count n": ("n", 0, lambda v: free_group_count(1, (), v)),
+    "dyck_guard n": ("n", 0, lambda v: dyck_guard(v)),
+    "tree_guard m": ("tree degree", 1, lambda v: tree_guard(v, 4)),
+    "tree_guard n": ("n", 0, lambda v: tree_guard(3, v)),
+    "free_group_guard g": ("g", 1, lambda v: free_group_guard(v, 4)),
+    "free_group_guard n": ("n", 0, lambda v: free_group_guard(1, v)),
+    "mass_check n": ("n", 0, lambda v: mass_check(TABLE, v)),
 }
 
 

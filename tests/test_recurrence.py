@@ -112,6 +112,9 @@ def test_weight_config_is_immutable():
         w.extra = 1
     assert w == tree_weights(3)
     assert copy.deepcopy(w) == pickle.loads(pickle.dumps(w)) == w
+    named = {w: "tree 3"}
+    w.__init__(5, 5, 5)  # a second __init__ rewrites nothing, so w stays findable under its hash
+    assert w == WeightConfig(1, 2, 3) and named[WeightConfig(1, 2, 3)] == named[w] == "tree 3"
 
 
 def test_weight_config_repr_and_describe():
@@ -439,5 +442,5 @@ def test_mass_check_usage_errors():
         mass_check(build_table(WeightConfig(0, 1, 1), 4), 2)
     with pytest.raises(IndexError):
         mass_check(table, 9)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="^n must be an integer >= 0, got -1$"):
         mass_check(table, -1)

@@ -78,6 +78,8 @@ def test_a_series_survives_copy_and_pickle(build):
     for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert type(twin) is PowerSeries
         assert twin == f and twin.coeffs == f.coeffs and twin.order == f.order
+    f.__init__([9])  # a second __init__ rewrites nothing
+    assert f == build() and f.coeffs == build().coeffs and f.order == build().order
 
 
 def test_str_rendering():
