@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import verify
-from .rationals import format_number, parse_number
+from .rationals import format_number, natural, parse_number
 from .recurrence import DEFAULT_MAX_STATES, FeasibilityError, WeightConfig, build_table, tree_weights
 from .routes import ROUTES, SCOPES, open_route
 
@@ -38,8 +38,10 @@ EXIT_INFEASIBLE = 3
 
 def _natural(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    try:
+        natural("value", value)
+    except ValueError as exc:  # argparse prints an ArgumentTypeError's text, and no ValueError's
+        raise argparse.ArgumentTypeError(exc) from None
     return value
 
 
@@ -137,8 +139,8 @@ def _count(args: argparse.Namespace, command: str, weights: WeightConfig, meta: 
     """Print A(i, n) for the selected lengths n by the route --method picks."""
     i = args.i
     ns = range(i, args.n_max + 1, 2) if args.parity_filter else range(args.n_max + 1)
-    read = open_route(command, args.method, weights, ns[-1] if ns else 0, args.max_states)
-    values = [read(i, n) for n in ns]
+    read = open_route(command, args.method, weights, i, ns[-1] if ns else 0, args.max_states)
+    values = [read(n) for n in ns]
     _emit(ns, values, {**meta, "i": i, "method": args.method}, args.format, args.start)
     return EXIT_OK
 
@@ -166,8 +168,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.m_max is not None and args.scope in ("dyck", "freegroup"):
         raise ValueError(f"--scope {args.scope} does not read --m-max")
     m_max = 4 if args.m_max is None else args.m_max
-    if m_max < 2:
-        raise ValueError("--m-max must be >= 2")
+    natural("--m-max", m_max, 2)
     failures = 0
     checks = verify.open_checks(args.scope, args.n_max, m_max, args.max_states)
     for name, run in checks:

@@ -13,7 +13,8 @@ word and path is counted once, through its last step.  A tree step runs
 C-level list passes over strided slices of the breadth-first numbering, a
 fixed chunk of the old ball at a time, so it holds the old and new balls
 plus one chunk's temporaries.  The words and paths stream through one
-generator per letter, so those that share a prefix share its work.  A reduced word is one int whose
+generator per step, chained by the one tally loop :func:`_tally`, so those
+that share a prefix share its work.  A reduced word is one int whose
 base-(2g+1) digits are its letters, so a push or a pop is one multiplication
 or division, and :func:`_append_letters` is the one free reduction.
 
@@ -29,11 +30,11 @@ words, (m - 1)x for the tree at m >= 3) kept so that no refusal moves.
 Each oracle counts on ints: the paths by end height and by down-steps landing
 on the axis (the weights are applied to those tallies afterwards), the tree
 walks by end vertex, the words by their reduction.  The path and word oracles
-memoize the one length they last enumerated; the tree oracle keeps, for the
-degree it last walked, its counts over the ball at the last length, and a
-longer length advances them from there.  Callers ask length by length, so
-later heights, weights and targets of a length are cache hits, and a run up
-to length n walks each step once.
+share one memo, the tally of the length last enumerated; the tree oracle
+keeps, for the degree it last walked, its counts over the ball at the last
+length, and a longer length advances them from there.  Callers ask length
+by length, so later heights, weights and targets of a length are cache hits,
+and a run up to length n walks each step once.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .rationals import natural
 from .recurrence import DEFAULT_MAX_STATES, FeasibilityError, WeightConfig, check_cost
@@ -68,14 +69,16 @@ def _step_paths(paths: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
 
 
 @lru_cache(maxsize=1)
-def _paths_by_end(n: int) -> Counter[tuple[int, int]]:
-    """Number of valid length-n paths, keyed by (final height, down-steps
-    landing on the axis).  Every step sequence streams through n chained
-    :func:`_step_paths`, one per step, until it dips below the axis."""
-    paths: Iterable[tuple[int, int]] = [(0, 0)]
+def _tally(n: int, step: Callable[..., Iterator[Hashable]], start: Hashable, *args: object) -> Counter:
+    """How many length-n sequences from ``start`` end in each state.  Every
+    sequence streams through n chained ``step(states, *args)``, one per step:
+    paths from (0, 0) by :func:`_step_paths`, keyed by (final height,
+    down-steps landing on the axis); words from the empty word by
+    :func:`_append_letters`, keyed by their reduction's :func:`_code`."""
+    states: Iterable[Hashable] = [start]
     for _ in range(n):
-        paths = _step_paths(paths)
-    return Counter(paths)
+        states = step(states, *args)
+    return Counter(states)
 
 
 def dyck_guard(n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
@@ -109,7 +112,7 @@ def enumerate_dyck(
     if n == 0:
         return Fraction(int(i == 0))
     tally: Counter[int] = Counter()
-    for (height, j), count in _paths_by_end(n - 1).items():
+    for (height, j), count in _tally(n - 1, _step_paths, (0, 0)).items():
         if height == i - 1:
             tally[j] += count
         elif height == i + 1:
@@ -276,19 +279,6 @@ def _append_letters(words: Iterable[int], g: int) -> Iterator[int]:
             yield word // base if d == undo else pushed + d
 
 
-@lru_cache(maxsize=1)
-def _reductions(g: int, n: int) -> Counter[int]:
-    """How many of the (2g)^n words of length n reduce to each reduced word,
-    keyed by its :func:`_code`.
-
-    Every word streams through n chained :func:`_append_letters`, one per
-    letter, each extending the reduced stack of its prefix by one letter."""
-    words: Iterable[int] = [0]
-    for _ in range(n):
-        words = _append_letters(words, g)
-    return Counter(words)
-
-
 def free_group_guard(g: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
     """Refuse enumerating the (2g)^n words of length n over ``max_states``."""
     natural("g", g, 1)
@@ -323,5 +313,5 @@ def free_group_count(
     free_group_guard(g, n, max_states)
     if n == 0:
         return int(not target)
-    reductions = _reductions(g, n - 1)
+    reductions = _tally(n - 1, _append_letters, 0, g)
     return sum(map(reductions.__getitem__, _append_letters([_code(g, target)], g)))

@@ -155,17 +155,19 @@ def table_guard(weights: WeightConfig, n_max: int) -> None:
     check_cost(what, cells * int_bytes(n_max * step_bits(weights)[0]), MAX_TABLE_BYTES, "bytes")
 
 
-class WalkTable:
+class WalkTable(Frozen):
     """A(i, n) for 0 <= n <= n_max, stored as integers N(i, n) = A(i, n) * D^n.
 
     D is the lcm of the weight denominators.  ``columns[n][k]`` holds
     N(2k + n % 2, n): only the reachable cells i <= n with n - i even are
-    stored, every other entry is exactly zero.  Built by :func:`build_table`.
+    stored, every other entry is exactly zero.  Built once, by
+    :func:`build_table`; neither field is assigned again or deleted.
     """
 
-    def __init__(self, weights: WeightConfig, columns: list[list[int]]):
-        self.weights = weights
-        self.columns = columns
+    __slots__ = ("weights", "columns")
+
+    weights: WeightConfig
+    columns: list[list[int]]
 
     @property
     def n_max(self) -> int:
@@ -230,7 +232,7 @@ def _columns(weights: WeightConfig, n_max: int, bottom: int, top: int) -> Iterat
 
 def build_table(weights: WeightConfig, n_max: int) -> WalkTable:
     """Fill the whole table column by column in n, on integers (see :func:`_columns`)."""
-    return WalkTable(weights, [column for _, column in _columns(weights, n_max, 0, n_max)])
+    return WalkTable._new(weights=weights, columns=[column for _, column in _columns(weights, n_max, 0, n_max)])
 
 
 def dp_row(weights: WeightConfig, i: int, n_max: int) -> PowerSeries:

@@ -10,7 +10,7 @@ read, so a ``walks --method dp`` process never executes ``genfunc`` or
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 from . import genfunc, oracles, recurrence
@@ -38,13 +38,12 @@ ROUTES: dict[tuple[str, str], Callable] = {
 }
 
 
-def open_route(command: str, method: str, w: WeightConfig, order: int, states: int) -> Callable[[int, int], Rational]:
-    """A route's reader (i, n) -> A(i, n), n <= order; a row's ``coeffs`` are read once, only the last row's kept."""
+def open_route(command: str, method: str, w: WeightConfig, i: int, order: int, states: int) -> Callable[[int], Rational]:
+    """A route's reader n -> A(i, n) at one height i, n <= order; a row's ``coeffs`` are read once, here."""
     route = ROUTES[command, method]
-    if method not in ("dp", "gf"):
-        return route(w, order, states)
-    row = lru_cache(maxsize=1)(lambda i: route(w, i, order).coeffs)
-    return lambda i, n: row(i)[n]
+    if method in ("dp", "gf"):
+        return route(w, i, order).coeffs.__getitem__
+    return partial(route(w, order, states), i)
 
 
 VERIFY_TRIPLES: tuple[WeightConfig, ...] = (

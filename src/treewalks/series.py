@@ -27,7 +27,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .rationals import Frozen, Rational, exact, format_number
+from .rationals import Frozen, Rational, exact, format_number, natural
 
 __all__ = ["PowerSeries"]
 
@@ -96,8 +96,7 @@ class PowerSeries(Frozen):
 
     @classmethod
     def constant(cls, value: Rational, order: int) -> PowerSeries:
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
+        natural("truncation order", order)
         value = exact("coefficient", value)
         return cls._graded([value.numerator] + [0] * order, value.denominator, 1)
 
@@ -119,7 +118,8 @@ class PowerSeries(Frozen):
         return len(self._num) - 1
 
     def __getitem__(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
+        natural("coefficient index", k)
+        if k > self.order:
             raise IndexError(f"coefficient index {k} outside truncation order {self.order}")
         return Fraction(self._num[k], self._den * self._base**k)
 
@@ -142,7 +142,8 @@ class PowerSeries(Frozen):
         return PowerSeries._graded([x * p for x in self._num], self._den * scalar.denominator, self._base)
 
     def truncate(self, order: int) -> PowerSeries:
-        if not 0 <= order <= self.order:
+        natural("truncation order", order)
+        if order > self.order:
             raise ValueError(f"cannot truncate order-{self.order} series to order {order}")
         return PowerSeries._graded(self._num[: order + 1], self._den, self._base)
 
@@ -177,8 +178,7 @@ class PowerSeries(Frozen):
         return self._scaled(1 / scalar)
 
     def __pow__(self, exponent: int) -> PowerSeries:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series exponent must be a non-negative integer")
+        natural("series exponent", exponent)
         if exponent == 0:
             return PowerSeries.one(self.order)
         # Square and multiply from the leading bit, so no product is spent on 1.
@@ -236,8 +236,7 @@ class PowerSeries(Frozen):
         ValueError: a nonzero low coefficient is an algebra bug upstream and
         is never silently truncated away.
         """
-        if k < 0:
-            raise ValueError("shift exponent must be >= 0")
+        natural("shift exponent", k)
         if k > self.order:
             raise ValueError(f"cannot divide an order-{self.order} series by t^{k}")
         for j in range(k):
@@ -250,8 +249,7 @@ class PowerSeries(Frozen):
 
     def shift_mul(self, k: int) -> PowerSeries:
         """Multiplication by t^k; the truncation order grows by k."""
-        if k < 0:
-            raise ValueError("shift exponent must be >= 0")
+        natural("shift exponent", k)
         return PowerSeries._graded([0] * k + _rescale(self._num, self._base**k, 1), self._den, self._base)
 
     # -- comparison and display --------------------------------------------

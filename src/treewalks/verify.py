@@ -3,10 +3,10 @@
 Each check of ``treewalks verify`` is one row of ``CHECKS``, opened on the
 weight configurations of its scope (:data:`treewalks.routes.SCOPES`); the
 acceptance suite runs the same rows at larger sizes.  Every row reads
-values: a gf route against dp row by row, as graded-int series; an oracle
-against dp cell by cell; each dp column through the identity of
-:func:`treewalks.recurrence.mass_check`; or products of the gf series
-against their defining equations.  The checks call the library
+values: a gf route against dp row by row, their graded ints compared as
+plain tuples; an oracle against dp cell by cell; each dp column through the
+identity of :func:`treewalks.recurrence.mass_check`; or products of the gf
+series against their defining equations.  The checks call the library
 through its layer modules, looked up when they run, so a patch of a layer
 module's function (a corrupted route in a test, the benchmark's tracer)
 reaches every check.
@@ -63,14 +63,17 @@ def _check_algebra(_table: WalkTable, weights: WeightConfig, order: int) -> Opti
 
 
 def _compare_rows(dp_table: WalkTable, row: Callable, order: int, where: str, name: str) -> Optional[str]:
-    """Each dp row d_i, i <= order, against ``row(i)``: first their orders, then one ``==`` of
-    graded ints; only a mismatch reads cells, to name the first n that differs."""
+    """Each dp row d_i, i <= order, against ``row(i)``: their orders, their gradings, then their
+    graded ints as plain tuples, so the check trusts no series method; a mismatch names its first n."""
     for i in range(order + 1):
         dp, got = dp_table.row(i), row(i)
         if dp.order != got.order:
             return f"{where} i={i} {name} vs dp: expected a row of order {dp.order}, got order {got.order}"
-        if dp != got:
-            n = next(n for n in range(dp.order + 1) if dp[n] != got[n])
+        if (dp._den, dp._base) != (got._den, got._base):
+            return (f"{where} i={i} {name} vs dp: expected a row graded den {dp._den}, base {dp._base}, "
+                    f"got den {got._den}, base {got._base}")
+        if dp._num != got._num:
+            n = next(n for n, (x, y) in enumerate(zip(dp._num, got._num)) if x != y)
             return _mismatch(f"{where} i={i} n={n} {name} vs dp", dp[n], got[n])
     return None
 

@@ -1,6 +1,8 @@
 """Reference series kernel: the plain ``Fraction`` ``PowerSeries`` that the
 graded integer kernel of ``treewalks.series`` replaced, kept verbatim so
-tests can compare every operation against it for exact equality.
+tests can compare every operation against it for exact equality.  Only its
+index, order and exponent checks changed: they call ``rationals.natural``,
+as the kernel does, so a refusal's message compares equal too.
 
 Truncated formal power series with exact rational coefficients.
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from treewalks.rationals import Rational, format_number
+from treewalks.rationals import Rational, format_number, natural
 
 __all__ = ["PowerSeries"]
 
@@ -53,8 +55,7 @@ class PowerSeries:
 
     @classmethod
     def constant(cls, value: Rational, order: int) -> PowerSeries:
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
+        natural("truncation order", order)
         return cls([Fraction(value)] + [Fraction(0)] * order)
 
     # -- inspection --------------------------------------------------------
@@ -65,7 +66,8 @@ class PowerSeries:
         return len(self.coeffs) - 1
 
     def __getitem__(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
+        natural("coefficient index", k)
+        if k > self.order:
             raise IndexError(f"coefficient index {k} outside truncation order {self.order}")
         return self.coeffs[k]
 
@@ -75,7 +77,8 @@ class PowerSeries:
     # -- ring operations (all truncate to the common order) ----------------
 
     def truncate(self, order: int) -> PowerSeries:
-        if not 0 <= order <= self.order:
+        natural("truncation order", order)
+        if order > self.order:
             raise ValueError(f"cannot truncate order-{self.order} series to order {order}")
         return PowerSeries(self.coeffs[: order + 1])
 
@@ -118,8 +121,7 @@ class PowerSeries:
         return PowerSeries([c / scalar for c in self.coeffs])
 
     def __pow__(self, exponent: int) -> PowerSeries:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series exponent must be a non-negative integer")
+        natural("series exponent", exponent)
         if exponent == 0:
             return PowerSeries.one(self.order)
         # Square and multiply from the leading bit, so no product is spent on 1.
@@ -175,8 +177,7 @@ class PowerSeries:
         ValueError: a nonzero low coefficient is an algebra bug upstream and
         is never silently truncated away.
         """
-        if k < 0:
-            raise ValueError("shift exponent must be >= 0")
+        natural("shift exponent", k)
         if k > self.order:
             raise ValueError(f"cannot divide an order-{self.order} series by t^{k}")
         for j in range(k):
@@ -189,8 +190,7 @@ class PowerSeries:
 
     def shift_mul(self, k: int) -> PowerSeries:
         """Multiplication by t^k; the truncation order grows by k."""
-        if k < 0:
-            raise ValueError("shift exponent must be >= 0")
+        natural("shift exponent", k)
         return PowerSeries((Fraction(0),) * k + self.coeffs)
 
     # -- comparison and display --------------------------------------------

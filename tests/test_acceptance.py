@@ -141,8 +141,8 @@ def test_sequence_prefixes():
     for m, prefix in ((3, OEIS_A089022[:5]), (4, OEIS_A035610[:4])):
         order = 2 * (len(prefix) - 1)
         for key in ROUTES:
-            read = open_route(*key, tree_weights(m), order, DEFAULT_MAX_STATES)
-            assert tuple(read(0, 2 * k) for k in range(len(prefix))) == prefix, key
+            read = open_route(*key, tree_weights(m), 0, order, DEFAULT_MAX_STATES)
+            assert tuple(read(2 * k) for k in range(len(prefix))) == prefix, key
 
 
 @criterion("criterion 9: A(i,n) = 0 whenever n < i or n and i differ in parity")
@@ -153,10 +153,10 @@ def test_parity_vanishing():
         weight_configs, caps = configs[command]
         order = caps.get(method, 24)
         for _, weights in weight_configs:
-            read = open_route(command, method, weights, order, DEFAULT_MAX_STATES)
+            readers = [open_route(command, method, weights, i, order, DEFAULT_MAX_STATES) for i in range(order + 1)]
             for n, i in product(range(order + 1), repeat=2):  # length-major: an oracle memo holds one length
                 if n < i or (n - i) % 2:
-                    assert read(i, n) == 0, (command, method, weights, i, n)
+                    assert readers[i](n) == 0, (command, method, weights, i, n)
 
 
 # The benchmark's rational draws: numerators 1, 2, 4 over denominators 3, 5, 7.

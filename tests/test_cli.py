@@ -382,18 +382,6 @@ def test_algebra_check_takes_series_products_only(monkeypatch):
         assert verify._check_algebra(build_table(weights, 12), weights, 12) is None
 
 
-def test_gf_reader_builds_each_row_when_read_and_keeps_only_the_last(monkeypatch):
-    built = []
-    original = genfunc.tree_gf
-    monkeypatch.setattr(genfunc, "tree_gf", lambda m, i, order: built.append(i) or original(m, i, order))
-    read = routes.open_route("walks", "gf", tree_weights(3), 4, 0)
-    assert built == []
-    assert [read(1, n) for n in range(5)] == [0, 1, 0, 5, 0]
-    read(0, 0)
-    read(1, 1)
-    assert built == [1, 0, 1]
-
-
 @pytest.mark.parametrize(
     "argv,out",
     [
@@ -410,14 +398,17 @@ def test_row_reader_reads_coeffs_once_per_row(capsys, monkeypatch, argv, out, me
     monkeypatch.setattr(PowerSeries, "__getitem__", mock.Mock(side_effect=AssertionError("a cell read")))
     assert run(capsys, *argv, "--method", method) == (0, out, "")
     assert reads == [7]
-    read = routes.open_route(argv[0], method, tree_weights(3), 4, 0)
-    assert [read(i, n) for i in (0, 2) for n in range(5)] == [1, 0, 3, 0, 15, 0, 0, 1, 0, 7]
+    readers = [routes.open_route(argv[0], method, tree_weights(3), i, 4, 0) for i in (0, 2)]
+    assert [read(n) for read in readers for n in range(5)] == [1, 0, 3, 0, 15, 0, 0, 1, 0, 7]
     assert reads == [7, 4, 4]
 
 
 def test_verify_rejects_bad_bounds(capsys):
-    code, _, _ = run(capsys, "verify", "-n", "-1")
-    assert code == 2
+    code, out, err = run(capsys, "verify", "-n", "-1")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument -n/--n-max: value must be an integer >= 0, got -1\n")
+    assert run(capsys, "verify", "-n", "1.5")[0] == 2
+    assert run(capsys, "verify", "--m-max", "1") == (2, "", "error: --m-max must be an integer >= 2, got 1\n")
 
 
 # --- argparse plumbing --------------------------------------------------------------
@@ -840,7 +831,7 @@ def test_negative_max_states_is_usage_error(capsys, argv):
 def test_oracle_memo_tables_hold_one_length(capsys):
     assert cli.main(["verify", "--scope", "all", "-n", "6", "--m-max", "3"]) == 0
     caches = [f for f in vars(oracles).values() if hasattr(f, "cache_info")]
-    assert len(caches) == 3
+    assert len(caches) == 2
     assert all(cache.cache_info().currsize <= 1 for cache in caches)
 
 

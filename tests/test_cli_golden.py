@@ -624,7 +624,7 @@ def _doubled_origin(build_table):
         table = build_table(weights, n_max)
         columns = [list(column) for column in table.columns]
         columns[0][0] *= 2  # N(0, 0) = A(0, 0) * D^0
-        return WalkTable(weights, columns)
+        return WalkTable._new(weights=weights, columns=columns)
 
     return build
 
@@ -681,7 +681,7 @@ def _raised_cells(*cells):
             columns = [list(column) for column in table.columns]
             for i, n in cells:
                 columns[n][i // 2] += 1  # N(i, n) = A(i, n) * D^n
-            return WalkTable(weights, columns)
+            return WalkTable._new(weights=weights, columns=columns)
 
         return build
 
@@ -747,3 +747,23 @@ def test_verify_names_the_first_differing_cell_deep_in_the_square(capsys, monkey
     monkeypatch.setattr(home, route, corrupt(getattr(home, route)))
     assert cli.main(["verify", *argv]) == 1
     assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL  dp = ")] == fail_lines
+
+
+def test_row_checks_trust_no_series_equality(capsys, monkeypatch):
+    # with a kernel whose == always holds, a raised last coefficient of every poids_gf row still fails
+    monkeypatch.setattr(PowerSeries, "__eq__", lambda self, other: True)
+    monkeypatch.setattr(genfunc, "poids_gf", _raised_last_coefficient(False)(genfunc.poids_gf))
+    assert cli.main(["verify", "--scope", "all", "-n", "11", "--m-max", "5"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert {line.split(",")[0] for line in fails} == {"FAIL  dp = constructed gf", "FAIL  dp = gf"}
+    assert "FAIL  dp = gf, weights (2, 1, 5), n<=11: weights (2, 1, 5) i=0 n=11 gf vs dp: expected 0, got 1" in fails
+
+
+def test_a_row_on_another_grading_fails_naming_both(capsys, monkeypatch):
+    poids_gf = genfunc.poids_gf
+    monkeypatch.setattr(genfunc, "poids_gf", lambda weights, i, order: PowerSeries(poids_gf(weights, i, order).coeffs))
+    assert cli.main(["verify", "--scope", "dyck", "-n", "4"]) == 1
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  dp = gf, weights (1, 1/2, 2), n<=4: weights (1, 1/2, 2) i=0 gf vs dp: "
+        "expected a row graded den 1, base 2, got den 1, base 1"
+    ]

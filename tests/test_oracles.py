@@ -30,7 +30,7 @@ from treewalks.oracles import (
     tree_guard,
     tree_walk_count,
 )
-from treewalks.oracles import _ball_size, _code, _paths_by_end, _reductions, _walk, _walks_from_root
+from treewalks.oracles import _append_letters, _ball_size, _code, _step_paths, _tally, _walk, _walks_from_root
 from treewalks.recurrence import WeightConfig, build_table, dp_row, tree_weights
 from treewalks.verify import _FREE_GROUP_WORDS
 
@@ -158,7 +158,7 @@ def test_enumerate_dyck_empty_path_misses_height_one():
 
 @pytest.mark.parametrize("n", range(15))
 def test_path_stream_matches_the_per_sequence_filter(n):
-    assert _paths_by_end(n) == paths_by_end_per_sequence(n)
+    assert _tally(n, _step_paths, (0, 0)) == paths_by_end_per_sequence(n)
 
 
 def test_enumerate_dyck_guard():
@@ -213,7 +213,7 @@ def test_common_denominator_weights_match_dp_rows():
 def _poids_at_length(w: WeightConfig, i: int, n: int) -> Fraction:
     """The poids-sum read off the length-n tallies themselves, at height i."""
     ups, downs = (n + i) // 2, (n - i) // 2
-    tallies = _paths_by_end(n)
+    tallies = _tally(n, _step_paths, (0, 0))
     return sum(
         (count * w.c1**ups * w.c2 ** (downs - j) * w.c3**j for (h, j), count in tallies.items() if h == i),
         Fraction(0),
@@ -550,7 +550,7 @@ def test_free_group_matches_recurrence(g):
 def test_word_stream_matches_per_word_reduction(g, n):
     alphabet = [x for k in range(1, g + 1) for x in (k, -k)]
     expected = Counter(_code(g, reduce_word(word)) for word in itertools.product(alphabet, repeat=n))
-    assert _reductions(g, n) == expected
+    assert _tally(n, _append_letters, 0, g) == expected
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -580,7 +580,7 @@ def test_free_group_count_matches_per_word_reduction(g):
 def test_word_last_letter_matches_the_length_n_reductions(g, n):
     # every reduced target up to length n + 1, read off the length n - 1
     # words against the length-n words themselves
-    expected = _reductions(g, n)
+    expected = _tally(n, _append_letters, 0, g)
     alphabet = [x for k in range(1, g + 1) for x in (k, -k)]
     targets = [()]
     for size in range(n + 1):

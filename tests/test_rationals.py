@@ -55,6 +55,7 @@ def test_parse_rejects_zero_denominator():
 
 WEIGHTS = WeightConfig(1, Fraction(1, 2), 2)
 TABLE = build_table(tree_weights(3), 4)
+SERIES = PowerSeries([0, 0, 1, 2])
 
 # Every library entry that takes an index, order, length or degree:
 # (the name its refusal gives the argument, the least value it accepts, the call with that argument).
@@ -86,6 +87,12 @@ NATURAL_ARGUMENTS = {
     "free_group_guard g": ("g", 1, lambda v: free_group_guard(v, 4)),
     "free_group_guard n": ("n", 0, lambda v: free_group_guard(1, v)),
     "mass_check n": ("n", 0, lambda v: mass_check(TABLE, v)),
+    "PowerSeries.constant order": ("truncation order", 0, lambda v: PowerSeries.constant(1, v)),
+    "PowerSeries index": ("coefficient index", 0, lambda v: SERIES[v]),
+    "PowerSeries.truncate order": ("truncation order", 0, lambda v: SERIES.truncate(v)),
+    "PowerSeries.__pow__ exponent": ("series exponent", 0, lambda v: SERIES**v),
+    "PowerSeries.shift_div k": ("shift exponent", 0, lambda v: SERIES.shift_div(v)),
+    "PowerSeries.shift_mul k": ("shift exponent", 0, lambda v: SERIES.shift_mul(v)),
 }
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from treewalks.recurrence import (
     MAX_TABLE_BYTES,
     FeasibilityError,
+    WalkTable,
     WeightConfig,
     build_table,
     dp_row,
@@ -115,6 +116,21 @@ def test_weight_config_is_immutable():
     named = {w: "tree 3"}
     w.__init__(5, 5, 5)  # a second __init__ rewrites nothing, so w stays findable under its hash
     assert w == WeightConfig(1, 2, 3) and named[WeightConfig(1, 2, 3)] == named[w] == "tree 3"
+
+
+def test_walk_table_is_immutable_and_survives_copy_and_pickle():
+    table = build_table(WeightConfig(1, Fraction(1, 2), 2), 6)
+    assert "__init__" not in vars(WalkTable)  # built once, by Frozen._new
+    with pytest.raises(AttributeError, match="^cannot assign to field 'weights'$"):
+        table.weights = tree_weights(5)
+    with pytest.raises(AttributeError, match="^cannot delete field 'columns'$"):
+        del table.columns
+    with pytest.raises(AttributeError):
+        table.extra = 1
+    for twin in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert type(twin) is WalkTable
+        assert twin.weights == table.weights and twin.columns == table.columns
+        assert twin.row(2) == table.row(2) and twin.count(2, 6) == table.count(2, 6) == Fraction(33, 4)
 
 
 def test_weight_config_repr_and_describe():

@@ -45,7 +45,7 @@ def test_order_and_getitem():
     assert f[1] == 2
     with pytest.raises(IndexError):
         f[3]
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="^coefficient index must be an integer >= 0, got -1$"):
         f[-1]
 
 
