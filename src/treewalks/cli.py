@@ -37,7 +37,10 @@ EXIT_INFEASIBLE = 3
 
 
 def _natural(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = text  # not an int: refused below in the same words as a negative one
     try:
         natural("value", value)
     except ValueError as exc:  # argparse prints an ArgumentTypeError's text, and no ValueError's

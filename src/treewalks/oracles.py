@@ -11,12 +11,13 @@ predecessors: the tree vertex's neighbours, the target word's 2g neighbours
 t x in the Cayley tree, the heights i - 1 and i + 1.  So every length-n walk,
 word and path is counted once, through its last step.  A tree step runs
 C-level list passes over strided slices of the breadth-first numbering, a
-fixed chunk of the old ball at a time, so it holds the old and new balls
-plus one chunk's temporaries.  The words and paths stream through one
-generator per step, chained by the one tally loop :func:`_tally`, so those
-that share a prefix share its work.  A reduced word is one int whose
-base-(2g+1) digits are its letters, so a push or a pop is one multiplication
-or division, and :func:`_append_letters` is the one free reduction.
+fixed chunk at a time, and advances the count list in place, so it holds
+the new ball, the old interior's up-sums and one chunk's temporaries.  The
+words and paths stream through one generator per step, chained by the one
+tally loop :func:`_tally`, so those that share a prefix share its work.  A
+reduced word is one int whose base-(2g+1) digits are its letters, so a push
+or a pop is one multiplication or division, and :func:`_append_letters` is
+the one free reduction.
 
 Each enumeration refuses inputs whose state space exceeds ``max_states``
 (default 10^7), at once at any size and before enumerating anything: its
@@ -32,7 +33,7 @@ on the axis (the weights are applied to those tallies afterwards), the tree
 walks by end vertex, the words by their reduction.  The path and word oracles
 share one memo, the tally of the length last enumerated; the tree oracle
 keeps, for the degree it last walked, its counts over the ball at the last
-length, and a longer length advances them from there.  Callers ask length
+length, and a longer length advances them in place.  Callers ask length
 by length, so later heights, weights and targets of a length are cache hits,
 and a run up to length n walks each step once.
 """
@@ -42,6 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import add
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -136,11 +138,12 @@ def _ball_size(m: int, depth: int) -> int:
 def _walks_from_root(m: int) -> list:
     """The memo of one degree, [length, counts]: the number of walks of that
     length from the root to each vertex of the depth-``length`` ball, numbered
-    breadth first.  It starts at length 0 and :func:`_walk` advances it."""
+    breadth first.  It starts at length 0 and :func:`_walk` advances it, the
+    count list in place."""
     return [0, [1]]
 
 
-# Slots of the old ball that a tree step reads per chunk, so each temporary
+# Slots that each pass of a tree step reads per chunk, so each temporary
 # list holds at most this many pointers (64 KiB).  A chunk's own loop costs
 # 1-2 us (Python 3.11, 2-core x86-64 VM), under 1% of the slice work it
 # drives; at 4096 it is over 1% at m = 5.
@@ -153,49 +156,58 @@ def _walk(m: int, n: int) -> list[int]:
     :func:`tree_walk_count`, has run :func:`tree_guard` at n + 1, and the
     guard's charge grows with the length.
 
-    Advances the memo of degree m from its length, or from the root when n is
-    shorter.  With k = m - 1 the root's children are 1..m and the children
-    of a vertex v >= 1 are m+1+(v-1)k .. m+vk, so the j-th children of the
-    vertices 1, 2, ... sit at the stride-k slice from m+1+j.  A step to the
-    depth-(d + 1) ball, the farthest a walk can then reach, moves every walk
-    along each edge by list passes: down by slice assignment, from the root
-    to 1..m and from each chunk of 1, 2, ... to the chunk's j-th children,
-    and up by adding the k stride-k slices of children, read only inside the
-    depth-d ball, onto each chunk of their parents in one streamed pass.  A
-    chunk reads at most :data:`_CHUNK` slots of the old ball, so a step holds
-    the new ball, the old one and a few chunk-sized temporaries, whatever
-    the ball's size.  At m = 1 (k = 0) the root's one child has no children.
+    The list returned is the memo's own, which a later request for a longer
+    length advances in place; only a shorter request starts a new list, and
+    leaves the earlier one as it was.  Advances the memo of degree m from its
+    length, or from the root when n is shorter.  With k = m - 1 the root's
+    children are 1..m and the children of a vertex v >= 1 are
+    m+1+(v-1)k .. m+vk, so the j-th children of the vertices 1, 2, ... sit at
+    the stride-k slice from m+1+j.  A step to the depth-(d + 1) ball, the
+    farthest a walk can then reach, moves every walk along each edge by list
+    passes.  Before any count moves, it sums the k stride-k slices of
+    children, read only inside the depth-d ball, into ``ups``: the root's
+    sum, and one list per chunk of the vertices 1..parents that have
+    children there.  It then grows the list to the new ball and moves the
+    counts down by slice assignment, from each chunk of 1, 2, ... to the
+    chunk's j-th children, deepest chunk first, so that each count is read
+    before it is overwritten as a child.  Last, the old root moves to 1..m,
+    the root takes its sum, and each chunk of ``ups`` is added onto its
+    parents and dropped, deepest first.  A chunk reads at most
+    :data:`_CHUNK` slots, so a step holds the new ball, the old interior's
+    up-sums and a few chunk-sized temporaries, whatever the ball's size.
+    At m = 1 (k = 0) the root's one child has no children.
     """
     memo = _walks_from_root(m)
-    if n < memo[0]:
-        memo[:] = 0, [1]
-    length, counts = memo
+    length, counts = memo if n >= memo[0] else (0, [1])
+    memo[:] = 0, [1]  # a step stopped part way (an interrupt) leaves no half-moved counts in the memo
     k = m - 1
     while length < n:
         reached = len(counts)
-        fresh = [0] * (1 + m + k * (reached - 1))
-        fresh[1 : m + 1] = [counts[0]] * m
-        fresh[0] = sum(counts[1 : m + 1])
-        if k:
-            for a in range(1, reached, _CHUNK):
-                above = counts[a : a + _CHUNK]
-                start = m + 1 + (a - 1) * k
-                stop = start + len(above) * k
-                for j in range(k):
-                    fresh[start + j : stop : k] = above
-            parents = max(0, reached - m - 1) // k  # 1..parents have children in the ball
-            chunk = max(1, _CHUNK // k)
-            for a in range(1, parents + 1, chunk):
-                b = min(a + chunk, parents + 1)
-                start = m + 1 + (a - 1) * k
-                stop = m + 1 + (b - 1) * k
-                up = fresh[a:b]
-                for j in range(k):
-                    up = map(add, up, counts[start + j : stop : k])
-                fresh[a:b] = up
+        parents = (reached - m - 1) // k if reached > m + 1 else 0  # 1..parents have children in the ball
+        root = sum(counts[1 : m + 1])
+        chunks = range(1, parents + 1, max(1, _CHUNK // m))
+        ups = []
+        for a in chunks:
+            start = m + 1 + (a - 1) * k
+            stop = m + 1 + (min(a + chunks.step, parents + 1) - 1) * k
+            up = counts[start:stop:k]
+            for j in range(1, k):
+                up = map(add, up, counts[start + j : stop : k])
+            ups.append(list(up) if k > 1 else up)  # sums the chunk now, freeing its k slices
+        counts += repeat(0, m + 1 + k * (reached - 1) - reached)
+        for a in reversed(range(1, reached, _CHUNK)):
+            above = counts[a : min(a + _CHUNK, reached)]
+            start = m + 1 + (a - 1) * k
+            stop = start + len(above) * k
+            for j in range(k):
+                counts[start + j : stop : k] = above
+        counts[1 : m + 1] = [counts[0]] * m
+        counts[0] = root
+        for a in reversed(chunks):
+            up = ups.pop()
+            counts[a : a + len(up)] = map(add, counts[a : a + len(up)], up)
         length += 1
-        counts = fresh
-        memo[:] = length, counts
+    memo[:] = length, counts
     return counts
 
 

@@ -161,13 +161,14 @@ class WalkTable(Frozen):
     D is the lcm of the weight denominators.  ``columns[n][k]`` holds
     N(2k + n % 2, n): only the reachable cells i <= n with n - i even are
     stored, every other entry is exactly zero.  Built once, by
-    :func:`build_table`; neither field is assigned again or deleted.
+    :func:`build_table`; neither field is assigned again or deleted, and the
+    columns are tuples, so no cell is set either.
     """
 
     __slots__ = ("weights", "columns")
 
     weights: WeightConfig
-    columns: list[list[int]]
+    columns: tuple[tuple[int, ...], ...]
 
     @property
     def n_max(self) -> int:
@@ -232,7 +233,8 @@ def _columns(weights: WeightConfig, n_max: int, bottom: int, top: int) -> Iterat
 
 def build_table(weights: WeightConfig, n_max: int) -> WalkTable:
     """Fill the whole table column by column in n, on integers (see :func:`_columns`)."""
-    return WalkTable._new(weights=weights, columns=[column for _, column in _columns(weights, n_max, 0, n_max)])
+    columns = tuple(tuple(column) for _, column in _columns(weights, n_max, 0, n_max))
+    return WalkTable._new(weights=weights, columns=columns)
 
 
 def dp_row(weights: WeightConfig, i: int, n_max: int) -> PowerSeries:

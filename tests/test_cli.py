@@ -26,7 +26,7 @@ import treewalks.recurrence as recurrence
 import treewalks.routes as routes
 import treewalks.verify as verify
 from treewalks.rationals import parse_number
-from treewalks.recurrence import DEFAULT_MAX_STATES, MAX_TABLE_BYTES, build_table, tree_weights
+from treewalks.recurrence import DEFAULT_MAX_STATES, MAX_TABLE_BYTES, WalkTable, build_table, tree_weights
 from treewalks.series import PowerSeries
 
 
@@ -302,9 +302,9 @@ def test_verify_builds_each_table_to_the_order_its_rows_read(capsys, monkeypatch
 
 def test_identity_check_fails_on_a_raised_cell(capsys, monkeypatch):
     def build(weights, n_max):
-        table = build_table(weights, n_max)
-        table.columns[3][1] += 1  # A(3, 3) = 1 becomes 2
-        return table
+        columns = [list(column) for column in build_table(weights, n_max).columns]
+        columns[3][1] += 1  # A(3, 3) = 1 becomes 2
+        return WalkTable._new(weights=weights, columns=columns)
 
     monkeypatch.setattr(recurrence, "build_table", build)
     code, out, _ = run(capsys, "verify", "--scope", "tree", "-n", "4", "--m-max", "2")
@@ -409,6 +409,20 @@ def test_verify_rejects_bad_bounds(capsys):
     assert err.endswith("error: argument -n/--n-max: value must be an integer >= 0, got -1\n")
     assert run(capsys, "verify", "-n", "1.5")[0] == 2
     assert run(capsys, "verify", "--m-max", "1") == (2, "", "error: --m-max must be an integer >= 2, got 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv,argument,text",
+    [
+        (("walks", "-m", "3", "-n", "x"), "-n/--n-max", "x"),
+        (("bfile", "-m", "3", "--count", "1.5"), "--count", "1.5"),
+        (("walks", "-m", "3", "-n", "3", "--method", "tree", "--max-states", "x"), "--max-states", "x"),
+    ],
+)
+def test_a_count_that_is_no_integer_is_refused_in_the_words_of_a_negative_one(capsys, argv, argument, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {argument}: value must be an integer >= 0, got '{text}'\n")
 
 
 # --- argparse plumbing --------------------------------------------------------------

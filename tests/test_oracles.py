@@ -401,7 +401,6 @@ def test_tree_oracle_memo_matches_the_from_scratch_walk():
     # equal a walk run from the root for that length alone.
     lengths = [*range(8), *range(7, -1, -1), 5, 5, 5, 3, 7, 2, 2, 6, 0, 4]
     reference = cache(walk_from_scratch)
-    held = []
     for m in (1, 2, 3, 4, 3, 5, 7):
         for k, n in enumerate(lengths):
             levels, expected = reference(m, n)
@@ -409,12 +408,38 @@ def test_tree_oracle_memo_matches_the_from_scratch_walk():
             if k % 2:
                 assert [tree_walk_count(m, i, n) for i in range(n + 1)] == want
             counts = _walk(m, n)
+            assert counts is _walks_from_root(m)[1]
             assert tuple(counts) == expected
+            # these reads ask for length n - 1: a shorter request starts a new
+            # list and leaves the one returned as it was
             assert [tree_walk_count(m, i, n) for i in range(n + 1)] == want
-            held.append((counts, expected))
-    # a count list already returned is left as it was by every later request
-    for counts, expected in held:
-        assert tuple(counts) == expected
+            assert (_walks_from_root(m)[1] is counts) == (n == 0)
+            assert tuple(counts) == expected
+    # the list returned is the memo's own, which a longer request advances in
+    # place; a shorter one starts a new list and leaves the earlier one as it was
+    for m in (1, 2, 3, 5):
+        counts = _walk(m, 3)
+        assert _walk(m, 5) is counts
+        assert tuple(counts) == reference(m, 5)[1]
+        shorter = _walk(m, 4)
+        assert shorter is not counts
+        assert tuple(shorter) == reference(m, 4)[1]
+        assert tuple(counts) == reference(m, 5)[1]
+
+
+def test_a_tree_step_stopped_part_way_leaves_no_half_moved_counts(monkeypatch):
+    # a step rewrites the memo's list in place; one stopped after its counts
+    # moved down (at m = 2 the first add is the last pass) must leave the memo
+    # at a length whose counts it holds
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    _walk(2, 4)
+    monkeypatch.setattr(oracles, "add", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        _walk(2, 6)
+    monkeypatch.undo()
+    assert tuple(_walk(2, 6)) == walk_from_scratch(2, 6)[1]
 
 
 def _check_walks_in_shuffled_order():
@@ -442,20 +467,29 @@ def test_tree_walk_matches_the_from_scratch_walk_across_chunk_seams(monkeypatch,
 
 
 @pytest.mark.parametrize("m,n,chunk", [(2, 600, 64), (3, 15, None), (5, 9, None)])
-def test_a_tree_step_holds_its_two_balls_and_a_fixed_chunk(monkeypatch, m, n, chunk):
-    # a step keeps the new ball; over that it may hold the old ball and a few
-    # chunk-sized temporaries, never another copy of the old ball per pass
+def test_a_tree_step_holds_the_new_ball_the_up_sums_and_a_fixed_chunk(monkeypatch, m, n, chunk):
+    # Over the new ball a step may hold the up-sums, a slot for the root and
+    # for each vertex with children in the old ball, plus a fixed number of
+    # chunk-sized temporaries: a slice, the list a slice assignment builds
+    # (overallocated by up to an eighth) and the buffer of the slots it
+    # replaces, and a chunk's new counts.  The old ball is built while traced
+    # and not held here, so a step that built the new ball beside it would
+    # show the old ball in the peak.
     if chunk:
         monkeypatch.setattr(oracles, "_CHUNK", chunk)
     assert _ball_size(m, n - 1) >= 4 * oracles._CHUNK
-    old = _walk(m, n - 1)
+    _walks_from_root.cache_clear()
     tracemalloc.start()
     try:
-        _walk(m, n)
+        _walk(m, n - 1)
+        tracemalloc.reset_peak()
+        counts = _walk(m, n)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - held <= sys.getsizeof(old) + 4 * oracles._CHUNK * struct.calcsize("P")
+    ups = sys.getsizeof([0] * _ball_size(m, n - 2))
+    chunks = 3 * oracles._CHUNK * struct.calcsize("P") + oracles._CHUNK * sys.getsizeof(max(counts))
+    assert peak - held <= ups + chunks
 
 
 @pytest.mark.parametrize("m", range(1, 8))

@@ -127,6 +127,10 @@ def test_walk_table_is_immutable_and_survives_copy_and_pickle():
         del table.columns
     with pytest.raises(AttributeError):
         table.extra = 1
+    with pytest.raises(TypeError):  # read-only all the way down: no column or cell is set
+        table.columns[0][0] = 5
+    with pytest.raises(TypeError):
+        table.columns[6] = (5, 5, 5, 5)
     for twin in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
         assert type(twin) is WalkTable
         assert twin.weights == table.weights and twin.columns == table.columns
@@ -355,7 +359,7 @@ def test_dp_row_columns_hold_only_the_heights_within_reach(i):
     for n, (skip, column) in enumerate(_columns(w, 30, i, i)):
         heights = range(2 * skip + n % 2, 2 * (skip + len(column)) + n % 2, 2)
         assert [abs(h - i) <= 30 - n for h in heights] == [True] * len(column)
-        assert column == table.columns[n][skip : skip + len(column)]
+        assert tuple(column) == table.columns[n][skip : skip + len(column)]
 
 
 def test_dp_row_shares_the_table_guard_and_checks():
@@ -446,9 +450,9 @@ def test_mass_check_catches_every_single_cell_corruption(weights):
     table = build_table(weights, 12)
     for n in range(13):
         for k in range(len(table.columns[n])):
-            table.columns[n][k] += 1
-            assert mass_check(table, n) != x_power(n), (n, k)
-            table.columns[n][k] -= 1
+            columns = [list(column) for column in table.columns]
+            columns[n][k] += 1
+            assert mass_check(WalkTable._new(weights=weights, columns=columns), n) != x_power(n), (n, k)
         assert mass_check(table, n) == x_power(n)
 
 
