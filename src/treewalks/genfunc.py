@@ -44,8 +44,10 @@ is coefficient for coefficient.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .rationals import natural
-from .recurrence import MAX_TABLE_BYTES, WeightConfig, _integers, check_cost, int_bytes, step_bits, tree_weights
+from .recurrence import MAX_TABLE_BYTES, WeightConfig, check_cost, int_bytes, step_bits, tree_weights
 from .series import PowerSeries
 
 __all__ = ["dyck_gf", "irreducible_gf", "poids_gf", "tree_gf"]
@@ -103,6 +105,20 @@ def _check_size(weights: WeightConfig, order: int) -> None:
     check_cost(what, graded + rational + _CALL_BYTES, MAX_TABLE_BYTES, "bytes")
 
 
+def _scaled_weights(weights: WeightConfig) -> tuple[int, int, int, int]:
+    """D, the lcm of the weight denominators, and u, v, x = D*c1, D*c2, D*c3.
+
+    The recurrence scales the weights to the same numbers.  This second copy,
+    written another way, is deliberate; do not merge the two: verify's dp = gf
+    rows compare these series with dp, and a fault in one scaling shared by
+    both routes would agree with itself.
+    """
+    scale, triple = 1, (weights.c1, weights.c2, weights.c3)
+    for w in triple:
+        scale *= w.denominator // gcd(scale, w.denominator)
+    return (scale, *(int(w * scale) for w in triple))
+
+
 def _catalan_power(i: int, q: int, terms: int) -> list[int]:
     """[t^(2k)] a^i for k < terms, where a = sum_k Cat_k * q^k * t^(2k) is the
     root of a = 1 + q*t^2*a^2.
@@ -127,7 +143,7 @@ def dyck_gf(weights: WeightConfig, order: int) -> PowerSeries:
     path is left, and C_k is 1, 0, 0, ...
     """
     _check_size(weights, order)
-    scale, u, v, _ = _integers(weights)
+    scale, u, v, _ = _scaled_weights(weights)
     row = [0] * (order + 1)
     row[::2] = _catalan_power(1, u * v, order // 2 + 1)
     return PowerSeries._graded(row, 1, scale)
@@ -143,7 +159,7 @@ def irreducible_gf(weights: WeightConfig, order: int) -> tuple[PowerSeries, Powe
     :func:`dyck_gf`, so every weight has an answer.
     """
     _check_size(weights, order)
-    scale, u, v, x = _integers(weights)
+    scale, u, v, x = _scaled_weights(weights)
     # the t^2 shift moves a's last term past the order
     catalan = _catalan_power(1, u * v, order // 2 + 1)[:-1]
     b, c = [0] * (order + 1), [0] * (order + 1)
@@ -173,7 +189,7 @@ def poids_gf(weights: WeightConfig, i: int, order: int) -> PowerSeries:
     _check_size(weights, order)
     if i > order:
         return PowerSeries.zero(order)
-    scale, u, v, x = _integers(weights)
+    scale, u, v, x = _scaled_weights(weights)
     terms, lift = (order - i) // 2 + 1, u**i
     row = [0] * (order + 1)
     next_power = _catalan_power(i + 1, u * v, terms)

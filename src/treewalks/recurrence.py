@@ -259,7 +259,11 @@ def mass_check(table: WalkTable, n: int) -> tuple[Fraction, ...]:
     weights w_i(m) = V_m(i), so the value at x = m is m^n.  Summed on the
     ints N(i, n) * a^(n-i) over the monic W_i(D*x) = a^i * w_i(x), a = D*c1.
     """
-    scale, a, b, c = _integers(table.weights)
+    # D and a, b, c are read off the weights here, not through _integers, so the identity also checks
+    # the table against the weights and not only against dp's own scaling of them
+    c1, c2, c3 = table.weights.c1, table.weights.c2, table.weights.c3
+    scale = lcm(c1.denominator, c2.denominator, c3.denominator)
+    a, b, c = ((w * scale).numerator for w in (c1, c2, c3))
     if a == 0:
         raise ValueError("the identity divides by c1, which is 0")
     natural("n", n)

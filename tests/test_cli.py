@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -449,7 +450,8 @@ def test_help_exits_cleanly(capsys):
     assert "walks" in out and "verify" in out
 
 
-@pytest.mark.parametrize(
+# (argv, exit code, stdout) of the console entry point, one per kind of exit
+ENTRY_POINT_RUNS = pytest.mark.parametrize(
     "argv,code,out",
     [
         (("walks", "-m", "3", "-n", "6"), 0, "1 0 3 0 15 0 87\n"),
@@ -458,6 +460,9 @@ def test_help_exits_cleanly(capsys):
     ],
     ids=["values", "usage-error", "infeasible"],
 )
+
+
+@ENTRY_POINT_RUNS
 def test_module_entry_point_exits_with_main_code(argv, code, out):
     # the in-process tests call cli.main; this runs `python -m treewalks.cli`,
     # so the exit code must pass through entrypoint's sys.exit
@@ -481,6 +486,33 @@ def test_a_closed_stdout_exits_141_with_an_empty_stderr():
         err = process.stderr.read()
         code = process.wait(timeout=60)
     assert (code, err) == (141, b"")
+
+
+# Calls the console entry point in a fresh interpreter, with an atexit hook that reports on stderr
+# how many objects the GC heap holds frozen when the interpreter shuts down.
+FROZEN_AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+from treewalks.cli import entrypoint
+entrypoint()
+"""
+
+
+@ENTRY_POINT_RUNS
+def test_entry_point_freezes_the_heap_and_atexit_still_runs(argv, code, out):
+    # the shutdown collections skip a frozen heap; unlike os._exit, exit codes, flushes and atexit hold
+    done_code, done_out, err = _fresh("-c", FROZEN_AT_EXIT, *argv)
+    assert (done_code, done_out) == (code, out)
+    label, count = err.splitlines()[-1].split()
+    assert label == "frozen" and int(count) > 0
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # in-process callers, tests and the benchmark's traced passes need a heap that can still be collected
+    before = gc.get_freeze_count()
+    code, out, _ = run(capsys, "verify", "--scope", "tree", "-n", "3", "--m-max", "2")
+    assert (code, out.splitlines()[-1]) == (0, "4/4 checks passed")
+    assert gc.get_freeze_count() == before
 
 
 def test_main_lets_a_closed_stdout_raise(monkeypatch):

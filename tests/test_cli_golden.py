@@ -7,13 +7,17 @@ printed byte or an exit code of these commands fails here.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import treewalks.cli as cli
 import treewalks.genfunc as genfunc
 import treewalks.oracles as oracles
 import treewalks.recurrence as recurrence
-from treewalks.recurrence import WalkTable
+import treewalks.verify as verify
+from treewalks.recurrence import DEFAULT_MAX_STATES, WalkTable
 from treewalks.series import PowerSeries
 
 GOLDEN = [
@@ -757,6 +761,39 @@ def test_row_checks_trust_no_series_equality(capsys, monkeypatch):
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert {line.split(",")[0] for line in fails} == {"FAIL  dp = constructed gf", "FAIL  dp = gf"}
     assert "FAIL  dp = gf, weights (2, 1, 5), n<=11: weights (2, 1, 5) i=0 n=11 gf vs dp: expected 0, got 1" in fails
+
+
+def test_a_fault_in_dps_scaling_fails_the_gf_and_identity_rows(monkeypatch):
+    # gf and the identity scale the weights themselves, so swapping b and c in dp's scaling alone
+    # fails a dp = gf row and an identity row instead of agreeing with itself
+    integers = recurrence._integers
+
+    def swapped(weights):
+        scale, a, b, c = integers(weights)
+        return scale, a, c, b
+
+    monkeypatch.setattr(recurrence, "_integers", swapped)
+    failed = [title for title, check in verify.open_checks("all", 11, 5, DEFAULT_MAX_STATES) if check() is not None]
+    assert any(title.startswith(("dp = gf,", "dp = constructed gf,")) for title in failed)
+    assert any(title.startswith("eigenvector identity") for title in failed)
+
+
+# What genfunc and the oracles may import from recurrence: the value types and the guard rule,
+# nothing that computes a count or scales the weights.
+RECURRENCE_IMPORTS = {"WeightConfig", "tree_weights", "check_cost", "FeasibilityError", "MAX_TABLE_BYTES",
+                      "DEFAULT_MAX_STATES", "int_bytes", "step_bits"}
+
+
+@pytest.mark.parametrize("layer", [genfunc, oracles], ids=lambda layer: layer.__name__)
+def test_gf_and_the_oracles_import_no_count_from_recurrence(layer):
+    imported = set()
+    for node in ast.walk(ast.parse(Path(layer.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module in ("recurrence", "treewalks.recurrence"):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # the module itself would reach every name
+            assert not any(alias.name.rpartition(".")[2] == "recurrence" for alias in node.names)
+    assert "WeightConfig" in imported
+    assert imported <= RECURRENCE_IMPORTS
 
 
 def test_a_row_on_another_grading_fails_naming_both(capsys, monkeypatch):
