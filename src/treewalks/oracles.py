@@ -5,11 +5,14 @@ coefficients: weighted Dyck paths, by filtering step sequences; walks on the
 tree, numbered breadth first, by moving a count distribution along every edge
 of the ball one step at a time; and free-group words, by freely reducing each.
 
-Each enumerates every sequence up to length n - 1 and takes the last step at
-its target only, summing the length-(n - 1) counts over the target's
-predecessors: the tree vertex's neighbours, the target word's 2g neighbours
-t x in the Cayley tree, the heights i - 1 and i + 1.  So every length-n walk,
-word and path is counted once, through its last step.  A tree step runs
+The path and word oracles enumerate every sequence up to length n - 1 and
+take the last step at their target only, summing the length-(n - 1) counts
+over the target's predecessors: the heights i - 1 and i + 1, the target
+word's 2g neighbours t x in the Cayley tree.  The tree oracle walks to length
+n - 2 and takes the last two steps at its target v only, summing the
+length-(n - 2) counts over the neighbours of each of v's neighbours.  So
+every length-n walk, word and path is counted once, through its last step
+or, on the tree, its last two.  A tree step runs
 C-level list passes over strided slices of the breadth-first numbering, a
 fixed chunk at a time, and advances the count list in place, so it holds
 the new ball, the old interior's up-sums and one chunk's temporaries.  The
@@ -25,8 +28,9 @@ guard (``dyck_guard``, ``tree_guard``, ``free_group_guard``, which callers
 may run ahead of a batch) passes the estimate to
 :func:`treewalks.recurrence.check_cost`, which raises the
 :class:`FeasibilityError`.  A guard charges the whole length-n enumeration,
-an upper bound on the run to n - 1 (about 2x for the paths, 2g x for the
-words, (m - 1)x for the tree at m >= 3) kept so that no refusal moves.
+an upper bound on the run it makes (to n - 1: about 2x for the paths and
+2g x for the words; to n - 2: about (m - 1)^2 x for the tree at m >= 3) kept
+so that no refusal moves.
 
 Each oracle counts on ints: the paths by end height and by down-steps landing
 on the axis (the weights are applied to those tallies afterwards), the tree
@@ -153,8 +157,8 @@ _CHUNK = 8192
 def _walk(m: int, n: int) -> list[int]:
     """Counts of length-n walks from the root to every vertex of the depth-n
     ball, numbered breadth first.  It runs no guard: its one caller,
-    :func:`tree_walk_count`, has run :func:`tree_guard` at n + 1, and the
-    guard's charge grows with the length.
+    :func:`tree_walk_count`, has run :func:`tree_guard` at a longer length
+    (n + 2, or 1 at n = 0), and the guard's charge grows with the length.
 
     The list returned is the memo's own, which a later request for a longer
     length advances in place; only a shorter request starts a new list, and
@@ -211,13 +215,32 @@ def _walk(m: int, n: int) -> list[int]:
     return counts
 
 
+def _neighbours(m: int, v: int) -> tuple[range, range]:
+    """Vertex v's parent (none for the root) and its children, 1..m for the
+    root and m+1+(v-1)k .. m+vk for v >= 1 with k = m - 1, as two ranges of
+    the breadth-first numbering."""
+    if v == 0:
+        return range(0), range(1, m + 1)
+    k = m - 1
+    parent = (v - m - 1) // k + 1 if v > m else 0
+    return range(parent, parent + 1), range(m + 1 + (v - 1) * k, m + v * k + 1)
+
+
+def _neighbour_sum(counts: list[int], m: int, v: int) -> int:
+    """The sum of ``counts`` over v's neighbours, each read as a slice clipped
+    to the list, so a neighbour outside the ball counts 0."""
+    return sum(sum(counts[family.start : family.stop]) for family in _neighbours(m, v))
+
+
 def tree_guard(m: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
     """Refuse walking to length n on the m-regular tree if it moves counts along more than
     ``max_states`` edges.  Step k covers the depth-k ball, |ball_k| - 1 edges, so a run from
     length 0 makes sum_{k=1..n} (|ball_k| - 1) edge moves: n at m = 1, n(n+1) at m = 2, and
     m((m-1)((m-1)^n - 1)/(m-2) - n)/(m-2) at m >= 3, within a factor (m-1)/(m-2) of the
     depth-n ball.  At m >= 3 and n >= 1 the run is refused on the lower bound (m-1)^n of its
-    last step's moves, uncounted, when that is over."""
+    last step's moves, uncounted, when that is over.  :func:`tree_walk_count` is charged
+    the walk to n although it walks only to n - 2, about (m-1)^2 times over at m >= 3, so
+    that no refusal moves."""
     natural("tree degree", m, 1)
     natural("n", n)
     what = lambda: f"walking to length {n} on the {m}-regular tree"
@@ -236,16 +259,19 @@ def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
     breadth-first numbering; the count is the same at every vertex of the
     level, a symmetry the test suite spot-checks).
 
-    The walk covers the depth-(n - 1) ball to length n - 1, which loses
-    nothing: no shorter walk leaves it.  The last step is taken at v only: the
-    count is the sum of the length-(n - 1) counts at v's neighbours, its
-    parent and its children m+1+(v-1)k .. m+vk with k = m - 1, by the same
-    breadth-first arithmetic :func:`_walk` uses; a child outside the ball
-    counts 0.  The 1-regular tree is one edge, with no vertex at distance 2
-    or more.  The memo of the degree last walked keeps the counts over the
-    ball at the last length n - 1 asked for, so asking the lengths in
-    increasing order walks each step once.  :func:`tree_guard` charges the
-    walk to length n, an upper bound kept so that no refusal moves.
+    The walk covers the depth-(n - 2) ball to length n - 2, which loses
+    nothing: no shorter walk leaves it.  The last two steps are taken at v
+    only: A_n(v) is the sum, over v's neighbours u, of the length-(n - 2)
+    counts at u's neighbours.  A vertex's neighbours are its parent and its
+    children m+1+(v-1)k .. m+vk with k = m - 1 (1..m at the root), by the same
+    breadth-first arithmetic :func:`_walk` uses, and each is read as a slice
+    clipped to the list, so a vertex outside the ball counts 0, v's parent
+    too when i = n.  At n = 1 the last step alone is taken, on the length-0
+    counts.  The 1-regular tree is one edge, with no vertex at distance 2 or
+    more.  The memo of the degree last walked keeps the counts over the ball
+    at the last length n - 2 asked for, so asking the lengths in increasing
+    order walks each step once.  :func:`tree_guard` charges the walk to
+    length n, an upper bound kept so that no refusal moves.
     """
     natural("tree degree", m, 1)
     natural("i", i)
@@ -257,13 +283,11 @@ def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
         return 0
     if n == 0:
         return 1
-    counts = _walk(m, n - 1)
-    if i == 0:
-        return sum(counts[1 : m + 1])
-    k = m - 1
-    v = _ball_size(m, i - 1)
-    parent = (v - m - 1) // k + 1 if v > m else 0
-    return counts[parent] + sum(counts[m + 1 + (v - 1) * k : m + v * k + 1])
+    v = _ball_size(m, i - 1) if i else 0
+    if n == 1:
+        return _neighbour_sum(_walk(m, 0), m, v)
+    counts = _walk(m, n - 2)
+    return sum(_neighbour_sum(counts, m, u) for family in _neighbours(m, v) for u in family)
 
 
 def _code(g: int, word: Iterable[int]) -> int:

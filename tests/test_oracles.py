@@ -302,8 +302,8 @@ TREE_GUARD_LONGEST = {2: 3161, 3: 20, 4: 13, 5: 11, 6: 9, 7: 8, 8: 8}
 
 @pytest.mark.parametrize("m,longest", TREE_GUARD_LONGEST.items())
 def test_tree_guard_charges_the_walk_to_length_n(m, longest):
-    # the oracle walks only to n - 1 but is still charged the walk to n, so
-    # each refusal stays at the same length
+    # the oracle walks only to n - 2 (or to 0 at n = 1) but is still charged
+    # the walk to n, so each refusal stays at the same length
     tree_guard(m, longest)
     with pytest.raises(FeasibilityError):
         tree_guard(m, longest + 1)
@@ -312,7 +312,7 @@ def test_tree_guard_charges_the_walk_to_length_n(m, longest):
 
 
 def test_each_tree_read_runs_the_guard_once(monkeypatch):
-    # tree_walk_count guards at n once; the walk to n - 1 it then runs is
+    # tree_walk_count guards at n once; the walk to n - 2 it then runs is
     # covered by that charge and guards nothing again
     calls = []
     guard = oracles.tree_guard
@@ -410,7 +410,7 @@ def test_tree_oracle_memo_matches_the_from_scratch_walk():
             counts = _walk(m, n)
             assert counts is _walks_from_root(m)[1]
             assert tuple(counts) == expected
-            # these reads ask for length n - 1: a shorter request starts a new
+            # these reads ask for length n - 2: a shorter request starts a new
             # list and leaves the one returned as it was
             assert [tree_walk_count(m, i, n) for i in range(n + 1)] == want
             assert (_walks_from_root(m)[1] is counts) == (n == 0)
@@ -494,9 +494,10 @@ def test_a_tree_step_holds_the_new_ball_the_up_sums_and_a_fixed_chunk(monkeypatc
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_tree_last_step_matches_the_full_walk_at_every_level(m):
-    # the count at the first vertex of each level, summed over its neighbours
-    # at length n - 1, against the walk to length n over the whole depth-n
-    # ball; at m = 1 the levels beyond distance 1 are empty and count 0
+    # the count at the first vertex of each level, summed over its
+    # neighbours' neighbours at length n - 2 (over its neighbours at length 0
+    # when n = 1), against the walk to length n over the whole depth-n ball;
+    # at m = 1 the levels beyond distance 1 are empty and count 0
     for n in _depths_to_ball(m):
         levels, expected = walk_from_scratch(m, n)
         want = [expected[level[0]] if level else 0 for level in levels]
@@ -504,13 +505,47 @@ def test_tree_last_step_matches_the_full_walk_at_every_level(m):
 
 
 @pytest.mark.parametrize("m", range(1, 7))
-def test_tree_memo_stops_one_length_short(m):
-    # a count at length n walks the ball only to length n - 1
+def test_tree_memo_stops_two_lengths_short(m):
+    # a count at length n >= 2 walks the ball only to length n - 2, one at
+    # length 1 reads the length-0 counts
     for n in range(1, 9):
         for i in range(n + 1):
             tree_walk_count(m, i, n)
             length, counts = _walks_from_root(m)
-            assert (length, len(counts)) == (n - 1, _ball_size(m, n - 1))
+            shorter = max(n - 2, 0)
+            assert (length, len(counts)) == (shorter, _ball_size(m, shorter))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 200])
+def test_tree_reads_outside_the_ball_count_zero(m):
+    # at n = 1 the finish reads the length-0 counts; for i >= n - 1 the
+    # target v, and at i = n also its parent, lie outside the depth-(n - 2)
+    # ball, and every read there must count 0 and raise nothing; at m = 1
+    # no vertex lies beyond distance 1, as in the single-edge test above
+    table = build_table(tree_weights(m), 3)
+    for n in range(4):
+        for i in range(n + 1):
+            assert tree_walk_count(m, i, n) == (table.count(i, n) if m > 1 or i <= 1 else 0)
+
+
+def test_verifys_tree_corner_at_m_5_holds_the_depth_8_ball():
+    # verify's tree oracle rows read 0 <= i <= n <= 10; at m = 5 the longest
+    # walk is to length 8, so the peak may hold that ball, the up-sums of the
+    # step to it and a chunk's temporaries
+    _walks_from_root.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(11):
+            for i in range(n + 1):
+                tree_walk_count(5, i, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    counts = _walks_from_root(5)[1]
+    depth_8 = sys.getsizeof([0] * _ball_size(5, 8))
+    ups = sys.getsizeof([0] * _ball_size(5, 7))
+    chunks = 3 * oracles._CHUNK * struct.calcsize("P") + oracles._CHUNK * sys.getsizeof(max(counts))
+    assert peak <= depth_8 + ups + chunks
 
 
 def test_level_counts_are_symmetric():
