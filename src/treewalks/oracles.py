@@ -5,17 +5,20 @@ coefficients: weighted Dyck paths, by filtering step sequences; walks on the
 tree, numbered breadth first, by moving a count distribution along every edge
 of the ball one step at a time; and free-group words, by freely reducing each.
 
-The path and word oracles enumerate every sequence up to length n - 1 and
-take the last step at their target only, summing the length-(n - 1) counts
-over the target's predecessors: the heights i - 1 and i + 1, the target
-word's 2g neighbours t x in the Cayley tree.  The tree oracle walks to length
-n - 2 and takes the last two steps at its target v only, summing the
-length-(n - 2) counts over the neighbours of each of v's neighbours.  So
-every length-n walk, word and path is counted once, through its last step
-or, on the tree, its last two.  A tree step runs
-C-level list passes over strided slices of the breadth-first numbering, a
-fixed chunk at a time, and advances the count list in place, so it holds
-the new ball, the old interior's up-sums and one chunk's temporaries.  The
+The path oracle enumerates every sequence up to length n - 1 and takes the
+last step at its target height i only, summing the length-(n - 1) counts at
+i - 1 and i + 1.  The word oracle enumerates every word up to length n - 2
+and takes the last two letters at its target t only, summing the
+length-(n - 2) counts over the (2g)^2 words t x y that two letters spell from
+t in the Cayley tree.  The tree oracle walks to length n - 3 and takes the
+last three steps at its target v only, summing the length-(n - 3) counts
+over the neighbours of each end of a two-step walk from v.  A length shorter
+than the finish takes all its steps at the target.  So every length-n path,
+word and walk is counted once, through its last step, its last two letters
+or its last three steps.  A tree step runs C-level list passes over
+strided slices of the breadth-first numbering, a fixed chunk at a time, and
+advances the count list in place, so it holds the new ball, the old
+interior's up-sums and one chunk's temporaries.  The
 words and paths stream through one generator per step, chained by the one
 tally loop :func:`_tally`, so those that share a prefix share its work.  A
 reduced word is one int whose base-(2g+1) digits are its letters, so a push
@@ -28,9 +31,9 @@ guard (``dyck_guard``, ``tree_guard``, ``free_group_guard``, which callers
 may run ahead of a batch) passes the estimate to
 :func:`treewalks.recurrence.check_cost`, which raises the
 :class:`FeasibilityError`.  A guard charges the whole length-n enumeration,
-an upper bound on the run it makes (to n - 1: about 2x for the paths and
-2g x for the words; to n - 2: about (m - 1)^2 x for the tree at m >= 3) kept
-so that no refusal moves.
+an upper bound on the run it makes (to n - 1: about 2x for the paths; to
+n - 2: about (2g)^2 x for the words; to n - 3: about (m - 1)^3 x for the tree
+at m >= 3) kept so that no refusal moves.
 
 Each oracle counts on ints: the paths by end height and by down-steps landing
 on the axis (the weights are applied to those tallies afterwards), the tree
@@ -111,19 +114,22 @@ def enumerate_dyck(
     once per tally key instead of once per step.  With ck = pk/qk, the sum
     is taken on ints over the common denominator q1^ups (q2 q3)^downs,
     where a tally key j weighs (p2 q3)^(downs-j) (p3 q2)^j, so one
-    ``Fraction`` is made per call.
+    ``Fraction`` is made per call.  A height i > n is reached by no path,
+    and returns 0 before anything is enumerated.
     """
     natural("i", i)
     dyck_guard(n, max_states)
+    if i > n:
+        return Fraction(0)
     if n == 0:
-        return Fraction(int(i == 0))
+        return Fraction(1)
     tally: Counter[int] = Counter()
     for (height, j), count in _tally(n - 1, _step_paths, (0, 0)).items():
         if height == i - 1:
             tally[j] += count
         elif height == i + 1:
             tally[j + (i == 0)] += count
-    if not tally:  # n - i odd, or i > n
+    if not tally:  # n - i odd
         return Fraction(0)
     (p1, q1), (p2, q2), (p3, q3) = (c.as_integer_ratio() for c in (weights.c1, weights.c2, weights.c3))
     ups, downs = (n + i) // 2, (n - i) // 2
@@ -158,7 +164,7 @@ def _walk(m: int, n: int) -> list[int]:
     """Counts of length-n walks from the root to every vertex of the depth-n
     ball, numbered breadth first.  It runs no guard: its one caller,
     :func:`tree_walk_count`, has run :func:`tree_guard` at a longer length
-    (n + 2, or 1 at n = 0), and the guard's charge grows with the length.
+    (n + 3, or 1 to 3 at n = 0), and the guard's charge grows with the length.
 
     The list returned is the memo's own, which a later request for a longer
     length advances in place; only a shorter request starts a new list, and
@@ -228,8 +234,15 @@ def _neighbours(m: int, v: int) -> tuple[range, range]:
 
 def _neighbour_sum(counts: list[int], m: int, v: int) -> int:
     """The sum of ``counts`` over v's neighbours, each read as a slice clipped
-    to the list, so a neighbour outside the ball counts 0."""
-    return sum(sum(counts[family.start : family.stop]) for family in _neighbours(m, v))
+    to the list, so a neighbour outside the ball counts 0.  It repeats the
+    arithmetic of :func:`_neighbours` rather than call it: the tree finish
+    runs it m^2 times a read, and building two ranges a call made those
+    sums about 1.6x as slow (Python 3.11, 2-core x86-64 VM)."""
+    if v == 0:
+        return sum(counts[1 : m + 1])
+    k = m - 1
+    parent = (v - m - 1) // k + 1 if v > m else 0
+    return sum(counts[parent : parent + 1]) + sum(counts[m + 1 + (v - 1) * k : m + v * k + 1])
 
 
 def tree_guard(m: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
@@ -239,7 +252,7 @@ def tree_guard(m: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
     m((m-1)((m-1)^n - 1)/(m-2) - n)/(m-2) at m >= 3, within a factor (m-1)/(m-2) of the
     depth-n ball.  At m >= 3 and n >= 1 the run is refused on the lower bound (m-1)^n of its
     last step's moves, uncounted, when that is over.  :func:`tree_walk_count` is charged
-    the walk to n although it walks only to n - 2, about (m-1)^2 times over at m >= 3, so
+    the walk to n although it walks only to n - 3, about (m-1)^3 times over at m >= 3, so
     that no refusal moves."""
     natural("tree degree", m, 1)
     natural("n", n)
@@ -259,19 +272,21 @@ def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
     breadth-first numbering; the count is the same at every vertex of the
     level, a symmetry the test suite spot-checks).
 
-    The walk covers the depth-(n - 2) ball to length n - 2, which loses
-    nothing: no shorter walk leaves it.  The last two steps are taken at v
-    only: A_n(v) is the sum, over v's neighbours u, of the length-(n - 2)
-    counts at u's neighbours.  A vertex's neighbours are its parent and its
-    children m+1+(v-1)k .. m+vk with k = m - 1 (1..m at the root), by the same
+    The walk covers the depth-(n - last) ball to length n - last, with
+    last = min(n, 3), which loses nothing: no shorter walk leaves it.  The
+    last ``last`` steps are taken at v only: the ends of the walks of
+    last - 1 steps from v are spelled out, one per walk, and A_n(v) is the
+    sum, over those ends u, of the length-(n - last) counts at u's
+    neighbours.  A vertex's neighbours are its parent and its children
+    m+1+(v-1)k .. m+vk with k = m - 1 (1..m at the root), by the same
     breadth-first arithmetic :func:`_walk` uses, and each is read as a slice
-    clipped to the list, so a vertex outside the ball counts 0, v's parent
-    too when i = n.  At n = 1 the last step alone is taken, on the length-0
-    counts.  The 1-regular tree is one edge, with no vertex at distance 2 or
-    more.  The memo of the degree last walked keeps the counts over the ball
-    at the last length n - 2 asked for, so asking the lengths in increasing
-    order walks each step once.  :func:`tree_guard` charges the walk to
-    length n, an upper bound kept so that no refusal moves.
+    clipped to the list, so a vertex outside the ball counts 0, as v does
+    from i = n - 2 and its parent from i = n - 1.  The 1-regular tree is
+    one edge, with no vertex at distance 2 or more.  The memo of the degree
+    last walked keeps the counts over the ball at the last length n - last
+    asked for, so asking the lengths in increasing order walks each step
+    once.  :func:`tree_guard` charges the walk to length n, an upper bound
+    kept so that no refusal moves.
     """
     natural("tree degree", m, 1)
     natural("i", i)
@@ -283,11 +298,12 @@ def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
         return 0
     if n == 0:
         return 1
-    v = _ball_size(m, i - 1) if i else 0
-    if n == 1:
-        return _neighbour_sum(_walk(m, 0), m, v)
-    counts = _walk(m, n - 2)
-    return sum(_neighbour_sum(counts, m, u) for family in _neighbours(m, v) for u in family)
+    last = min(n, 3)
+    counts = _walk(m, n - last)
+    ends = [_ball_size(m, i - 1) if i else 0]
+    for _ in range(last - 1):
+        ends = [u for w in ends for family in _neighbours(m, w) for u in family]
+    return sum(_neighbour_sum(counts, m, u) for u in ends)
 
 
 def _code(g: int, word: Iterable[int]) -> int:
@@ -316,7 +332,10 @@ def _append_letters(words: Iterable[int], g: int) -> Iterator[int]:
 
 
 def free_group_guard(g: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
-    """Refuse enumerating the (2g)^n words of length n over ``max_states``."""
+    """Refuse enumerating the (2g)^n words of length n over ``max_states``.
+    :func:`free_group_count` is charged the words of length n although it
+    enumerates only those of length n - 2, (2g)^2 times fewer, so that no
+    refusal moves."""
     natural("g", g, 1)
     natural("n", n)
     check_cost(lambda: f"the length-{n} word enumeration over {g} generators", (2 * g, n), max_states, "words")
@@ -332,12 +351,14 @@ def free_group_count(
     any choice of reduced target of that length; the test suite checks the
     word-choice independence empirically.
 
-    The (2g)^(n-1) words of length n - 1 are enumerated, and the last letter
-    is taken at the target only: a word w x reduces to t exactly when w
-    reduces to t x^-1.  As x runs over the 2g letters, so does x^-1, so the
-    count is the sum over the 2g neighbours t x of the words of length n - 1
-    reducing to each, spelled by :func:`_append_letters` from t's code.
-    :func:`free_group_guard` charges the (2g)^n words of length n.
+    The (2g)^(n-last) words of length n - last, with last = min(n, 2), are
+    enumerated, and the last ``last`` letters are taken at the target only: a
+    word w x y reduces to t exactly when w reduces to t y^-1 x^-1.  As x and
+    y run over the 2g letters, so do y^-1 and x^-1, so the count is the sum,
+    over the (2g)^2 words t a b that ``last`` passes of
+    :func:`_append_letters` spell from t's code, of the words of length
+    n - last reducing to each.  :func:`free_group_guard` charges the (2g)^n
+    words of length n.
     """
     natural("g", g, 1)
     target = tuple(target)
@@ -347,7 +368,9 @@ def free_group_count(
     if any(x == -y for x, y in zip(target, target[1:])):
         raise ValueError(f"target word {target!r} is not reduced")
     free_group_guard(g, n, max_states)
-    if n == 0:
-        return int(not target)
-    reductions = _tally(n - 1, _append_letters, 0, g)
-    return sum(map(reductions.__getitem__, _append_letters([_code(g, target)], g)))
+    last = min(n, 2)
+    reductions = _tally(n - last, _append_letters, 0, g)
+    ends: Iterable[int] = [_code(g, target)]
+    for _ in range(last):
+        ends = _append_letters(ends, g)
+    return sum(map(reductions.__getitem__, ends))

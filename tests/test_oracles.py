@@ -166,6 +166,19 @@ def test_enumerate_dyck_guard():
         enumerate_dyck(WeightConfig(1, 1, 1), 0, 24, max_states=1000)
 
 
+def test_dyck_heights_above_the_length_enumerate_nothing():
+    # no path of length n reaches a height i > n: the count is 0 before any
+    # tally is read, yet the guard still runs first
+    w = WeightConfig(Fraction(2, 7), Fraction(4, 3), Fraction(1, 5))
+    for n in range(16):
+        before = _tally.cache_info()
+        for i in range(n + 1, n + 4):
+            assert enumerate_dyck(w, i, n) == 0
+        assert _tally.cache_info() == before
+    with pytest.raises(FeasibilityError):
+        enumerate_dyck(w, 50, 40)
+
+
 @settings(max_examples=25, deadline=None)
 @given(weight_triples(), st.integers(min_value=0, max_value=9))
 def test_enumeration_matches_recurrence(w, n):
@@ -302,7 +315,7 @@ TREE_GUARD_LONGEST = {2: 3161, 3: 20, 4: 13, 5: 11, 6: 9, 7: 8, 8: 8}
 
 @pytest.mark.parametrize("m,longest", TREE_GUARD_LONGEST.items())
 def test_tree_guard_charges_the_walk_to_length_n(m, longest):
-    # the oracle walks only to n - 2 (or to 0 at n = 1) but is still charged
+    # the oracle walks only to n - 3 (or to 0 at n <= 3) but is still charged
     # the walk to n, so each refusal stays at the same length
     tree_guard(m, longest)
     with pytest.raises(FeasibilityError):
@@ -312,7 +325,7 @@ def test_tree_guard_charges_the_walk_to_length_n(m, longest):
 
 
 def test_each_tree_read_runs_the_guard_once(monkeypatch):
-    # tree_walk_count guards at n once; the walk to n - 2 it then runs is
+    # tree_walk_count guards at n once; the walk to n - 3 it then runs is
     # covered by that charge and guards nothing again
     calls = []
     guard = oracles.tree_guard
@@ -410,7 +423,7 @@ def test_tree_oracle_memo_matches_the_from_scratch_walk():
             counts = _walk(m, n)
             assert counts is _walks_from_root(m)[1]
             assert tuple(counts) == expected
-            # these reads ask for length n - 2: a shorter request starts a new
+            # these reads ask for length n - 3: a shorter request starts a new
             # list and leaves the one returned as it was
             assert [tree_walk_count(m, i, n) for i in range(n + 1)] == want
             assert (_walks_from_root(m)[1] is counts) == (n == 0)
@@ -494,9 +507,10 @@ def test_a_tree_step_holds_the_new_ball_the_up_sums_and_a_fixed_chunk(monkeypatc
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_tree_last_step_matches_the_full_walk_at_every_level(m):
-    # the count at the first vertex of each level, summed over its
-    # neighbours' neighbours at length n - 2 (over its neighbours at length 0
-    # when n = 1), against the walk to length n over the whole depth-n ball;
+    # the count at the first vertex of each level, summed over the
+    # neighbours of each two-step walk's end at length n - 3 (all the steps
+    # taken at the target when n <= 3, on the length-0 counts), against the
+    # walk to length n over the whole depth-n ball;
     # at m = 1 the levels beyond distance 1 are empty and count 0
     for n in _depths_to_ball(m):
         levels, expected = walk_from_scratch(m, n)
@@ -505,33 +519,36 @@ def test_tree_last_step_matches_the_full_walk_at_every_level(m):
 
 
 @pytest.mark.parametrize("m", range(1, 7))
-def test_tree_memo_stops_two_lengths_short(m):
-    # a count at length n >= 2 walks the ball only to length n - 2, one at
-    # length 1 reads the length-0 counts
+def test_tree_memo_stops_three_lengths_short(m):
+    # a count at length n walks the ball only to length n - 3; at n <= 3
+    # every step is taken at the target, on the length-0 counts
     for n in range(1, 9):
         for i in range(n + 1):
             tree_walk_count(m, i, n)
             length, counts = _walks_from_root(m)
-            shorter = max(n - 2, 0)
+            shorter = max(n - 3, 0)
             assert (length, len(counts)) == (shorter, _ball_size(m, shorter))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 200])
 def test_tree_reads_outside_the_ball_count_zero(m):
-    # at n = 1 the finish reads the length-0 counts; for i >= n - 1 the
-    # target v, and at i = n also its parent, lie outside the depth-(n - 2)
-    # ball, and every read there must count 0 and raise nothing; at m = 1
-    # no vertex lies beyond distance 1, as in the single-edge test above
-    table = build_table(tree_weights(m), 3)
-    for n in range(4):
+    # at n <= 3 the finish reads the length-0 counts; for i >= n - 2 the
+    # target v lies outside the depth-(n - 3) ball, from i = n - 1 its parent
+    # too and at i = n its grandparent, and every read there must count 0
+    # and raise nothing; at m = 1 no vertex lies beyond distance 1, as in the
+    # single-edge test above.  The ceiling is lifted so that m = 200 reaches
+    # n = 5, whose walk to length 2 covers 40001 vertices.
+    table = build_table(tree_weights(m), 5)
+    for n in range(6):
         for i in range(n + 1):
-            assert tree_walk_count(m, i, n) == (table.count(i, n) if m > 1 or i <= 1 else 0)
+            want = table.count(i, n) if m > 1 or i <= 1 else 0
+            assert tree_walk_count(m, i, n, max_states=10**12) == want
 
 
-def test_verifys_tree_corner_at_m_5_holds_the_depth_8_ball():
+def test_verifys_tree_corner_at_m_5_holds_the_depth_7_ball():
     # verify's tree oracle rows read 0 <= i <= n <= 10; at m = 5 the longest
-    # walk is to length 8, so the peak may hold that ball, the up-sums of the
-    # step to it and a chunk's temporaries
+    # walk is to length 7, so the peak may hold that ball, the up-sums of the
+    # step to it and one chunk's temporaries
     _walks_from_root.cache_clear()
     tracemalloc.start()
     try:
@@ -542,10 +559,10 @@ def test_verifys_tree_corner_at_m_5_holds_the_depth_8_ball():
     finally:
         tracemalloc.stop()
     counts = _walks_from_root(5)[1]
-    depth_8 = sys.getsizeof([0] * _ball_size(5, 8))
-    ups = sys.getsizeof([0] * _ball_size(5, 7))
+    depth_7 = sys.getsizeof([0] * _ball_size(5, 7))
+    ups = sys.getsizeof([0] * _ball_size(5, 6))
     chunks = 3 * oracles._CHUNK * struct.calcsize("P") + oracles._CHUNK * sys.getsizeof(max(counts))
-    assert peak <= depth_8 + ups + chunks
+    assert peak <= depth_7 + ups + chunks
 
 
 def test_level_counts_are_symmetric():
@@ -647,7 +664,7 @@ def test_free_group_count_matches_per_word_reduction(g):
 
 @pytest.mark.parametrize("g,n", itertools.product([1, 2, 3], range(7)))
 def test_word_last_letter_matches_the_length_n_reductions(g, n):
-    # every reduced target up to length n + 1, read off the length n - 1
+    # every reduced target up to length n + 1, read off the length n - 2
     # words against the length-n words themselves
     expected = _tally(n, _append_letters, 0, g)
     alphabet = [x for k in range(1, g + 1) for x in (k, -k)]
@@ -656,3 +673,18 @@ def test_word_last_letter_matches_the_length_n_reductions(g, n):
         targets += [(*t, x) for t in targets if len(t) == size for x in alphabet if not t or t[-1] != -x]
     for target in targets:
         assert free_group_count(g, target, n) == expected[_code(g, target)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_word_memo_stops_two_lengths_short(g):
+    # a count at length n enumerates the words only to length n - 2, the
+    # memo's one entry; at n <= 2 every letter is taken at the target.  The
+    # ceiling is lifted to (2g)^9, which the guard charges at n = 9.
+    table = build_table(tree_weights(2 * g), 9)
+    for n in range(10):
+        for size in range(n + 1):
+            target = tuple(k % g + 1 for k in range(size))
+            assert free_group_count(g, target, n, max_states=(2 * g) ** 9) == table.count(size, n)
+            hits = _tally.cache_info().hits
+            _tally(max(n - 2, 0), _append_letters, 0, g)
+            assert _tally.cache_info().hits == hits + 1
