@@ -14,39 +14,20 @@ coefficient by coefficient:
 All arithmetic is over arbitrary-precision integers and exact rationals;
 no floating point appears anywhere in the computation path.
 
-Every name of ``__all__`` is served from its layer module.  The layer modules
-are registered lazily: each is in ``sys.modules`` from ``import treewalks``
-on, and is compiled and executed on first use, so a ``treewalks walks``
-process never executes the generating functions, the oracles or ``verify``.
+``_HOMES`` is the one list of public names, each under the layer module
+that defines it and serves it; ``__all__`` is their sorted union.  The layer
+modules are registered lazily: each is in ``sys.modules`` from ``import
+treewalks`` on, and is compiled and executed on first use, so a ``treewalks
+walks`` process never executes the generating functions, the oracles or
+``verify``.
 """
 
 import importlib.util
 import sys
 
-__all__ = [
-    "DEFAULT_MAX_STATES",
-    "FeasibilityError",
-    "PowerSeries",
-    "WalkTable",
-    "WeightConfig",
-    "build_table",
-    "dp_row",
-    "dyck_gf",
-    "enumerate_dyck",
-    "format_number",
-    "free_group_count",
-    "irreducible_gf",
-    "mass_check",
-    "parse_number",
-    "poids_gf",
-    "tree_gf",
-    "tree_walk_count",
-    "tree_weights",
-]
-
 __version__ = "0.1.0"
 
-# The layer module that defines each name of __all__.
+# The one list of public names: each, by the layer module that defines it.
 _HOMES = {
     "rationals": ("format_number", "parse_number"),
     "series": ("PowerSeries",),
@@ -57,6 +38,8 @@ _HOMES = {
     "genfunc": ("dyck_gf", "irreducible_gf", "poids_gf", "tree_gf"),
     "oracles": ("enumerate_dyck", "free_group_count", "tree_walk_count"),
 }
+
+__all__ = sorted(name for names in _HOMES.values() for name in names)
 
 
 def _lazy(name: str):

@@ -21,8 +21,8 @@ import gc
 import os
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import verify
 from .rationals import format_number, natural, parse_number
@@ -188,7 +188,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # --- entry points -------------------------------------------------------------
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     # CPython refuses str() and int() of an int over 4300 digits; values of any size must print and
     # parse, so the limit is lifted while main runs and restored for in-process callers.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None

@@ -11,8 +11,10 @@ i - 1 and i + 1.  The word oracle enumerates every word up to length n - 2
 and takes the last two letters at its target t only, summing the
 length-(n - 2) counts over the (2g)^2 words t x y that two letters spell from
 t in the Cayley tree.  The tree oracle walks to length n - 3 and takes the
-last three steps at its target v only, summing the length-(n - 3) counts
-over the neighbours of each end of a two-step walk from v.  A length shorter
+last three steps at its target v only, summing the length-(n - 3) counts at
+the ends of the three-step walks from v, which :func:`_neighbours`, the one
+copy of the breadth-first neighbour arithmetic outside the walk itself,
+spells out.  A length shorter
 than the finish takes all its steps at the target.  So every length-n path,
 word and walk is counted once, through its last step, its last two letters
 or its last three steps.  A tree step runs C-level list passes over
@@ -33,7 +35,10 @@ may run ahead of a batch) passes the estimate to
 :class:`FeasibilityError`.  A guard charges the whole length-n enumeration,
 an upper bound on the run it makes (to n - 1: about 2x for the paths; to
 n - 2: about (2g)^2 x for the words; to n - 3: about (m - 1)^3 x for the tree
-at m >= 3) kept so that no refusal moves.
+at m >= 3) kept so that no refusal moves.  Every oracle runs its guard
+first, and only then answers a target out of reach, a height, distance or
+word length over n, with 0, enumerating nothing; so an out-of-reach read
+over budget is refused like any other read of its length.
 
 Each oracle counts on ints: the paths by end height and by down-steps landing
 on the axis (the weights are applied to those tallies afterwards), the tree
@@ -48,11 +53,11 @@ and a run up to length n walks each step once.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .rationals import natural
 from .recurrence import DEFAULT_MAX_STATES, FeasibilityError, WeightConfig, check_cost
@@ -114,8 +119,9 @@ def enumerate_dyck(
     once per tally key instead of once per step.  With ck = pk/qk, the sum
     is taken on ints over the common denominator q1^ups (q2 q3)^downs,
     where a tally key j weighs (p2 q3)^(downs-j) (p3 q2)^j, so one
-    ``Fraction`` is made per call.  A height i > n is reached by no path,
-    and returns 0 before anything is enumerated.
+    ``Fraction`` is made per call.  :func:`dyck_guard` runs first; only
+    then is a height i > n, which no path reaches, answered with 0 before
+    anything is enumerated.
     """
     natural("i", i)
     dyck_guard(n, max_states)
@@ -232,19 +238,6 @@ def _neighbours(m: int, v: int) -> tuple[range, range]:
     return range(parent, parent + 1), range(m + 1 + (v - 1) * k, m + v * k + 1)
 
 
-def _neighbour_sum(counts: list[int], m: int, v: int) -> int:
-    """The sum of ``counts`` over v's neighbours, each read as a slice clipped
-    to the list, so a neighbour outside the ball counts 0.  It repeats the
-    arithmetic of :func:`_neighbours` rather than call it: the tree finish
-    runs it m^2 times a read, and building two ranges a call made those
-    sums about 1.6x as slow (Python 3.11, 2-core x86-64 VM)."""
-    if v == 0:
-        return sum(counts[1 : m + 1])
-    k = m - 1
-    parent = (v - m - 1) // k + 1 if v > m else 0
-    return sum(counts[parent : parent + 1]) + sum(counts[m + 1 + (v - 1) * k : m + v * k + 1])
-
-
 def tree_guard(m: int, n: int, max_states: int = DEFAULT_MAX_STATES) -> None:
     """Refuse walking to length n on the m-regular tree if it moves counts along more than
     ``max_states`` edges.  Step k covers the depth-k ball, |ball_k| - 1 edges, so a run from
@@ -272,38 +265,33 @@ def tree_walk_count(m: int, i: int, n: int, max_states: int = DEFAULT_MAX_STATES
     breadth-first numbering; the count is the same at every vertex of the
     level, a symmetry the test suite spot-checks).
 
+    :func:`tree_guard` runs first, charging the walk to length n, an upper
+    bound kept so that no refusal moves; only then is a distance i > n,
+    which no walk reaches, answered with 0, walking nothing.  The 1-regular
+    tree is one edge, with no vertex at distance 2 or more.
+
     The walk covers the depth-(n - last) ball to length n - last, with
     last = min(n, 3), which loses nothing: no shorter walk leaves it.  The
-    last ``last`` steps are taken at v only: the ends of the walks of
-    last - 1 steps from v are spelled out, one per walk, and A_n(v) is the
-    sum, over those ends u, of the length-(n - last) counts at u's
-    neighbours.  A vertex's neighbours are its parent and its children
-    m+1+(v-1)k .. m+vk with k = m - 1 (1..m at the root), by the same
-    breadth-first arithmetic :func:`_walk` uses, and each is read as a slice
-    clipped to the list, so a vertex outside the ball counts 0, as v does
-    from i = n - 2 and its parent from i = n - 1.  The 1-regular tree is
-    one edge, with no vertex at distance 2 or more.  The memo of the degree
-    last walked keeps the counts over the ball at the last length n - last
-    asked for, so asking the lengths in increasing order walks each step
-    once.  :func:`tree_guard` charges the walk to length n, an upper bound
-    kept so that no refusal moves.
+    last ``last`` steps are taken at v only: :func:`_neighbours` spells out
+    the ends of the walks of ``last`` steps from v, one per walk, and A_n(v)
+    is the sum of the length-(n - last) counts at those ends, an end
+    outside the ball counting 0.  The memo of the degree last walked keeps
+    the counts over the ball at the last length n - last asked for, so
+    asking the lengths in increasing order walks each step once.
     """
-    natural("tree degree", m, 1)
     natural("i", i)
-    natural("n", n)
-    if i > n:
-        return 0
     tree_guard(m, n, max_states)
-    if m == 1 and i > 1:
+    if i > n or m == 1 and i > 1:
         return 0
     if n == 0:
         return 1
     last = min(n, 3)
     counts = _walk(m, n - last)
     ends = [_ball_size(m, i - 1) if i else 0]
-    for _ in range(last - 1):
+    for _ in range(last):
         ends = [u for w in ends for family in _neighbours(m, w) for u in family]
-    return sum(_neighbour_sum(counts, m, u) for u in ends)
+    reached = len(counts)
+    return sum(counts[u] for u in ends if u < reached)
 
 
 def _code(g: int, word: Iterable[int]) -> int:
@@ -349,7 +337,10 @@ def free_group_count(
 
     Equals the walk count A_{2g}(len(target), n) on the 2g-regular tree, for
     any choice of reduced target of that length; the test suite checks the
-    word-choice independence empirically.
+    word-choice independence empirically.  :func:`free_group_guard` runs
+    first, charging the (2g)^n words of length n; only then is a target
+    longer than n, which no word reaches, answered with 0, enumerating
+    nothing.
 
     The (2g)^(n-last) words of length n - last, with last = min(n, 2), are
     enumerated, and the last ``last`` letters are taken at the target only: a
@@ -357,8 +348,7 @@ def free_group_count(
     y run over the 2g letters, so do y^-1 and x^-1, so the count is the sum,
     over the (2g)^2 words t a b that ``last`` passes of
     :func:`_append_letters` spell from t's code, of the words of length
-    n - last reducing to each.  :func:`free_group_guard` charges the (2g)^n
-    words of length n.
+    n - last reducing to each.
     """
     natural("g", g, 1)
     target = tuple(target)
@@ -368,6 +358,8 @@ def free_group_count(
     if any(x == -y for x, y in zip(target, target[1:])):
         raise ValueError(f"target word {target!r} is not reduced")
     free_group_guard(g, n, max_states)
+    if len(target) > n:
+        return 0
     last = min(n, 2)
     reductions = _tally(n - last, _append_letters, 0, g)
     ends: Iterable[int] = [_code(g, target)]

@@ -25,8 +25,9 @@ _NUMBER_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
 
 
 def format_number(value: Rational) -> str:
-    """Decimal-string form: ``"7"`` for integers, ``"num/den"`` otherwise."""
-    return str(Fraction(value))
+    """Decimal-string form: ``"7"`` for integers, ``"num/den"`` otherwise; anything
+    but an int or a ``Fraction`` is refused by :func:`exact`."""
+    return str(exact("value", value))
 
 
 def parse_number(text: str) -> Fraction:

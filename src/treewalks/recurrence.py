@@ -20,9 +20,9 @@ are all at distance 1.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator
 
 from .rationals import Frozen, Rational, exact, format_number, natural
 from .series import PowerSeries

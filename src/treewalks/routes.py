@@ -9,9 +9,9 @@ read, so a ``walks --method dp`` process never executes ``genfunc`` or
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
-from typing import Callable
 
 from . import genfunc, oracles, recurrence
 from .rationals import Rational

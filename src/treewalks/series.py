@@ -22,10 +22,10 @@ when read; a series keeps no rational copy of its integers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
 
 from .rationals import Frozen, Rational, exact, format_number, natural
 

@@ -4,7 +4,8 @@ Each check of ``treewalks verify`` is one row of ``CHECKS``, opened on the
 weight configurations of its scope (:data:`treewalks.routes.SCOPES`); the
 acceptance suite runs the same rows at larger sizes.  Every row reads
 values: a gf route against dp row by row, their graded ints compared as
-plain tuples; an oracle against dp cell by cell; each dp column through the
+plain tuples, and in the same row the CLI's dp route against the table at
+four heights; an oracle against dp cell by cell; each dp column through the
 identity of :func:`treewalks.recurrence.mass_check`; or products of the gf
 series against their defining equations.  The checks call the library
 through its layer modules, looked up when they run, so a patch of a layer
@@ -14,9 +15,9 @@ reaches every check.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Optional
 
 from . import genfunc, oracles, rationals, recurrence
 from .recurrence import WalkTable, WeightConfig
@@ -25,14 +26,14 @@ from .series import PowerSeries
 
 __all__ = ["CHECKS", "open_check", "open_checks"]
 
-Check = tuple[str, Callable[[], Optional[str]]]
+Check = tuple[str, Callable[[], str | None]]
 
 
 def _mismatch(label: str, expected: Fraction, got: Fraction) -> str:
     return f"{label}: expected {rationals.format_number(expected)}, got {rationals.format_number(got)}"
 
 
-def _check_identity(table: WalkTable, weights: WeightConfig, order: int) -> Optional[str]:
+def _check_identity(table: WalkTable, weights: WeightConfig, order: int) -> str | None:
     for n in range(order + 1):
         for k, (got, expected) in enumerate(zip(recurrence.mass_check(table, n), (0,) * n + (1,))):
             if got != expected:
@@ -40,7 +41,7 @@ def _check_identity(table: WalkTable, weights: WeightConfig, order: int) -> Opti
     return None
 
 
-def _check_algebra(_table: WalkTable, weights: WeightConfig, order: int) -> Optional[str]:
+def _check_algebra(_table: WalkTable, weights: WeightConfig, order: int) -> str | None:
     # Products only: each gf series against the equation that defines it.
     one, q = PowerSeries.one(order), weights.c1 * weights.c2
     a = genfunc.dyck_gf(weights, order)
@@ -62,19 +63,23 @@ def _check_algebra(_table: WalkTable, weights: WeightConfig, order: int) -> Opti
     return None
 
 
-def _compare_rows(dp_table: WalkTable, row: Callable, order: int, where: str, name: str) -> Optional[str]:
-    """Each dp row d_i, i <= order, against ``row(i)``: their orders, their gradings, then their
-    graded ints as plain tuples, so the check trusts no series method; a mismatch names its first n."""
-    for i in range(order + 1):
-        dp, got = dp_table.row(i), row(i)
+def _compare_rows(dp_table: WalkTable, route: Callable, dp_route: Callable, order: int, where: str, name: str) -> str | None:
+    """Each dp row d_i, i <= order, against the row of ``route``; then, at i = 0, 1, order // 2 and order,
+    the row of ``dp_route``, the dp route of the same command, which the CLI reads.  Each pair compares its
+    orders, its gradings, then its graded ints as plain tuples, so the check trusts no series method; a
+    mismatch names its first n."""
+    rows = [(i, route, f"{name} vs dp") for i in range(order + 1)]
+    rows += [(i, dp_route, "dp row vs dp table") for i in sorted({0, min(1, order), order // 2, order})]
+    for i, read, label in rows:
+        dp, got = dp_table.row(i), read(dp_table.weights, i, order)
         if dp.order != got.order:
-            return f"{where} i={i} {name} vs dp: expected a row of order {dp.order}, got order {got.order}"
+            return f"{where} i={i} {label}: expected a row of order {dp.order}, got order {got.order}"
         if (dp._den, dp._base) != (got._den, got._base):
-            return (f"{where} i={i} {name} vs dp: expected a row graded den {dp._den}, base {dp._base}, "
+            return (f"{where} i={i} {label}: expected a row graded den {dp._den}, base {dp._base}, "
                     f"got den {got._den}, base {got._base}")
         if dp._num != got._num:
             n = next(n for n, (x, y) in enumerate(zip(dp._num, got._num)) if x != y)
-            return _mismatch(f"{where} i={i} n={n} {name} vs dp", dp[n], got[n])
+            return _mismatch(f"{where} i={i} n={n} {label}", dp[n], got[n])
     return None
 
 
@@ -105,7 +110,7 @@ def _free_group_route(weights: WeightConfig, order: int, states: int) -> Callabl
 # dp, (cells, label, route): the label names the route in a FAIL line.  With
 # cells None the route is a row, compared whole with dp's rows; else it is an
 # opener whose reader maps a cell's (key, n) to the value dp gives A(i, n).
-CHECKS: tuple[tuple[str, str, Optional[int], object], ...] = (
+CHECKS: tuple[tuple[str, str, int | None, object], ...] = (
     ("tree", "dp = closed form, {where}, n<={order}", None, (None, "closed form", ROUTES["walks", "gf"])),
     ("tree", "dp = constructed gf, {where}, n<={order}", None, (None, "constructed gf", ROUTES["dyck", "gf"])),
     ("tree", "dp = tree oracle, {where}, n<={order}", 10, (_corner, "tree oracle", ROUTES["walks", "tree"])),
@@ -132,10 +137,12 @@ def open_check(row: tuple, where: str, weights: WeightConfig, n_max: int, max_st
         return title, lambda: check(table(weights), weights, order)
     cells, name, route = check
     if cells is None:
-        return title, lambda: _compare_rows(table(weights), lambda i: route(weights, i, order), order, where, name)
+        # the command whose gf route the row compares, so its dp route is the one the CLI reads
+        command = next(command for (command, _), entry in ROUTES.items() if entry is route)
+        return title, lambda: _compare_rows(table(weights), route, ROUTES[command, "dp"], order, where, name)
     read = route(weights, order, max_states)
 
-    def compare() -> Optional[str]:
+    def compare() -> str | None:
         dp_table = table(weights)
         for shown, i, n, key in cells(weights, order):
             dp, got = dp_table.count(i, n), read(key, n)

@@ -778,6 +778,19 @@ def test_a_fault_in_dps_scaling_fails_the_gf_and_identity_rows(monkeypatch):
     assert any(title.startswith("eigenvector identity") for title in failed)
 
 
+def test_a_fault_in_the_dp_route_fails_every_row_comparison(monkeypatch):
+    # walks, dyck and bfile read dp_row, and no table does: each row comparison also compares the dp
+    # route of its command with the table's row, at i = 0, 1, order // 2 and order
+    dp_row = recurrence.dp_row
+    raised = lambda weights, i, order: dp_row(weights, i, order) + PowerSeries([0] * order + [1])
+    monkeypatch.setattr(recurrence, "dp_row", raised)
+    checks = verify.open_checks("all", 11, 5, DEFAULT_MAX_STATES)
+    failed = [(title, detail) for title, check in checks if (detail := check())]
+    assert {title.split(",")[0] for title, _ in failed} == {"dp = closed form", "dp = constructed gf", "dp = gf"}
+    assert len(failed) == 4 + 4 + 6
+    assert ("dp = closed form, m=2, n<=11", "m=2 i=0 n=11 dp row vs dp table: expected 0, got 1") in failed
+
+
 # What genfunc and the oracles may import from recurrence: the value types and the guard rule,
 # nothing that computes a count or scales the weights.
 RECURRENCE_IMPORTS = {"WeightConfig", "tree_weights", "check_cost", "FeasibilityError", "MAX_TABLE_BYTES",

@@ -1,11 +1,15 @@
 """Every exported name resolves, so does every name the benchmark's tracer wraps,
-and every name a module of the package imports is used or exported."""
+every name a module of the package imports is used or exported, and no import
+path of the package loads ``typing``."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,7 +57,8 @@ def test_exports_and_traced_names_resolve(name):
 
 def _unused_imports(path: Path) -> list[str]:
     """Names ``path`` imports (``__future__`` aside) that its code never reads
-    and its ``__all__`` does not re-export."""
+    and its ``__all__`` does not re-export.  An ``__all__`` that is computed,
+    not a literal list, reads its names through the code it is computed by."""
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = set()
     for node in ast.walk(tree):
@@ -63,7 +68,8 @@ def _unused_imports(path: Path) -> list[str]:
             imported.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
             used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
 
@@ -87,3 +93,12 @@ def test_star_import_and_dir_give_exactly_all():
         assert value is getattr(home, name) is getattr(treewalks, name), name
     with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
         treewalks.cli_main
+
+
+def test_no_import_path_of_the_package_loads_typing():
+    # typing costs a few ms of a no-work process wherever no site hook has imported it already;
+    # under -S the helper executes every module of the package and fails if typing was imported
+    script = Path(__file__).with_name("typing_free_imports.py")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-S", str(script)], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr

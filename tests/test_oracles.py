@@ -385,6 +385,21 @@ def test_tree_walk_count_guard():
         tree_walk_count(3, 0, 30, max_states=1000)
 
 
+def test_tree_distances_above_the_length_walk_nothing():
+    # no walk of length n reaches a distance i > n: the guard runs first, and
+    # only then is the count 0, with the memo neither walked nor read
+    for m in (1, 2, 3, 5):
+        tree_walk_count(m, 0, 6)
+        memo = _walks_from_root(m)
+        before = _walks_from_root.cache_info(), memo[0], list(memo[1])
+        for n in range(9):
+            for i in range(n + 1, n + 4):
+                assert tree_walk_count(m, i, n) == 0
+        assert (_walks_from_root.cache_info(), memo[0], memo[1]) == before
+    with pytest.raises(FeasibilityError):
+        tree_walk_count(3, 50, 40)
+
+
 @pytest.mark.parametrize("m", [-1, 0])
 def test_tree_walk_count_rejects_a_degree_below_one(m):
     with pytest.raises(ValueError, match=f"tree degree must be an integer >= 1, got {m}"):
@@ -621,6 +636,19 @@ def test_free_group_count_validates_target():
 def test_free_group_count_guard():
     with pytest.raises(FeasibilityError):
         free_group_count(2, (), 20, max_states=1000)
+
+
+def test_word_targets_longer_than_the_length_enumerate_nothing():
+    # no word of length n reduces to a longer target: the guard runs first,
+    # and only then is the count 0, with no tally read
+    for g in (1, 2):
+        for n in range(10):
+            before = _tally.cache_info()
+            for size in range(n + 1, n + 4):
+                assert free_group_count(g, tuple(k % g + 1 for k in range(size)), n) == 0
+            assert _tally.cache_info() == before
+    with pytest.raises(FeasibilityError):
+        free_group_count(2, (1,) * 50, 40)
 
 
 @pytest.mark.parametrize("g", [1, 2])

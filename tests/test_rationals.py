@@ -112,8 +112,10 @@ def test_every_index_is_refused_by_the_one_natural_rule(entry, value):
         (lambda: PowerSeries([1, 2]) * 0.5, "scalar=0.5 is a float; scalars must be exact"),
         (lambda: 0.5 * PowerSeries([1, 2]), "scalar=0.5 is a float; scalars must be exact"),
         (lambda: PowerSeries([1, 2]) / 0.5, "scalar=0.5 is a float; scalars must be exact"),
+        (lambda: format_number(0.1), "value=0.1 is a float; values must be exact"),
+        (lambda: format_number("1/3"), "value='1/3' is a str; values must be exact"),
     ],
-    ids=["list constructor", "constant", "times", "scalar times", "over"],
+    ids=["list constructor", "constant", "times", "scalar times", "over", "format float", "format string"],
 )
 def test_every_scalar_is_refused_unless_exact(build, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
