@@ -7,7 +7,10 @@ values: a gf route against dp row by row, their graded ints compared as
 plain tuples, and in the same row the CLI's dp route against the table at
 four heights; an oracle against dp cell by cell; each dp column through the
 identity of :func:`treewalks.recurrence.mass_check`; or products of the gf
-series against their defining equations.  The checks call the library
+series against their defining equations.  A check whose route, table or
+series raises an arithmetic, lookup or value error fails on that error,
+``<where> raised <Type>: <message>``, and the checks after it still run.
+The checks call the library
 through its layer modules, looked up when they run, so a patch of a layer
 module's function (a corrupted route in a test, the benchmark's tracer)
 reaches every check.
@@ -108,14 +111,15 @@ def _free_group_route(weights: WeightConfig, order: int, states: int) -> Callabl
 # in seconds; the rest run to the full requested order.  A check is a function
 # (table, weights, order) -> failure or None, or a comparison of one route with
 # dp, (cells, label, route): the label names the route in a FAIL line.  With
-# cells None the route is a row, compared whole with dp's rows; else it is an
-# opener whose reader maps a cell's (key, n) to the value dp gives A(i, n).
+# cells None the route is a command, whose ROUTES gf row is compared whole with
+# dp's rows; else it is an opener whose reader maps a cell's (key, n) to the
+# value dp gives A(i, n).
 CHECKS: tuple[tuple[str, str, int | None, object], ...] = (
-    ("tree", "dp = closed form, {where}, n<={order}", None, (None, "closed form", ROUTES["walks", "gf"])),
-    ("tree", "dp = constructed gf, {where}, n<={order}", None, (None, "constructed gf", ROUTES["dyck", "gf"])),
+    ("tree", "dp = closed form, {where}, n<={order}", None, (None, "closed form", "walks")),
+    ("tree", "dp = constructed gf, {where}, n<={order}", None, (None, "constructed gf", "dyck")),
     ("tree", "dp = tree oracle, {where}, n<={order}", 10, (_corner, "tree oracle", ROUTES["walks", "tree"])),
     ("tree", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}", 200, _check_identity),
-    ("dyck", "dp = gf, {where}, n<={order}", None, (None, "gf", ROUTES["dyck", "gf"])),
+    ("dyck", "dp = gf, {where}, n<={order}", None, (None, "gf", "dyck")),
     ("dyck", "dp = path enumeration, {where}, n<={order}", 14, (_corner, "enumeration", ROUTES["dyck", "enum"])),
     ("dyck", "series algebra by products (a, b, c, d_i), {where}", None, _check_algebra),
     ("dyck", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}", 200, _check_identity),
@@ -127,19 +131,26 @@ def _order(row: tuple, n_max: int) -> int:
     return n_max if row[2] is None else min(n_max, row[2])  # the row's cap, where it is below n_max
 
 
+def _caught(where: str, run: Callable[[], str | None]) -> str | None:
+    try:
+        return run()
+    except (ArithmeticError, LookupError, ValueError) as exc:  # a faulty route, table or series
+        return f"{where} raised {type(exc).__name__}: {exc}"
+
+
 def open_check(row: tuple, where: str, weights: WeightConfig, n_max: int, max_states: int, table: Callable) -> Check:
     """One CHECKS row on one weight configuration, as (title, run), reading ``table(weights)`` when
-    run.  Its oracle guard runs now, at the row's cap: an oversized check is refused before any runs."""
+    run.  Its oracle guard runs now, at the row's cap: an oversized check is refused before any runs.
+    The run returns its failure or None; an arithmetic, lookup or value error raised in it is its failure."""
     order = _order(row, n_max)
     _, template, _, check = row
     title = template.format(where=where, order=order)
     if callable(check):
-        return title, lambda: check(table(weights), weights, order)
+        return title, partial(_caught, where, lambda: check(table(weights), weights, order))
     cells, name, route = check
-    if cells is None:
-        # the command whose gf route the row compares, so its dp route is the one the CLI reads
-        command = next(command for (command, _), entry in ROUTES.items() if entry is route)
-        return title, lambda: _compare_rows(table(weights), route, ROUTES[command, "dp"], order, where, name)
+    if cells is None:  # route names the command; its dp route, which the CLI reads, is compared too
+        gf, dp = ROUTES[route, "gf"], ROUTES[route, "dp"]
+        return title, partial(_caught, where, lambda: _compare_rows(table(weights), gf, dp, order, where, name))
     read = route(weights, order, max_states)
 
     def compare() -> str | None:
@@ -150,7 +161,7 @@ def open_check(row: tuple, where: str, weights: WeightConfig, n_max: int, max_st
                 return _mismatch(f"{where} {shown}={key} n={n} {name} vs dp", dp, got)
         return None
 
-    return title, compare
+    return title, partial(_caught, where, compare)
 
 
 def open_checks(scope: str, n_max: int, m_max: int, max_states: int) -> list[Check]:

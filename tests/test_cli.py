@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -315,16 +316,54 @@ def test_identity_check_fails_on_a_raised_cell(capsys, monkeypatch):
         "weights (1, 1, 2) [m=2] n=3 coefficient of x^1: expected 0, got -3" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "module, name, mutate, argv, summary, raised, raising",
+    [
+        (genfunc, "_catalan_power", lambda f: lambda i, q, terms: [c + (k == 3) for k, c in enumerate(f(i, q, terms))],
+         ("--scope", "all", "-n", "11", "--m-max", "5"), "22/42 checks passed",
+         "raised ArithmeticError: poids row: coefficient 10 leaves a remainder", {"dp = gf": 1}),
+        (genfunc, "dyck_gf", lambda f: lambda weights, order: f(weights, order - 2),
+         ("--scope", "dyck", "-n", "11"), "18/24 checks passed", "raised ValueError: ", {"series algebra by products (a": 6}),
+        (recurrence, "build_table", lambda f: lambda weights, order: f(weights, order - 1),
+         ("--scope", "all", "-n", "11", "--m-max", "5"), "12/42 checks passed", "raised IndexError: ",
+         {"eigenvector identity sum_i A(i": 10, "dp = path enumeration": 6}),
+    ],
+    ids=["catalan power + 1 at k = 3", "dyck_gf two coefficients short", "build_table one order short"],
+)
+def test_a_check_that_raises_is_its_own_fail_line(capsys, monkeypatch, module, name, mutate, argv, summary, raised,
+                                                    raising):
+    # every row still runs and prints, and verify ends with its summary and exit 1; the rows that raise,
+    # counted by family (title text before its first comma), name the error
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    code, out, err = run(capsys, "verify", *argv)
+    *rows, last = out.splitlines()
+    assert (code, err, last, len(rows)) == (1, "", summary, int(summary.split()[0].split("/")[1]))
+    assert all(row.startswith(("PASS  ", "FAIL  ")) for row in rows)
+    assert Counter(row[6:].split(",")[0] for row in rows if row.startswith("FAIL  ") and raised in row) == raising
+
+
+def test_a_memory_error_in_a_check_still_exits_infeasible(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(genfunc, "poids_gf", exhausted)
+    code, out, err = run(capsys, "verify", "--scope", "all", "-n", "3", "--m-max", "2")
+    assert (code, err) == (3, "error: out of memory\n")
+    assert out == "PASS  dp = closed form, m=2, n<=3\n"  # the row before it; no summary
+
+
 def test_every_route_is_compared_with_dp_in_verify():
     comparisons = [check for *_, check in verify.CHECKS if not callable(check)]
     assert all(len(check) == 3 for check in comparisons)  # (cells, label, route): one route per row
-    compared = {route: cells for cells, _, route in comparisons}
+    # a row comparison (cells None) names the command whose gf row it compares whole with dp's rows;
+    # an oracle comparison holds its opener, read cell by cell
+    commands = {route for cells, _, route in comparisons if cells is None}
+    openers = {route for cells, _, route in comparisons if cells is not None}
     keys = {route: key for key, route in routes.ROUTES.items()}
-    assert {keys[route] for route in compared if route in keys} == {key for key in routes.ROUTES if key[1] != "dp"}
-    assert len(compared.keys() - keys.keys()) == 1  # the free-group words, which no subcommand reads
-    # a row route (dp, gf) is compared whole with dp's rows, cells None; an oracle opener by its cells
-    for route, cells in compared.items():
-        assert (cells is None) == (route in keys and keys[route][1] in ("dp", "gf")), keys.get(route)
+    assert all(keys[opener][1] not in ("dp", "gf") for opener in openers & keys.keys())
+    compared = {(command, "gf") for command in commands} | {keys[opener] for opener in openers & keys.keys()}
+    assert compared == {key for key in routes.ROUTES if key[1] != "dp"}
+    assert openers - keys.keys() == {verify._free_group_route}  # the free-group words, which no subcommand reads
 
 
 def test_a_passing_row_comparison_reads_no_cell(monkeypatch):
