@@ -11,18 +11,24 @@ The table A(i, n) solves
 
 For general weights, A(i, n) is the poids-sum over nonnegative U/D lattice
 paths of length n ending at height i (see :func:`treewalks.oracles.enumerate_dyck`
-for the path vocabulary).  For the specialization (c1, c2, c3) = (1, m-1, m) it
-counts length-n walks on the m-regular tree that end at a fixed vertex at
-distance i from the start: such a vertex has one neighbor closer to the
-start and m-1 neighbors farther, except the start itself whose m neighbors
-are all at distance 1.
+for the path vocabulary).  Such a path has u = (n+i)/2 up steps and
+d = (n-i)/2 down steps, j of them landing on the axis, and its poids is
+c1^u c2^(d-j) c3^j, McKay's (1983) ballot form.  So every path of a cell
+shares the factor c1^u, and the loop (:func:`_columns`) sums the poids with
+it, and with the gcd of the two down weights to the power d, factored out.
+For the specialization (c1, c2, c3) = (1, m-1, m) it counts length-n walks
+on the m-regular tree that end at a fixed vertex at distance i from the
+start: such a vertex has one neighbor closer to the start and m-1 neighbors
+farther, except the start itself whose m neighbors are all at distance 1.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate, repeat
+from math import gcd, lcm
+from operator import mul
 
 from .rationals import Frozen, Rational, exact, format_number, natural
 from .series import PowerSeries
@@ -195,33 +201,45 @@ class WalkTable(Frozen):
         return f"WalkTable(weights={self.weights.describe()}, n_max={self.n_max})"
 
 
+def _factors(weights: WeightConfig) -> tuple[int, int, int, int]:
+    """a, g, b // g and c // g, for the integer weights a, b, c = D*c1, D*c2, D*c3 and
+    g = gcd(b, c), or g = 1 if b = c = 0."""
+    _, a, b, c = _integers(weights)
+    g = gcd(b, c) or 1
+    return a, g, b // g, c // g
+
+
 def _columns(weights: WeightConfig, n_max: int, bottom: int, top: int) -> Iterator[tuple[int, list[int]]]:
-    """Yield the columns n = 0..n_max of the recurrence on integers, each cut to
-    the heights that can still reach a height in ``bottom``..``top`` by length
+    """Yield the columns n = 0..n_max of the recurrence on integers M(i, n), each cut
+    to the heights that can still reach a height in ``bottom``..``top`` by length
     n_max, that is bottom - (n_max - n) <= h <= top + (n_max - n).
 
-    With the integer weights a, b, c = D*c1, D*c2, D*c3 the scaled entries
-    N(i, n) = A(i, n) * D^n obey the same recurrence, N(0, n) = c*N(1, n-1)
-    and N(i, n) = a*N(i-1, n-1) + b*N(i+1, n-1), since each step contributes
-    exactly one weight.  Column n holds N(2k + n % 2, n) at index k - skip,
-    yielded as (skip, column), where skip counts the cells cut from below, and
-    reads column n-1, of the other parity: the cell i = 0 (n even) has only
-    the c-term and the top cell i = n has only the a-term, because
-    A(n+1, n-1) is unreachable.  Where column n-1 was cut, the cells past
-    either cut of column n are not computed or are dropped.
+    With the integer weights a, b, c = D*c1, D*c2, D*c3 a path of a cell (i, n),
+    with u = (n+i)/2 up steps and d = (n-i)/2 down steps, j of them landing on
+    the axis, has the poids a^u b^(d-j) c^j on the scale D^n.  All paths of the
+    cell share a^u, and g^d with g = gcd(b, c) (1 if b = c = 0), so the loop
+    sums M(i, n) = sum over those paths of (b/g)^(d-j) (c/g)^j, and
+    N(i, n) = A(i, n) * D^n = a^u g^d M(i, n).  Since a step up adds one to u
+    and a step down one to d, M(0, n) = (c/g)*M(1, n-1) and
+    M(i, n) = M(i-1, n-1) + (b/g)*M(i+1, n-1).  Column n holds M(2k + n % 2, n)
+    at index k - skip, yielded as (skip, column), where skip counts the cells
+    cut from below, and reads column n-1, of the other parity: the cell i = 0
+    (n even) has only the c-term and the top cell i = n only the term from
+    below, because A(n+1, n-1) is unreachable.  Where column n-1 was cut, the
+    cells past either cut of column n are not computed or are dropped.
 
     Before anything is computed, :func:`table_guard` runs.
     """
     table_guard(weights, n_max)
-    _, a, b, c = _integers(weights)
+    _, _, b, c = _factors(weights)
     skip, column = 0, [1]
     for n in range(n_max + 1):
         parity = n % 2
         if n and column:
             prev = column
             column = [c * prev[0]] if parity == 0 and skip == 0 else []
-            column += [a * x + b * y for x, y in zip(prev, prev[1:])]
-            column.append(a * prev[-1])
+            column += [x + b * y for x, y in zip(prev, prev[1:])]
+            column.append(prev[-1])
             if parity == 0 and skip:
                 skip += 1  # column n-1's heights 2(skip + j) + 1 lead to 2(skip + 1 + j)
         low = max(0, (bottom - (n_max - n) - parity + 1) // 2 - skip)
@@ -232,22 +250,40 @@ def _columns(weights: WeightConfig, n_max: int, bottom: int, top: int) -> Iterat
 
 
 def build_table(weights: WeightConfig, n_max: int) -> WalkTable:
-    """Fill the whole table column by column in n, on integers (see :func:`_columns`)."""
-    columns = tuple(tuple(column) for _, column in _columns(weights, n_max, 0, n_max))
-    return WalkTable._new(weights=weights, columns=columns)
+    """Fill the whole table column by column in n, on the integers M(i, n) of :func:`_columns`,
+    then scale each column in place to N(i, n) = a^u g^d M(i, n), from lists of the powers of a
+    and g; at a = g = 1, as at every tree weight, the cells are stored as they are."""
+    columns = [tuple(column) for _, column in _columns(weights, n_max, 0, n_max)]
+    a, g, _, _ = _factors(weights)
+    if a != 1 or g != 1:
+        a_powers = list(accumulate(repeat(a, n_max), mul, initial=1))
+        g_powers = list(accumulate(repeat(g, n_max // 2), mul, initial=1))
+        for n, column in enumerate(columns):
+            # the cell k of column n is at height 2k + n % 2: u = (n + 1) // 2 + k, d = n // 2 - k
+            columns[n] = tuple(x * a_powers[(n + 1) // 2 + k] * g_powers[n // 2 - k] for k, x in enumerate(column))
+    return WalkTable._new(weights=weights, columns=tuple(columns))
 
 
 def dp_row(weights: WeightConfig, i: int, n_max: int) -> PowerSeries:
     """d_i(t) = sum_n A(i, n) t^n to order n_max, holding one column and the row.
 
-    The same recurrence as :func:`build_table`, under the same guard, with
-    each column cut to the heights that can still reach i by length n_max,
-    from above and from below.  The row N(i, n) = A(i, n) * D^n (0 off
-    parity) is the series' graded ints as it stands: den 1, base D.
+    The same loop as :func:`build_table`, under the same guard, with each
+    column cut to the heights that can still reach i by length n_max, from
+    above and from below.  Each M(i, n) is scaled back to
+    N(i, n) = A(i, n) * D^n = a^u g^d M(i, n) as it is read: by a^i at n = i,
+    and by one more a*g every two lengths.  The row N(i, n) (0 off parity) is
+    the series' graded ints as it stands: den 1, base D.
     """
     natural("i", i)
-    row = [column[i // 2 - skip] if n >= i and (n - i) % 2 == 0 else 0
-           for n, (skip, column) in enumerate(_columns(weights, n_max, i, i))]
+    a, g, _, _ = _factors(weights)
+    row, scale = [], 1
+    for n, (skip, column) in enumerate(_columns(weights, n_max, i, i)):
+        on_row = n >= i and (n - i) % 2 == 0
+        if n == i:
+            scale = a**i  # only once the guard, run as the first column is made, has passed
+        elif on_row:
+            scale *= a * g
+        row.append(column[i // 2 - skip] * scale if on_row else 0)
     return PowerSeries._graded(row, 1, _integers(weights)[0])
 
 

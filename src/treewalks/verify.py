@@ -8,12 +8,12 @@ plain tuples, and in the same row the CLI's dp route against the table at
 four heights; an oracle against dp cell by cell; each dp column through the
 identity of :func:`treewalks.recurrence.mass_check`; or products of the gf
 series against their defining equations.  A check whose route, table or
-series raises an arithmetic, lookup or value error fails on that error,
-``<where> raised <Type>: <message>``, and the checks after it still run.
-The checks call the library
-through its layer modules, looked up when they run, so a patch of a layer
-module's function (a corrupted route in a test, the benchmark's tracer)
-reaches every check.
+series raises an arithmetic, lookup, type or value error (a route that
+returns no number is caught where its value is compared or shown) fails on
+that error, ``<where> raised <Type>: <message>``, and the checks after it
+still run.  The checks call the library through its layer modules, looked
+up when they run, so a patch of a layer module's function (a corrupted
+route in a test, the benchmark's tracer) reaches every check.
 """
 
 from __future__ import annotations
@@ -134,14 +134,14 @@ def _order(row: tuple, n_max: int) -> int:
 def _caught(where: str, run: Callable[[], str | None]) -> str | None:
     try:
         return run()
-    except (ArithmeticError, LookupError, ValueError) as exc:  # a faulty route, table or series
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:  # a faulty route, table or series
         return f"{where} raised {type(exc).__name__}: {exc}"
 
 
 def open_check(row: tuple, where: str, weights: WeightConfig, n_max: int, max_states: int, table: Callable) -> Check:
     """One CHECKS row on one weight configuration, as (title, run), reading ``table(weights)`` when
     run.  Its oracle guard runs now, at the row's cap: an oversized check is refused before any runs.
-    The run returns its failure or None; an arithmetic, lookup or value error raised in it is its failure."""
+    The run returns its failure or None; an arithmetic, lookup, type or value error raised in it is its failure."""
     order = _order(row, n_max)
     _, template, _, check = row
     title = template.format(where=where, order=order)

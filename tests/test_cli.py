@@ -327,8 +327,13 @@ def test_identity_check_fails_on_a_raised_cell(capsys, monkeypatch):
         (recurrence, "build_table", lambda f: lambda weights, order: f(weights, order - 1),
          ("--scope", "all", "-n", "11", "--m-max", "5"), "12/42 checks passed", "raised IndexError: ",
          {"eigenvector identity sum_i A(i": 10, "dp = path enumeration": 6}),
+        # no number to compare: format_number refuses None in the mismatch text
+        (oracles, "enumerate_dyck", lambda f: lambda *args, **kwargs: None,
+         ("--scope", "dyck", "-n", "4"), "18/24 checks passed",
+         "raised TypeError: value=None is a NoneType; values must be exact", {"dp = path enumeration": 6}),
     ],
-    ids=["catalan power + 1 at k = 3", "dyck_gf two coefficients short", "build_table one order short"],
+    ids=["catalan power + 1 at k = 3", "dyck_gf two coefficients short", "build_table one order short",
+         "enumerate_dyck returns None"],
 )
 def test_a_check_that_raises_is_its_own_fail_line(capsys, monkeypatch, module, name, mutate, argv, summary, raised,
                                                     raising):

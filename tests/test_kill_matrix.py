@@ -59,11 +59,12 @@ def _raised_at(k: int):
 MUTANTS = [
     ("dp_row: last coefficient + 1", recurrence, "dp_row", _last_coefficient_raised,
      {"dp = closed form": 4, "dp = constructed gf": 4, "dp = gf": 6}),
-    # the top cell's weight: b = a at m = 2 and at (1, 1, 1), so those configurations pass
-    ("_columns: top cell a*prev[-1] becomes b*prev[-1]", recurrence, "_columns",
-     _replaced("column.append(a * prev[-1])", "column.append(b * prev[-1])"),
-     {"dp = closed form": 3, "dp = constructed gf": 3, "dp = tree oracle": 3, IDENTITY: 7, "dp = gf": 4,
-      "dp = path enumeration": 4, "dp = free-group words": 1}),
+    # the top cell gains the factor b/g, which is 1 at m = 2 and at (1, 1, 1), (2, 1, 5) and (1, 1/2, 2),
+    # so those configurations pass
+    ("_columns: top cell prev[-1] becomes b*prev[-1]", recurrence, "_columns",
+     _replaced("column.append(prev[-1])", "column.append(b * prev[-1])"),
+     {"dp = closed form": 3, "dp = constructed gf": 3, "dp = tree oracle": 3, IDENTITY: 5, "dp = gf": 2,
+      "dp = path enumeration": 2, "dp = free-group words": 1}),
     # one row of the 20 fails by raising ArithmeticError: poids_gf's exact division leaves a remainder
     ("_catalan_power: + 1 at k = 3", genfunc, "_catalan_power", _raised_at(3),
      {"dp = closed form": 4, "dp = constructed gf": 4, "dp = gf": 6, ALGEBRA: 6}),

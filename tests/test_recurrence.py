@@ -14,6 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treewalks.genfunc import poids_gf
+from treewalks.oracles import enumerate_dyck
 from treewalks.recurrence import (
     MAX_TABLE_BYTES,
     FeasibilityError,
@@ -355,11 +357,46 @@ def test_dp_row_columns_hold_only_the_heights_within_reach(i):
     # column n keeps the cells within n_max - n of the row, cut from above and
     # from below; index k - skip holds the height 2k + n % 2
     w = WeightConfig(Fraction(1, 3), Fraction(4, 5), Fraction(2, 7))
+    a, g = 35, 6  # over D = 105, a, b, c = 35, 84, 30 and g = gcd(84, 30)
     table = build_table(w, 30)
     for n, (skip, column) in enumerate(_columns(w, 30, i, i)):
         heights = range(2 * skip + n % 2, 2 * (skip + len(column)) + n % 2, 2)
         assert [abs(h - i) <= 30 - n for h in heights] == [True] * len(column)
-        assert tuple(column) == table.columns[n][skip : skip + len(column)]
+        # the loop's cell at height h is N(h, n) with the factor a^u g^d of its paths taken out
+        scaled = tuple(x * a ** ((n + h) // 2) * g ** ((n - h) // 2) for x, h in zip(column, heights))
+        assert scaled == table.columns[n][skip : skip + len(column)]
+
+
+@pytest.mark.parametrize("i", [0, 13, 200, 400])
+def test_dp_loop_cells_are_no_wider_than_their_paths_without_the_shared_factors(i):
+    # over D = 105, a, b, c = 35, 60, 42 and g = 6; a cell (h, n) sums at most C(n, d) paths, each
+    # (b/g)^(d-j) (c/g)^j with d = (n-h)/2 <= 200, so it has at most n + 200 * bit_length(10) + 1 bits
+    w = WeightConfig(Fraction(1, 3), Fraction(4, 7), Fraction(2, 5))
+    n_max = 400
+    bound = n_max + n_max // 2 * max(60 // 6, 42 // 6, 1).bit_length() + 1
+    assert max(x.bit_length() for _, column in _columns(w, n_max, i, i) for x in column) <= bound
+
+
+EDGE_WEIGHTS = [
+    WeightConfig(0, 2, 3),  # c1 = 0: a = 0, every cell past n = 0 is 0
+    WeightConfig(Fraction(3, 2), 0, 0),  # c2 = c3 = 0: g falls back to 1
+    WeightConfig(Fraction(2, 3), 0, Fraction(5, 7)),  # c2 = 0 alone
+    WeightConfig(Fraction(-3, 4), Fraction(5, 6), Fraction(-2, 9)),  # a = -27, b = 30, c = -8, g = 2
+    WeightConfig(Fraction(1, 3), Fraction(4, 5), Fraction(2, 7)),
+    *(tree_weights(m) for m in range(1, 9)),
+]
+
+
+@pytest.mark.parametrize("w", EDGE_WEIGHTS, ids=[w.describe() for w in EDGE_WEIGHTS])
+def test_dp_rows_match_the_path_enumeration_and_the_closed_form_at_edge_weights(w):
+    table = build_table(w, 12)
+    for i in range(15):
+        expected = tuple(enumerate_dyck(w, i, n) for n in range(13))
+        assert dp_row(w, i, 12).coeffs == table.row(i).coeffs == expected, i
+    table = build_table(w, 200)
+    for i in range(203):
+        expected = poids_gf(w, i, 200)
+        assert dp_row(w, i, 200) == table.row(i) == expected, i
 
 
 def test_dp_row_shares_the_table_guard_and_checks():
