@@ -5,7 +5,8 @@ weight configurations of its scope (:data:`treewalks.routes.SCOPES`); the
 acceptance suite runs the same rows at larger sizes.  Every row reads
 values: a gf route against dp row by row, their graded ints compared as
 plain tuples, and in the same row the CLI's dp route against the table at
-four heights; an oracle against dp cell by cell; each dp column through the
+four heights; an oracle, the free-group word count among them, against dp
+on every cell i <= n of the row's order; each dp column through the
 identity of :func:`treewalks.recurrence.mass_check`; or products of the gf
 series against their defining equations.  A check whose route, table or
 series raises an arithmetic, lookup, type or value error (a route that
@@ -36,7 +37,8 @@ def _mismatch(label: str, expected: Fraction, got: Fraction) -> str:
     return f"{label}: expected {rationals.format_number(expected)}, got {rationals.format_number(got)}"
 
 
-def _check_identity(table: WalkTable, weights: WeightConfig, order: int) -> str | None:
+def _check_identity(table: WalkTable, order: int) -> str | None:
+    weights = table.weights
     for n in range(order + 1):
         for k, (got, expected) in enumerate(zip(recurrence.mass_check(table, n), (0,) * n + (1,))):
             if got != expected:
@@ -44,8 +46,9 @@ def _check_identity(table: WalkTable, weights: WeightConfig, order: int) -> str 
     return None
 
 
-def _check_algebra(_table: WalkTable, weights: WeightConfig, order: int) -> str | None:
+def _check_algebra(table: WalkTable, order: int) -> str | None:
     # Products only: each gf series against the equation that defines it.
+    weights = table.weights
     one, q = PowerSeries.one(order), weights.c1 * weights.c2
     a = genfunc.dyck_gf(weights, order)
     if (a * a * q).shift_mul(2).truncate(order) + one != a:
@@ -86,44 +89,33 @@ def _compare_rows(dp_table: WalkTable, route: Callable, dp_route: Callable, orde
     return None
 
 
-# The cells (shown, i, n, key) of an oracle comparison, "{shown}={key} n={n}" in a FAIL line: the corner
-# i <= n length by length (a memo holds one length), free-group target words length-major (one enumeration each).
-def _corner(weights: WeightConfig, order: int) -> list:
-    return [("i", i, n, i) for n in range(order + 1) for i in range(n + 1)]
-
-
-_FREE_GROUP_WORDS = {1: [(), (1,), (-1,), (1, 1), (-1, -1)], 2: [(), (1,), (-2,), (1, 2), (2, -1)]}
-
-
-def _words(weights: WeightConfig, order: int) -> list:
-    targets = [target for target in _FREE_GROUP_WORDS[weights.m // 2] if len(target) <= order]
-    return [("target", len(target), n, target) for n in range(order + 1) for target in targets]
-
-
-def _free_group_route(weights: WeightConfig, order: int, states: int) -> Callable[[tuple, int], int]:
-    """Opener, as in ROUTES, of the words reducing to a target on the 2g-regular tree; runs the guard."""
+def _free_group_route(weights: WeightConfig, order: int, states: int) -> Callable[[int, int], int]:
+    """Opener, as in ROUTES, of the length-n words reducing to (-g,) * i, a vertex at distance i on the
+    2g-regular tree, each letter an inverse; runs the guard."""
     g = weights.m // 2
-    return oracles.free_group_guard(g, order, states) or partial(oracles.free_group_count, g, max_states=states)
+    return oracles.free_group_guard(g, order, states) or (
+        lambda i, n: oracles.free_group_count(g, (-g,) * i, n, max_states=states)
+    )
 
 
 # Every check of verify, in output order: (scope, title template, cap or
 # None, check).  The cap is the largest order an oracle or the identity sweeps
 # in seconds; the rest run to the full requested order.  A check is a function
-# (table, weights, order) -> failure or None, or a comparison of one route with
-# dp, (cells, label, route): the label names the route in a FAIL line.  With
-# cells None the route is a command, whose ROUTES gf row is compared whole with
-# dp's rows; else it is an opener whose reader maps a cell's (key, n) to the
-# value dp gives A(i, n).
+# (table, order) -> failure or None, or a comparison of one route with dp,
+# (label, route): the label names the route in a FAIL line.  A str route names
+# a command, whose ROUTES gf row is compared whole with dp's rows; any other
+# is an opener, whose reader (i, n) -> A(i, n) is compared with dp on every
+# cell i <= n, length by length (an oracle's memo holds one length).
 CHECKS: tuple[tuple[str, str, int | None, object], ...] = (
-    ("tree", "dp = closed form, {where}, n<={order}", None, (None, "closed form", "walks")),
-    ("tree", "dp = constructed gf, {where}, n<={order}", None, (None, "constructed gf", "dyck")),
-    ("tree", "dp = tree oracle, {where}, n<={order}", 10, (_corner, "tree oracle", ROUTES["walks", "tree"])),
+    ("tree", "dp = closed form, {where}, n<={order}", None, ("closed form", "walks")),
+    ("tree", "dp = constructed gf, {where}, n<={order}", None, ("constructed gf", "dyck")),
+    ("tree", "dp = tree oracle, {where}, n<={order}", 10, ("tree oracle", ROUTES["walks", "tree"])),
     ("tree", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}", 200, _check_identity),
-    ("dyck", "dp = gf, {where}, n<={order}", None, (None, "gf", "dyck")),
-    ("dyck", "dp = path enumeration, {where}, n<={order}", 14, (_corner, "enumeration", ROUTES["dyck", "enum"])),
+    ("dyck", "dp = gf, {where}, n<={order}", None, ("gf", "dyck")),
+    ("dyck", "dp = path enumeration, {where}, n<={order}", 14, ("enumeration", ROUTES["dyck", "enum"])),
     ("dyck", "series algebra by products (a, b, c, d_i), {where}", None, _check_algebra),
     ("dyck", "eigenvector identity sum_i A(i,n)*w_i(x) = x^n, {where}, n<={order}", 200, _check_identity),
-    ("freegroup", "dp = free-group words, {where}, n<={order}", 8, (_words, "free-group count", _free_group_route)),
+    ("freegroup", "dp = free-group words, {where}, n<={order}", 8, ("free-group count", _free_group_route)),
 )
 
 
@@ -146,19 +138,20 @@ def open_check(row: tuple, where: str, weights: WeightConfig, n_max: int, max_st
     _, template, _, check = row
     title = template.format(where=where, order=order)
     if callable(check):
-        return title, partial(_caught, where, lambda: check(table(weights), weights, order))
-    cells, name, route = check
-    if cells is None:  # route names the command; its dp route, which the CLI reads, is compared too
+        return title, partial(_caught, where, lambda: check(table(weights), order))
+    name, route = check
+    if isinstance(route, str):  # the command; its dp route, which the CLI reads, is compared too
         gf, dp = ROUTES[route, "gf"], ROUTES[route, "dp"]
         return title, partial(_caught, where, lambda: _compare_rows(table(weights), gf, dp, order, where, name))
     read = route(weights, order, max_states)
 
     def compare() -> str | None:
         dp_table = table(weights)
-        for shown, i, n, key in cells(weights, order):
-            dp, got = dp_table.count(i, n), read(key, n)
-            if got != dp:
-                return _mismatch(f"{where} {shown}={key} n={n} {name} vs dp", dp, got)
+        for n in range(order + 1):
+            for i in range(n + 1):
+                dp, got = dp_table.count(i, n), read(i, n)
+                if got != dp:
+                    return _mismatch(f"{where} i={i} n={n} {name} vs dp", dp, got)
         return None
 
     return title, partial(_caught, where, compare)

@@ -274,14 +274,14 @@ ZERO_WEIGHTS = [recurrence.WeightConfig(*w) for w in ((1, 0, 3), (0, 1, 1), (2, 
 
 @pytest.mark.parametrize("weights", ZERO_WEIGHTS, ids=[w.describe() for w in ZERO_WEIGHTS])
 def test_algebra_check_runs_every_identity_on_zero_weights(weights):
-    assert verify._check_algebra(build_table(weights, 10), weights, 10) is None
+    assert verify._check_algebra(build_table(weights, 10), 10) is None
 
 
 def test_algebra_check_catches_a_corrupted_catalan_power(monkeypatch):
     original = genfunc._catalan_power
     monkeypatch.setattr(genfunc, "_catalan_power", lambda i, q, terms: [c + k for k, c in enumerate(original(i, q, terms))])
     weights = recurrence.WeightConfig(1, Fraction(1, 2), 2)
-    assert verify._check_algebra(build_table(weights, 10), weights, 10) == "weights (1, 1/2, 2): quadratic residual is nonzero"
+    assert verify._check_algebra(build_table(weights, 10), 10) == "weights (1, 1/2, 2): quadratic residual is nonzero"
 
 
 def test_verify_builds_one_table_per_weight_config(capsys, monkeypatch):
@@ -359,11 +359,11 @@ def test_a_memory_error_in_a_check_still_exits_infeasible(capsys, monkeypatch):
 
 def test_every_route_is_compared_with_dp_in_verify():
     comparisons = [check for *_, check in verify.CHECKS if not callable(check)]
-    assert all(len(check) == 3 for check in comparisons)  # (cells, label, route): one route per row
-    # a row comparison (cells None) names the command whose gf row it compares whole with dp's rows;
+    assert all(len(check) == 2 for check in comparisons)  # (label, route): one route per row
+    # a row comparison names, as a str, the command whose gf row it compares whole with dp's rows;
     # an oracle comparison holds its opener, read cell by cell
-    commands = {route for cells, _, route in comparisons if cells is None}
-    openers = {route for cells, _, route in comparisons if cells is not None}
+    commands = {route for _, route in comparisons if isinstance(route, str)}
+    openers = {route for _, route in comparisons if not isinstance(route, str)}
     keys = {route: key for key, route in routes.ROUTES.items()}
     assert all(keys[opener][1] not in ("dp", "gf") for opener in openers & keys.keys())
     compared = {(command, "gf") for command in commands} | {keys[opener] for opener in openers & keys.keys()}
@@ -376,7 +376,7 @@ def test_a_passing_row_comparison_reads_no_cell(monkeypatch):
     for owner, name in ((recurrence.WalkTable, "count"), (PowerSeries, "coeffs"), (verify, "_mismatch")):
         fail = mock.Mock(side_effect=AssertionError(f"{name} called"))
         monkeypatch.setattr(owner, name, property(fail) if name == "coeffs" else fail)
-    rows = [row for row in verify.CHECKS if not callable(row[3]) and row[3][0] is None]
+    rows = [row for row in verify.CHECKS if not callable(row[3]) and isinstance(row[3][1], str)]
     assert [row[1].split(",")[0] for row in rows] == ["dp = closed form", "dp = constructed gf", "dp = gf"]
     for row in rows:
         for where, weights in routes.SCOPES[row[0]](5):
@@ -424,7 +424,7 @@ def test_algebra_check_takes_series_products_only(monkeypatch):
     for method in ("sqrt", "inverse", "__pow__"):
         monkeypatch.setattr(PowerSeries, method, mock.Mock(side_effect=AssertionError(f"PowerSeries.{method} called")))
     for weights in routes.VERIFY_TRIPLES:
-        assert verify._check_algebra(build_table(weights, 12), weights, 12) is None
+        assert verify._check_algebra(build_table(weights, 12), 12) is None
 
 
 @pytest.mark.parametrize(

@@ -665,7 +665,7 @@ def _doubled_origin(build_table):
         (
             "free_group_count",
             "freegroup",
-            "FAIL  dp = free-group words, g=1, n<=4: g=1 target=() n=0 free-group count vs dp: expected 1, got 2",
+            "FAIL  dp = free-group words, g=1, n<=4: g=1 i=0 n=0 free-group count vs dp: expected 1, got 2",
         ),
     ],
 )

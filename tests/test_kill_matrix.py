@@ -106,10 +106,15 @@ MUTANTS = [
     ("enumerate_dyck: off-axis and on-axis factors swapped", oracles, "enumerate_dyck",
      _replaced("off, on = p2 * q3, p3 * q2", "on, off = p2 * q3, p3 * q2"),
      {"dp = path enumeration": 5}),
-    # -g becomes digit 0, no letter, so the targets (-1,) at g = 1 and (-2,) at g = 2 are coded one letter
-    # short; any other -k becomes the letter g - k, a word at the same distance, which counts the same
+    # -g becomes digit 0, no letter, so verify's targets (-g,) * i, every letter -g, are all coded as the
+    # empty word; any other -k becomes the letter g - k, a word at the same distance, which counts the same
     ("_code: inverse letter -k written as digit g - k", oracles, "_code",
      _replaced("g - x", "g + x"),
+     {"dp = free-group words": 2}),
+    # a target of three letters or more is coded as its last two, a word at distance 2: only a row that
+    # reads targets past two letters, at i >= 3, sees it
+    ("_code: reads only the last two letters of a word", oracles, "_code",
+     _replaced("for x in word:", "for x in word[-2:]:"),
      {"dp = free-group words": 2}),
 ]
 

@@ -32,7 +32,6 @@ from treewalks.oracles import (
 )
 from treewalks.oracles import _append_letters, _ball_size, _code, _step_paths, _tally, _walk, _walks_from_root
 from treewalks.recurrence import WeightConfig, build_table, dp_row, tree_weights
-from treewalks.verify import _FREE_GROUP_WORDS
 
 small_weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
 
@@ -675,9 +674,15 @@ def test_word_code_is_injective_on_reduced_words(g):
     assert len({_code(g, word) for word in reduced}) == len(reduced)
 
 
-@pytest.mark.parametrize("target", _FREE_GROUP_WORDS[2])
-def test_free_group_count_matches_the_dp_row(target):
-    assert free_group_count(2, target, 10) == dp_row(tree_weights(4), len(target), 10)[10]
+# Targets of each length with positive and inverse letters: the count is the same for every reduced
+# target of one length, whichever word is chosen
+FREE_GROUP_WORDS = [(1, word) for word in [(), (1,), (-1,), (1, 1), (-1, -1)]]
+FREE_GROUP_WORDS += [(2, word) for word in [(), (1,), (-2,), (1, 2), (2, -1)]]
+
+
+@pytest.mark.parametrize("g, target", FREE_GROUP_WORDS)
+def test_free_group_count_matches_the_dp_row(g, target):
+    assert free_group_count(g, target, 10) == dp_row(tree_weights(2 * g), len(target), 10)[10]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
