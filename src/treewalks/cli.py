@@ -1,12 +1,12 @@
 """Command-line driver: argument parsing, the ``walks``, ``dyck``, ``bfile``
 and ``verify`` handlers, and output formatting.
 
-Each route to A(i, n) is declared once, in :data:`treewalks.routes.ROUTES`:
-``walks``, ``dyck`` and ``bfile`` read the route ``--method`` picks.  Each
-check of ``verify`` is one row of :data:`treewalks.verify.CHECKS`.  A process
-executes only the layers its command runs: the package registers its layer
-modules lazily, and this module reaches ``verify``, and through the routes
-``genfunc`` and ``oracles``, only when a handler calls them.
+Each route to A(i, n) is declared once, in :mod:`treewalks.routes`:
+``walks``, ``dyck`` and ``bfile`` read the ``ROUTES`` entry ``--method``
+picks.  Each check of ``verify`` is one row of :data:`treewalks.verify.CHECKS`.
+A process executes only the layers its command runs: the package registers
+its layer modules lazily, and this module reaches ``verify``, and through
+the routes ``genfunc`` and ``oracles``, only when a handler calls them.
 
 Exit codes are stable: 0 success, 1 verification failure, 2 usage or
 validation error, 3 refused by a feasibility guard, 141 stdout closed.  The

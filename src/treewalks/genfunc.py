@@ -187,9 +187,9 @@ def poids_gf(weights: WeightConfig, i: int, order: int) -> PowerSeries:
     """
     natural("i", i)
     _check_size(weights, order)
-    if i > order:
-        return PowerSeries.zero(order)
     scale, u, v, x = _scaled_weights(weights)
+    if i > order:  # out of reach: the zero row, graded as dp grades it
+        return PowerSeries._graded([0] * (order + 1), 1, scale)
     terms, lift = (order - i) // 2 + 1, u**i
     row = [0] * (order + 1)
     next_power = _catalan_power(i + 1, u * v, terms)

@@ -60,10 +60,9 @@ from itertools import repeat
 from operator import add
 
 from .rationals import natural
-from .recurrence import DEFAULT_MAX_STATES, FeasibilityError, WeightConfig, check_cost
+from .recurrence import DEFAULT_MAX_STATES, WeightConfig, check_cost
 
 __all__ = [
-    "FeasibilityError",
     "dyck_guard",
     "enumerate_dyck",
     "tree_guard",

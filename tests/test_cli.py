@@ -281,7 +281,7 @@ def test_algebra_check_catches_a_corrupted_catalan_power(monkeypatch):
     original = genfunc._catalan_power
     monkeypatch.setattr(genfunc, "_catalan_power", lambda i, q, terms: [c + k for k, c in enumerate(original(i, q, terms))])
     weights = recurrence.WeightConfig(1, Fraction(1, 2), 2)
-    assert verify._check_algebra(build_table(weights, 10), 10) == "weights (1, 1/2, 2): quadratic residual is nonzero"
+    assert verify._check_algebra(build_table(weights, 10), 10) == "quadratic residual is nonzero"
 
 
 def test_verify_builds_one_table_per_weight_config(capsys, monkeypatch):
@@ -313,7 +313,7 @@ def test_identity_check_fails_on_a_raised_cell(capsys, monkeypatch):
     assert code == 1
     # w_3(x) = x^3 - 3x at weights (1, 1, 2), so the extra walk adds -3 at x^1
     assert "FAIL  eigenvector identity sum_i A(i,n)*w_i(x) = x^n, m=2, n<=4: "\
-        "weights (1, 1, 2) [m=2] n=3 coefficient of x^1: expected 0, got -3" in out.splitlines()
+        "n=3 coefficient of x^1: expected 0, got -3" in out.splitlines()
 
 
 @pytest.mark.parametrize(
@@ -358,17 +358,57 @@ def test_a_memory_error_in_a_check_still_exits_infeasible(capsys, monkeypatch):
 
 
 def test_every_route_is_compared_with_dp_in_verify():
-    comparisons = [check for *_, check in verify.CHECKS if not callable(check)]
-    assert all(len(check) == 2 for check in comparisons)  # (label, route): one route per row
-    # a row comparison names, as a str, the command whose gf row it compares whole with dp's rows;
-    # an oracle comparison holds its opener, read cell by cell
-    commands = {route for _, route in comparisons if isinstance(route, str)}
-    openers = {route for _, route in comparisons if not isinstance(route, str)}
-    keys = {route: key for key, route in routes.ROUTES.items()}
-    assert all(keys[opener][1] not in ("dp", "gf") for opener in openers & keys.keys())
-    compared = {(command, "gf") for command in commands} | {keys[opener] for opener in openers & keys.keys()}
-    assert compared == {key for key in routes.ROUTES if key[1] != "dp"}
-    assert openers - keys.keys() == {verify._free_group_route}  # the free-group words, which no subcommand reads
+    # a comparison is the VERIFY_ROUTES key of the route it compares with dp
+    comparisons = {check for *_, check in verify.CHECKS if not callable(check)}
+    assert comparisons == {key for key in routes.VERIFY_ROUTES if key[1] != "dp"}
+    # every subcommand route, and the free-group words, which no subcommand reads
+    assert routes.VERIFY_ROUTES.items() >= routes.ROUTES.items()
+    assert routes.VERIFY_ROUTES.keys() - routes.ROUTES.keys() == {("freegroup", "words")}
+
+
+def _doubled(function):
+    return lambda *args, **kwargs: function(*args, **kwargs) * 2
+
+
+def _raising(function):
+    def raises(*args, **kwargs):
+        raise ArithmeticError("a corrupted row")
+
+    return raises
+
+
+# (module, name, mutate): one route of each comparison family, the identity, the algebra (through
+# poids_gf), the dp route the CLI reads, and a row that raises
+CORRUPTIONS = [
+    (genfunc, "tree_gf", _doubled),
+    (genfunc, "poids_gf", _doubled),
+    (oracles, "tree_walk_count", _doubled),
+    (oracles, "enumerate_dyck", _doubled),
+    (oracles, "free_group_count", _doubled),
+    (recurrence, "mass_check", lambda mass_check: lambda table, n: tuple(c + 1 for c in mass_check(table, n))),
+    (recurrence, "dp_row", _doubled),
+    (genfunc, "tree_gf", _raising),
+]
+
+
+def test_a_fail_line_names_only_its_cell(monkeypatch):
+    # the title names the row's route and configuration; the detail after it names neither again,
+    # only the cell, the equation or the error, except the CLI's dp route checked inside a gf row
+    wheres = {where for scope in routes.SCOPES.values() for where, _ in scope(3)}
+    failed = []
+    for module, name, mutate in CORRUPTIONS:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, mutate(getattr(module, name)))
+            failed += [(title, detail) for title, run in verify.open_checks("all", 6, 3, DEFAULT_MAX_STATES)
+                       if (detail := run())]
+    families = {title.split(",")[0] for title, _ in failed}
+    assert families == {row[1].split(",")[0] for row in verify.CHECKS}
+    details = {detail for _, detail in failed}
+    assert {"raised ArithmeticError: a corrupted row", "i=0 n=0 dp row vs dp table: expected 1, got 2"} <= details
+    for title, detail in failed:
+        rest = detail.replace("dp row vs dp table", "")
+        assert not any(where in rest for where in wheres), (title, detail)
+        assert " vs " not in rest and title.split(",")[0].removeprefix("dp = ") not in rest, (title, detail)
 
 
 def test_a_passing_row_comparison_reads_no_cell(monkeypatch):
@@ -376,7 +416,7 @@ def test_a_passing_row_comparison_reads_no_cell(monkeypatch):
     for owner, name in ((recurrence.WalkTable, "count"), (PowerSeries, "coeffs"), (verify, "_mismatch")):
         fail = mock.Mock(side_effect=AssertionError(f"{name} called"))
         monkeypatch.setattr(owner, name, property(fail) if name == "coeffs" else fail)
-    rows = [row for row in verify.CHECKS if not callable(row[3]) and isinstance(row[3][1], str)]
+    rows = [row for row in verify.CHECKS if not callable(row[3]) and row[3][1] in routes.ROWS]
     assert [row[1].split(",")[0] for row in rows] == ["dp = closed form", "dp = constructed gf", "dp = gf"]
     for row in rows:
         for where, weights in routes.SCOPES[row[0]](5):
@@ -401,9 +441,8 @@ def test_a_gf_row_of_another_order_never_passes(capsys, monkeypatch, scope, rout
     assert (code, err) == (1, "")
     assert not any(line.startswith(f"PASS  {title},") for line in out.splitlines())
     # one FAIL line per configuration, naming i and both orders; no row is read past its order
-    name = title.removeprefix("dp = ")
     assert [line for line in out.splitlines() if line.startswith(f"FAIL  {title},")] == [
-        f"FAIL  {title}, {where}, n<=4: {where} i=0 {name} vs dp: expected a row of order 4, got order {4 + shift}"
+        f"FAIL  {title}, {where}, n<=4: i=0: expected a row of order 4, got order {4 + shift}"
         for where, _ in routes.SCOPES[scope](2)
     ]
 
@@ -415,7 +454,7 @@ def test_algebra_check_reads_the_poids_series_c(capsys, monkeypatch):
     assert code == 1
     # c = c1*c3*t^2*a equals b only where c2 = c3, at (1, 1, 1)
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        f"FAIL  series algebra by products (a, b, c, d_i), weights {w}: weights {w}: d_0*(1-c) differs from 1"
+        f"FAIL  series algebra by products (a, b, c, d_i), weights {w}: d_0*(1-c) differs from 1"
         for w in ("(1, 1, 2) [m=2]", "(1, 2, 3) [m=3]", "(1, 3, 4) [m=4]", "(2, 1, 5)", "(1, 1/2, 2)")
     ]
 

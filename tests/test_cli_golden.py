@@ -639,33 +639,32 @@ def _doubled_origin(build_table):
         (
             "build_table",
             "tree",
-            "FAIL  dp = closed form, m=2, n<=4: m=2 i=0 n=0 closed form vs dp: expected 2, got 1",
+            "FAIL  dp = closed form, m=2, n<=4: i=0 n=0: expected 2, got 1",
         ),
         (
             "tree_gf",
             "tree",
-            "FAIL  dp = closed form, m=2, n<=4: m=2 i=0 n=0 closed form vs dp: expected 1, got 2",
+            "FAIL  dp = closed form, m=2, n<=4: i=0 n=0: expected 1, got 2",
         ),
         (
             "poids_gf",
             "tree",
-            "FAIL  dp = constructed gf, m=2, n<=4: m=2 i=0 n=0 constructed gf vs dp: expected 1, got 2",
+            "FAIL  dp = constructed gf, m=2, n<=4: i=0 n=0: expected 1, got 2",
         ),
         (
             "tree_walk_count",
             "tree",
-            "FAIL  dp = tree oracle, m=2, n<=4: m=2 i=0 n=0 tree oracle vs dp: expected 1, got 2",
+            "FAIL  dp = tree oracle, m=2, n<=4: i=0 n=0: expected 1, got 2",
         ),
         (
             "enumerate_dyck",
             "dyck",
-            "FAIL  dp = path enumeration, weights (1, 1, 2) [m=2], n<=4: "
-            "weights (1, 1, 2) [m=2] i=0 n=0 enumeration vs dp: expected 1, got 2",
+            "FAIL  dp = path enumeration, weights (1, 1, 2) [m=2], n<=4: i=0 n=0: expected 1, got 2",
         ),
         (
             "free_group_count",
             "freegroup",
-            "FAIL  dp = free-group words, g=1, n<=4: g=1 i=0 n=0 free-group count vs dp: expected 1, got 2",
+            "FAIL  dp = free-group words, g=1, n<=4: i=0 n=0: expected 1, got 2",
         ),
     ],
 )
@@ -713,9 +712,9 @@ def _raised_last_coefficient(last_row_only):
             _raised_cells((4, 4)),
             ["--scope", "tree", "-n", "4", "--m-max", "2"],
             [
-                "FAIL  dp = closed form, m=2, n<=4: m=2 i=4 n=4 closed form vs dp: expected 2, got 1",
-                "FAIL  dp = constructed gf, m=2, n<=4: m=2 i=4 n=4 constructed gf vs dp: expected 2, got 1",
-                "FAIL  dp = tree oracle, m=2, n<=4: m=2 i=4 n=4 tree oracle vs dp: expected 2, got 1",
+                "FAIL  dp = closed form, m=2, n<=4: i=4 n=4: expected 2, got 1",
+                "FAIL  dp = constructed gf, m=2, n<=4: i=4 n=4: expected 2, got 1",
+                "FAIL  dp = tree oracle, m=2, n<=4: i=4 n=4: expected 2, got 1",
             ],
         ),
         (  # a row comparison names (1, 5) before (3, 3), i-major; the oracle's corner is length-major
@@ -723,23 +722,23 @@ def _raised_last_coefficient(last_row_only):
             _raised_cells((3, 3), (1, 5)),
             ["--scope", "tree", "-n", "5", "--m-max", "2"],
             [
-                "FAIL  dp = closed form, m=2, n<=5: m=2 i=1 n=5 closed form vs dp: expected 11, got 10",
-                "FAIL  dp = constructed gf, m=2, n<=5: m=2 i=1 n=5 constructed gf vs dp: expected 11, got 10",
-                "FAIL  dp = tree oracle, m=2, n<=5: m=2 i=3 n=3 tree oracle vs dp: expected 2, got 1",
+                "FAIL  dp = closed form, m=2, n<=5: i=1 n=5: expected 11, got 10",
+                "FAIL  dp = constructed gf, m=2, n<=5: i=1 n=5: expected 11, got 10",
+                "FAIL  dp = tree oracle, m=2, n<=5: i=3 n=3: expected 2, got 1",
             ],
         ),
         (  # each gf row's last coefficient: the first row names it
             "tree_gf",
             _raised_last_coefficient(False),
             ["--scope", "tree", "-n", "4", "--m-max", "2"],
-            ["FAIL  dp = closed form, m=2, n<=4: m=2 i=0 n=4 closed form vs dp: expected 6, got 7"],
+            ["FAIL  dp = closed form, m=2, n<=4: i=0 n=4: expected 6, got 7"],
         ),
         (  # the last gf row's last coefficient, on a weight with D = 2
             "poids_gf",
             _raised_last_coefficient(True),
             ["--scope", "dyck", "-n", "4"],
             [
-                f"FAIL  dp = gf, weights {w}, n<=4: weights {w} i=4 n=4 gf vs dp: expected {a}, got {a + 1}"
+                f"FAIL  dp = gf, weights {w}, n<=4: i=4 n=4: expected {a}, got {a + 1}"
                 for w, a in (("(1, 1, 2) [m=2]", 1), ("(1, 2, 3) [m=3]", 1), ("(1, 3, 4) [m=4]", 1),
                              ("(1, 1, 1)", 1), ("(2, 1, 5)", 16), ("(1, 1/2, 2)", 1))
             ],
@@ -760,7 +759,7 @@ def test_row_checks_trust_no_series_equality(capsys, monkeypatch):
     assert cli.main(["verify", "--scope", "all", "-n", "11", "--m-max", "5"]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert {line.split(",")[0] for line in fails} == {"FAIL  dp = constructed gf", "FAIL  dp = gf"}
-    assert "FAIL  dp = gf, weights (2, 1, 5), n<=11: weights (2, 1, 5) i=0 n=11 gf vs dp: expected 0, got 1" in fails
+    assert "FAIL  dp = gf, weights (2, 1, 5), n<=11: i=0 n=11: expected 0, got 1" in fails
 
 
 def test_a_fault_in_dps_scaling_fails_the_gf_and_identity_rows(monkeypatch):
@@ -788,7 +787,7 @@ def test_a_fault_in_the_dp_route_fails_every_row_comparison(monkeypatch):
     failed = [(title, detail) for title, check in checks if (detail := check())]
     assert {title.split(",")[0] for title, _ in failed} == {"dp = closed form", "dp = constructed gf", "dp = gf"}
     assert len(failed) == 4 + 4 + 6
-    assert ("dp = closed form, m=2, n<=11", "m=2 i=0 n=11 dp row vs dp table: expected 0, got 1") in failed
+    assert ("dp = closed form, m=2, n<=11", "i=0 n=11 dp row vs dp table: expected 0, got 1") in failed
 
 
 # What genfunc and the oracles may import from recurrence: the value types and the guard rule,
@@ -814,6 +813,5 @@ def test_a_row_on_another_grading_fails_naming_both(capsys, monkeypatch):
     monkeypatch.setattr(genfunc, "poids_gf", lambda weights, i, order: PowerSeries(poids_gf(weights, i, order).coeffs))
     assert cli.main(["verify", "--scope", "dyck", "-n", "4"]) == 1
     assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")] == [
-        "FAIL  dp = gf, weights (1, 1/2, 2), n<=4: weights (1, 1/2, 2) i=0 gf vs dp: "
-        "expected a row graded den 1, base 2, got den 1, base 1"
+        "FAIL  dp = gf, weights (1, 1/2, 2), n<=4: i=0: expected a row graded den 1, base 2, got den 1, base 1"
     ]

@@ -157,6 +157,11 @@ def test_poids_gf_order_zero():
 
 def test_poids_gf_height_beyond_order():
     assert poids_gf(WeightConfig(1, 1, 1), 7, 4) == PowerSeries.zero(4)
+    # D = 2: out of reach or not, a poids row carries dp's grading, den 1, base D
+    weights = WeightConfig(1, Fraction(1, 2), 2)
+    for i in (3, 6, 9):
+        rows = (poids_gf(weights, i, 5), dp_row(weights, i, 5), build_table(weights, 5).row(i))
+        assert [(row._den, row._base) for row in rows] == [(1, 2)] * 3, i
 
 
 def test_poids_gf_accepts_zero_c2():

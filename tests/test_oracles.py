@@ -22,7 +22,6 @@ from tree_walk_reference import ball, walk_from_scratch
 from word_reference import reduce_word
 from treewalks import oracles
 from treewalks.oracles import (
-    FeasibilityError,
     dyck_guard,
     enumerate_dyck,
     free_group_count,
@@ -31,7 +30,7 @@ from treewalks.oracles import (
     tree_walk_count,
 )
 from treewalks.oracles import _append_letters, _ball_size, _code, _step_paths, _tally, _walk, _walks_from_root
-from treewalks.recurrence import WeightConfig, build_table, dp_row, tree_weights
+from treewalks.recurrence import FeasibilityError, WeightConfig, build_table, dp_row, tree_weights
 
 small_weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
 
